@@ -2,7 +2,7 @@
 """Render Mercury observability artifacts as human-readable reports.
 
 Usage:
-    scripts/blackbox_report.py mercury-postmortem-0.json
+    scripts/blackbox_report.py mercury-postmortem-<pid>-0.json
     scripts/blackbox_report.py bundle.json --tail 80
     scripts/blackbox_report.py timeseries.json
     scripts/blackbox_report.py profile.json

@@ -6,7 +6,7 @@ Usage:
     scripts/check_bench_json.py out.json
     scripts/check_bench_json.py out.json --require switch.attach.total_cycles \
         --require switch.detach.total_cycles
-    scripts/check_bench_json.py mercury-postmortem-0.json --schema postmortem
+    scripts/check_bench_json.py mercury-postmortem-<pid>-0.json --schema postmortem
     scripts/check_bench_json.py soak.json --schema soak
     scripts/check_bench_json.py ts.json --schema timeseries
     scripts/check_bench_json.py prof.json --schema profile

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Build and run the Mercury test tiers.
 #
-#   scripts/run_tiers.sh [tier1|tier2|soak|profile|depend|obsoff|asan|ubsan|tsan|all]
+#   scripts/run_tiers.sh [tier1|tier2|stress|soak|profile|depend|obsoff|asan|ubsan|tsan|all]
 #
 #   tier1  - the fast regression suite (default; every unit/integration test)
 #   tier2  - the dependability sweeps: fault matrix + seeded switch fuzzer
+#   stress - the tests that write postmortem bundles, 8 processes at a
+#            time, repeated until one fails (at most 20 rounds): a test
+#            that passes serially but fails in parallel is a bug
 #   soak   - the chaos soak: hundreds of supervised switch cycles under a
 #            seeded fault storm (ctest -L soak), writing mercury.soak.v1
 #            verdicts to build/soak-artifacts/ and gating them with
@@ -22,13 +25,16 @@
 #            gauges against BENCH_depend.json with scripts/bench_compare.py
 #   obsoff - tier1 with -DMERCURY_OBS=OFF (build-obsoff/), then diff the
 #            CYCLE_IDENTITY probe lines against the normal build: telemetry
-#            must compile away without moving a single simulated cycle
+#            must compile away without moving a single simulated cycle. The
+#            normal build's lines must also equal the committed
+#            tests/cycle_identity.golden, so a host-side change cannot move
+#            a simulated cycle in both builds alike
 #   asan   - full suite under AddressSanitizer  (build-asan/)
 #   ubsan  - full suite under UBSanitizer       (build-ubsan/)
 #   tsan   - the switch-path tests under ThreadSanitizer (build-tsan/):
 #            rendezvous, crews, engine, supervisor, and the soak — the
 #            code that would race first if a threaded driver ever lands
-#   all    - tier1, tier2, obsoff, then all three sanitizer suites
+#   all    - tier1, tier2, stress, obsoff, then all three sanitizer suites
 #
 # Seeded tests print MERCURY_TEST_SEED=<n> on start; export that variable to
 # replay a failure exactly (see TESTING.md).
@@ -37,7 +43,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
-CTEST_FLAGS=(--output-on-failure)
+# An empty test selection is an error, not a pass.
+CTEST_FLAGS=(--output-on-failure --no-tests=error -j "$JOBS")
 
 configure_and_build() {
   local dir="$1"; shift
@@ -65,10 +72,10 @@ run_sanitizer() {
   [[ $kind == thread ]] && dir=build-tsan
   configure_and_build "$dir" -DMERCURY_SANITIZE="$kind"
   if [[ $kind == thread ]]; then
-    # TSan covers the switch path: rendezvous/crew/engine (core_switch),
+    # TSan covers the switch path: rendezvous/crew/engine (SwitchEngine),
     # stress, supervisor, fuzz, and the chaos soak. The rest of the suite is
     # single-threaded by construction and just slows the job down.
-    ctest --test-dir "$dir" -R 'switch|core_switch' "${CTEST_FLAGS[@]}"
+    ctest --test-dir "$dir" -R 'Switch' "${CTEST_FLAGS[@]}"
   else
     ctest --test-dir "$dir" "${CTEST_FLAGS[@]}"
   fi
@@ -97,15 +104,33 @@ check_cycle_identity() {
   echo "$on"
 }
 
+# Obs-on against obs-off cannot see a cycle that moved in both builds; the
+# committed golden file pins the simulated clock itself.
+CYCLE_GOLDEN=tests/cycle_identity.golden
+
 run_obsoff() {
   configure_and_build build
   configure_and_build build-obsoff -DMERCURY_OBS=OFF
   run_label build-obsoff tier1
-  echo "run_tiers: obsoff OK — cycle identity holds:"
   # The switch path, and the dependability services (checkpoint/restore/
   # migrate carry MERC_PAUSE/MERC_FLIGHT hooks that must stay weightless).
-  check_cycle_identity core_switch_test
-  check_cycle_identity checkpoint_restore_test
+  local lines
+  lines="$(check_cycle_identity core_switch_test
+           check_cycle_identity checkpoint_restore_test)"
+  if ! diff <(echo "$lines") "$CYCLE_GOLDEN" >&2; then
+    echo "run_tiers: FAIL: CYCLE_IDENTITY lines differ from $CYCLE_GOLDEN" >&2
+    exit 1
+  fi
+  echo "run_tiers: obsoff OK — cycle identity holds and matches $CYCLE_GOLDEN:"
+  echo "$lines"
+}
+
+# Every test that writes postmortem bundles, in parallel and repeated: the
+# bundles of concurrent processes must never collide.
+run_stress() {
+  configure_and_build build
+  ctest --test-dir build --output-on-failure --no-tests=error \
+    --repeat until-fail:20 -j 8 -R "FaultMatrix|DependFault|Supervisor|Soak"
 }
 
 # The chaos soak: run the soak-labelled tests with MERCURY_SOAK_JSON pointed
@@ -188,6 +213,9 @@ case "$mode" in
     configure_and_build build
     run_label build "tier2|soak"
     ;;
+  stress)
+    run_stress
+    ;;
   soak)
     run_soak
     ;;
@@ -213,13 +241,14 @@ case "$mode" in
     configure_and_build build
     run_label build tier1
     run_label build "tier2|soak"
+    run_stress
     run_obsoff
     run_sanitizer address
     run_sanitizer undefined
     run_sanitizer thread
     ;;
   *)
-    echo "usage: $0 [tier1|tier2|soak|profile|depend|obsoff|asan|ubsan|tsan|all]" >&2
+    echo "usage: $0 [tier1|tier2|stress|soak|profile|depend|obsoff|asan|ubsan|tsan|all]" >&2
     exit 2
     ;;
 esac

@@ -1,5 +1,6 @@
 #include "core/fault_inject.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "obs/obs.hpp"
@@ -177,6 +178,23 @@ void FaultInjector::on_site(FaultSite site, hw::Cpu* cpu) {
     if (window_trigger_[idx] != 0 && wn == window_trigger_[idx])
       fire_storm(site, cpu, wn);
   }
+}
+
+std::uint64_t FaultInjector::pass(FaultSite site, std::uint64_t n) {
+  const std::size_t idx = static_cast<std::size_t>(site);
+  std::uint64_t quiet = n;
+  if (!paused_) {
+    // Stop one short of the visit on_site would fire on (plan ordinal, or
+    // the storm's ordinal within this window); ordinals already behind the
+    // counters never fire.
+    if (armed_ && site == plan_.site && plan_.trigger_count > visits_[idx])
+      quiet = std::min(quiet, plan_.trigger_count - visits_[idx] - 1);
+    if (storm_active_ && window_trigger_[idx] > window_visits_[idx])
+      quiet = std::min(quiet, window_trigger_[idx] - window_visits_[idx] - 1);
+  }
+  visits_[idx] += quiet;
+  if (storm_active_) window_visits_[idx] += quiet;
+  return quiet;
 }
 
 FaultInjector::PauseGuard::PauseGuard()

@@ -218,6 +218,13 @@ class FaultInjector {
   /// sites is safe, and storms are suppressed while paused.
   void on_site(FaultSite site, hw::Cpu* cpu = nullptr);
 
+  /// Bulk form of on_site for per-item loops: count up to `n` visits to
+  /// `site` that cannot fire — exactly as that many on_site calls would
+  /// count them (plan, storm window, paused) — and return how many were
+  /// counted. A return below `n` means the next visit fires: the caller
+  /// must report it through on_site. O(1), never throws.
+  std::uint64_t pass(FaultSite site, std::uint64_t n);
+
   /// True when any site visit could fire (keeps the fault_point fast path
   /// a couple of loads).
   bool live() const { return armed_ || storm_active_; }
@@ -254,6 +261,14 @@ FaultInjector& fault_injector();
 inline void fault_point(FaultSite site, hw::Cpu* cpu = nullptr) {
   FaultInjector& fi = fault_injector();
   if (fi.live()) fi.on_site(site, cpu);
+}
+
+/// Bulk marker: the visits `n` fault_point calls would make, up to (not
+/// including) one that fires. Returns how many were passed; that many items
+/// may run without a per-item fault_point.
+inline std::uint64_t fault_pass(FaultSite site, std::uint64_t n) {
+  FaultInjector& fi = fault_injector();
+  return fi.live() ? fi.pass(site, n) : n;
 }
 
 /// Derive a plan from a seeded Rng (the fuzzer's source of variety): any

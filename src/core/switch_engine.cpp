@@ -1,6 +1,7 @@
 #include "core/switch_engine.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <span>
 #include <utility>
 #include <vector>
@@ -16,6 +17,32 @@
 #include "util/log.hpp"
 
 namespace mercury::core {
+
+namespace {
+
+/// The injection site behind each hypervisor probe point, indexed by
+/// HvFaultPoint. Both halves of the probe (per-visit and bulk) map here.
+constexpr FaultSite kHvFaultSites[] = {
+    FaultSite::kAdoptRebuild,       // kAdoptRebuild
+    FaultSite::kAdoptProtect,       // kAdoptProtect
+    FaultSite::kReleaseUnprotect,   // kReleaseUnprotect
+    FaultSite::kShardRebuild,       // kShardRebuild
+    FaultSite::kShardProtect,       // kShardProtect
+    FaultSite::kShardUnprotect,     // kShardUnprotect
+    FaultSite::kDirtyRebuild,       // kDirtyRebuild
+    FaultSite::kCheckpointCapture,  // kCheckpointCapture
+    FaultSite::kRestoreApply,       // kRestoreApply
+    FaultSite::kMigrateStream,      // kMigrateStream
+    FaultSite::kMigrateActivate,    // kMigrateActivate
+};
+static_assert(std::size(kHvFaultSites) ==
+              static_cast<std::size_t>(vmm::HvFaultPoint::kNumPoints));
+
+FaultSite site_of(vmm::HvFaultPoint p) {
+  return kHvFaultSites[static_cast<std::size_t>(p)];
+}
+
+}  // namespace
 
 const char* exec_mode_name(ExecMode m) {
   switch (m) {
@@ -56,44 +83,14 @@ SwitchEngine::SwitchEngine(kernel::Kernel& k, vmm::Hypervisor& hv,
   // reports the CPU executing the probed loop — the control processor on the
   // serial path, a crew worker inside a shard — so injected latency charges
   // the clock that was actually running.
-  hv_.set_fault_probe([this](vmm::HvFaultPoint p, hw::Cpu* cpu) {
-    if (cpu == nullptr) cpu = &kernel_.machine().cpu(0);
-    switch (p) {
-      case vmm::HvFaultPoint::kAdoptRebuild:
-        fault_point(FaultSite::kAdoptRebuild, cpu);
-        break;
-      case vmm::HvFaultPoint::kAdoptProtect:
-        fault_point(FaultSite::kAdoptProtect, cpu);
-        break;
-      case vmm::HvFaultPoint::kReleaseUnprotect:
-        fault_point(FaultSite::kReleaseUnprotect, cpu);
-        break;
-      case vmm::HvFaultPoint::kShardRebuild:
-        fault_point(FaultSite::kShardRebuild, cpu);
-        break;
-      case vmm::HvFaultPoint::kShardProtect:
-        fault_point(FaultSite::kShardProtect, cpu);
-        break;
-      case vmm::HvFaultPoint::kShardUnprotect:
-        fault_point(FaultSite::kShardUnprotect, cpu);
-        break;
-      case vmm::HvFaultPoint::kDirtyRebuild:
-        fault_point(FaultSite::kDirtyRebuild, cpu);
-        break;
-      case vmm::HvFaultPoint::kCheckpointCapture:
-        fault_point(FaultSite::kCheckpointCapture, cpu);
-        break;
-      case vmm::HvFaultPoint::kRestoreApply:
-        fault_point(FaultSite::kRestoreApply, cpu);
-        break;
-      case vmm::HvFaultPoint::kMigrateStream:
-        fault_point(FaultSite::kMigrateStream, cpu);
-        break;
-      case vmm::HvFaultPoint::kMigrateActivate:
-        fault_point(FaultSite::kMigrateActivate, cpu);
-        break;
-    }
-  });
+  hv_.set_fault_probe(vmm::FaultProbe{
+      [this](vmm::HvFaultPoint p, hw::Cpu* cpu) {
+        fault_point(site_of(p),
+                    cpu != nullptr ? cpu : &kernel_.machine().cpu(0));
+      },
+      [](vmm::HvFaultPoint p, std::size_t n) {
+        return static_cast<std::size_t>(fault_pass(site_of(p), n));
+      }});
   // Black box: a failed MERC_CHECK anywhere in the simulator should leave a
   // postmortem bundle behind once a switch engine exists. Idempotent.
   obs::install_assert_postmortem_hook();

@@ -1,9 +1,10 @@
 #include "obs/postmortem.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
-#if defined(__linux__)
+#if defined(__unix__)
 #include <unistd.h>
 #endif
 
@@ -35,6 +36,21 @@ std::string& last_path_storage() {
 std::uint64_t& count_storage() {
   static std::uint64_t count = 0;
   return count;
+}
+
+std::uint64_t process_id() {
+#if defined(__unix__)
+  return static_cast<std::uint64_t>(::getpid());
+#else
+  return 0;
+#endif
+}
+
+// The pid keeps processes sharing a directory (ctest -j runs each test case
+// as its own process) out of each other's slots.
+std::string slot_file_name(std::uint64_t slot) {
+  return "mercury-postmortem-" + std::to_string(process_id()) + "-" +
+         std::to_string(slot) + ".json";
 }
 
 void append_escaped(std::string& out, std::string_view s) {
@@ -89,6 +105,12 @@ void default_postmortem_dir_beside_binary() {
 }
 
 std::string last_postmortem_path() { return last_path_storage(); }
+
+void remove_own_postmortems() {
+  const std::uint64_t used = std::min(count_storage(), kPostmortemSlots);
+  for (std::uint64_t slot = 0; slot < used; ++slot)
+    std::remove((postmortem_dir() + "/" + slot_file_name(slot)).c_str());
+}
 
 std::uint64_t postmortem_count() { return count_storage(); }
 
@@ -153,16 +175,26 @@ std::string write_postmortem(const PostmortemContext& ctx,
                              std::size_t flight_tail) {
   const std::string json = postmortem_json(ctx, flight_tail);
   const std::uint64_t slot = count_storage() % kPostmortemSlots;
-  const std::string path = postmortem_dir() + "/mercury-postmortem-" +
-                           std::to_string(slot) + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
+  // The bundle is written under a dot-prefixed temp name that the
+  // mercury-postmortem-*.json glob does not match and renamed into place,
+  // so a reader never sees a partial file.
+  const std::string name = slot_file_name(slot);
+  const std::string path = postmortem_dir() + "/" + name;
+  const std::string tmp = postmortem_dir() + "/." + name + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) {
-    util::log_warn("postmortem", "cannot open ", path, " for writing");
+    util::log_warn("postmortem", "cannot open ", tmp, " for writing");
     return "";
   }
   const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
   if (std::fclose(f) != 0 || !ok) {
-    util::log_warn("postmortem", "short write to ", path);
+    util::log_warn("postmortem", "short write to ", tmp);
+    std::remove(tmp.c_str());
+    return "";
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    util::log_warn("postmortem", "cannot rename ", tmp, " to ", path);
+    std::remove(tmp.c_str());
     return "";
   }
   ++count_storage();

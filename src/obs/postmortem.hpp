@@ -11,11 +11,14 @@
 //
 // Bundles are written to a configurable directory (set_postmortem_dir, or
 // the MERCURY_POSTMORTEM_DIR environment variable) into a fixed pool of
-// rotating slot files (mercury-postmortem-<slot>.json): like the flight
-// ring itself, the black box bounds its disk footprint and keeps the newest
-// evidence. Writing is unconditional — a MERCURY_OBS=OFF build still dumps
-// bundles (with an empty flight tail), because postmortem capture is a
-// dependability feature, not telemetry.
+// rotating slot files per process (mercury-postmortem-<pid>-<slot>.json):
+// like the flight ring itself, the black box bounds its disk footprint and
+// keeps the newest evidence. Processes sharing the directory never write
+// to one another's slots, and each bundle is written to a temp name and
+// renamed into place, so a reader never sees a half-written file. Writing
+// is unconditional — a MERCURY_OBS=OFF build still dumps bundles (with an
+// empty flight tail), because postmortem capture is a dependability
+// feature, not telemetry.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +71,10 @@ std::string write_postmortem(const PostmortemContext& ctx,
 
 /// The path the most recent write_postmortem produced ("" before the first).
 std::string last_postmortem_path();
+/// Delete the bundles this process wrote into the current directory. Slot
+/// names are per process, so nothing else ever would: a test that routes
+/// its bundles into a shared temp directory calls this once it has passed.
+void remove_own_postmortems();
 /// Bundles written since process start (monotonic; slots rotate, this does
 /// not).
 std::uint64_t postmortem_count();

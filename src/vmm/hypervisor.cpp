@@ -121,63 +121,66 @@ bool Hypervisor::frame_is_pt(hw::Pfn pfn) const {
   return pi.type == PageType::kL1 || pi.type == PageType::kL2;
 }
 
-bool Hypervisor::pte_value_ok(Domain& d, hw::Pte value, std::string* why) {
-  if (!value.present()) return true;
+const char* Hypervisor::pte_value_violation(const Domain& d,
+                                            hw::Pte value) const {
+  if (!value.present()) return nullptr;
   const hw::Pfn target = value.pfn();
-  if (target >= page_info_.size()) {
-    if (why) *why = "PTE targets nonexistent frame";
-    return false;
-  }
+  if (target >= page_info_.size()) return "PTE targets nonexistent frame";
   const PageInfo& pi = page_info_.at(target);
-  if (pi.owner == kDomHypervisor) {
-    if (why) *why = "PTE maps a hypervisor frame";
-    return false;
-  }
-  if (pi.owner != d.id()) {
-    if (why) *why = "PTE maps a frame owned by another domain";
-    return false;
-  }
-  if (value.writable() && (pi.type == PageType::kL1 || pi.type == PageType::kL2)) {
-    if (why) *why = "writable mapping of a page-table frame";
-    return false;
-  }
-  return true;
+  if (pi.owner == kDomHypervisor) return "PTE maps a hypervisor frame";
+  if (pi.owner != d.id()) return "PTE maps a frame owned by another domain";
+  if (value.writable() && (pi.type == PageType::kL1 || pi.type == PageType::kL2))
+    return "writable mapping of a page-table frame";
+  return nullptr;
 }
+
+std::array<std::uint32_t, hw::kPtEntries> Hypervisor::read_table(
+    hw::Pfn table) const {
+  std::array<std::uint32_t, hw::kPtEntries> entries{};
+  machine_.memory().read_bytes(
+      hw::addr_of(table),
+      {reinterpret_cast<std::uint8_t*>(entries.data()), sizeof entries});
+  return entries;
+}
+
+// The scans charge per_pte for every entry up to the one they stop at; the
+// clock is not read in between, so the charge is taken in one piece.
 
 bool Hypervisor::validate_l1(hw::Cpu& cpu, Domain& d, hw::Pfn table,
                              hw::Cycles per_pte, std::size_t* present_out) {
+  const auto entries = read_table(table);
   std::size_t present = 0;
   for (std::uint32_t e = 0; e < hw::kPtEntries; ++e) {
-    cpu.charge(per_pte);
-    const hw::Pte pte{machine_.memory().read_u32(hw::addr_of(table) + e * 4)};
+    const hw::Pte pte{entries[e]};
     if (!pte.present()) continue;
     ++present;
     ++stats_.pte_validations;
-    std::string why;
-    if (!pte_value_ok(d, pte, &why)) {
-      if (heal_mode_) {
-        // Repair: clear the tainted entry; a later fault re-establishes it.
-        machine_.memory().write_u32(hw::addr_of(table) + e * 4, 0);
-        cpu.charge(hw::costs::kMemAccess);
-        ++stats_.entries_healed;
-        --present;
-        continue;
-      }
-      crash_domain(d.id(), "L1 validation: " + why);
-      return false;
+    const char* why = pte_value_violation(d, pte);
+    if (why == nullptr) continue;
+    if (heal_mode_) {
+      // Repair: clear the tainted entry; a later fault re-establishes it.
+      machine_.memory().write_u32(hw::addr_of(table) + e * 4, 0);
+      cpu.charge(hw::costs::kMemAccess);
+      ++stats_.entries_healed;
+      --present;
+      continue;
     }
+    cpu.charge((e + 1) * per_pte);
+    crash_domain(d.id(), std::string("L1 validation: ") + why);
+    return false;
   }
+  cpu.charge(hw::kPtEntries * per_pte);
   if (present_out) *present_out = present;
   return true;
 }
 
 bool Hypervisor::validate_l2(hw::Cpu& cpu, Domain& d, hw::Pfn table,
                              hw::Cycles per_pte, std::size_t* present_out) {
+  const auto entries = read_table(table);
   std::size_t present = 0;
   const std::uint32_t vmm_pde_start = hw::pde_index(kernel::kVmmBase);
   for (std::uint32_t e = 0; e < hw::kPtEntries; ++e) {
-    cpu.charge(per_pte);
-    const hw::Pte pde{machine_.memory().read_u32(hw::addr_of(table) + e * 4)};
+    const hw::Pte pde{entries[e]};
     if (!pde.present()) continue;
     ++present;
     ++stats_.pte_validations;
@@ -187,6 +190,7 @@ bool Hypervisor::validate_l2(hw::Cpu& cpu, Domain& d, hw::Pfn table,
           vmm_pdes_.begin(), vmm_pdes_.end(),
           [&](const auto& p) { return p.first == e; });
       if (it == vmm_pdes_.end() || it->second.raw != pde.raw) {
+        cpu.charge((e + 1) * per_pte);
         crash_domain(d.id(), "L2 validation: tampered VMM reserved PDE");
         return false;
       }
@@ -194,10 +198,12 @@ bool Hypervisor::validate_l2(hw::Cpu& cpu, Domain& d, hw::Pfn table,
     }
     const hw::Pfn l1 = pde.pfn();
     if (l1 >= page_info_.size() || page_info_.at(l1).type != PageType::kL1) {
+      cpu.charge((e + 1) * per_pte);
       crash_domain(d.id(), "L2 validation: PDE references a non-L1 frame");
       return false;
     }
   }
+  cpu.charge(hw::kPtEntries * per_pte);
   if (present_out) *present_out = present;
   return true;
 }
@@ -234,18 +240,37 @@ void Hypervisor::init_reserved_page_info() {
   page_info_.reset_shard_counters();
 }
 
+template <typename Run>
+void Hypervisor::probed_runs(hw::Cpu& cpu, HvFaultPoint site, std::size_t n,
+                             Run&& run) {
+  for (std::size_t i = 0; i < n;) {
+    std::size_t len = fault_probe_.pass ? fault_probe_.pass(site, n - i) : n - i;
+    if (len == 0) {
+      // The next visit fires: take it per item, before its item, as the
+      // per-item loop would.
+      fault_probe_.visit(site, &cpu);
+      len = 1;
+    }
+    run(i, len);
+    i += len;
+  }
+}
+
 void Hypervisor::adopt_rebuild_shard(hw::Cpu& cpu, DomainId id,
                                      std::span<const hw::Pfn> frames,
                                      HvFaultPoint site) {
   if (!frames.empty())
     MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_rebuild_shard", frames.size(),
                 frames.front(), frames.back());
-  for (const hw::Pfn pfn : frames) {
-    if (fault_probe_) fault_probe_(site, &cpu);
-    cpu.charge(pv::costs::kPerFrameInfoRebuild);
-    page_info_.at(pfn) = PageInfo{id, PageType::kWritable, 0, 1, false};
-    page_info_.note_rebuilt(pfn);
-  }
+  probed_runs(cpu, site, frames.size(), [&](std::size_t first, std::size_t n) {
+    const auto run = frames.subspan(first, n);
+    cpu.charge(n * pv::costs::kPerFrameInfoRebuild);
+    // The entry is built in the store (not copied from a named local): the
+    // copy of a padded struct compiles to a stalling store-load pair.
+    for (const hw::Pfn pfn : run)
+      page_info_.at(pfn) = PageInfo{id, PageType::kWritable, 0, 1, false};
+    page_info_.note_rebuilt(run);
+  });
 }
 
 void Hypervisor::adopt_dirty_rebuild_shard(hw::Cpu& cpu, DomainId id,
@@ -254,25 +279,27 @@ void Hypervisor::adopt_dirty_rebuild_shard(hw::Cpu& cpu, DomainId id,
   if (!frames.empty())
     MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_dirty_rebuild_shard",
                 frames.size(), frames.front(), frames.back());
-  for (const hw::Pfn pfn : frames) {
-    if (fault_probe_) fault_probe_(site, &cpu);
-    cpu.charge(pv::costs::kPerFrameInfoRebuild);
-    const bool reserved =
-        pfn >= reserved_first_ &&
-        pfn < reserved_first_ + static_cast<hw::Pfn>(reserved_count_);
-    page_info_.at(pfn) =
-        reserved ? PageInfo{kDomHypervisor, PageType::kWritable, 0, 1, false}
-                 : PageInfo{id, PageType::kWritable, 0, 1, false};
-    page_info_.note_dirty_rebuilt(pfn);
-  }
+  probed_runs(cpu, site, frames.size(), [&](std::size_t first, std::size_t n) {
+    const auto run = frames.subspan(first, n);
+    cpu.charge(n * pv::costs::kPerFrameInfoRebuild);
+    for (const hw::Pfn pfn : run) {
+      const bool reserved =
+          pfn >= reserved_first_ &&
+          pfn < reserved_first_ + static_cast<hw::Pfn>(reserved_count_);
+      page_info_.at(pfn) = PageInfo{reserved ? kDomHypervisor : id,
+                                    PageType::kWritable, 0, 1, false};
+    }
+    page_info_.note_dirty_rebuilt(run);
+  });
 }
 
 void Hypervisor::adopt_trusted_sweep_shard(hw::Cpu& cpu, std::size_t frames) {
   // Eager tracking kept the table fresh, but the VMM still cross-checks
-  // ownership with a light sweep before enforcing isolation on it.
+  // ownership with a light sweep (1 cycle a frame) before enforcing
+  // isolation on it.
   if (frames != 0)
     MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_trusted_sweep_shard", frames);
-  for (std::size_t i = 0; i < frames; ++i) cpu.charge(1);
+  cpu.charge(frames);
 }
 
 std::vector<std::pair<hw::Pfn, PageType>> Hypervisor::collect_tables(Kernel& k) {
@@ -302,15 +329,19 @@ void Hypervisor::adopt_protect_shard(
   if (!tables.empty())
     MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_protect_shard", tables.size(),
                 tables.front().first, tables.back().first);
-  for (const auto& [pfn, type] : tables) {
-    if (fault_probe_) fault_probe_(site, &cpu);
-    PageInfo& pi = page_info_.at(pfn);
-    pi.type = type;
-    pi.pinned = true;
-    pi.type_count = 1;
-    set_frame_writable_batched(cpu, k, pfn, false);
-    page_info_.note_typed(pfn);
-  }
+  probed_runs(cpu, site, tables.size(), [&](std::size_t first, std::size_t n) {
+    const auto run = tables.subspan(first, n);
+    cpu.charge(n * pv::costs::kPerPtBatchFlip);
+    MERC_COUNT_N("vmm.pt_protection_flips", n);
+    for (const auto& [pfn, type] : run) {
+      PageInfo& pi = page_info_.at(pfn);
+      pi.type = type;
+      pi.pinned = true;
+      pi.type_count = 1;
+      rewrite_direct_map_pte(k, pfn, false);
+    }
+    page_info_.note_typed(run);
+  });
 }
 
 void Hypervisor::adopt_validate_shard(
@@ -360,10 +391,12 @@ void Hypervisor::release_unprotect_shard(hw::Cpu& cpu, Kernel& k,
   if (!frames.empty())
     MERC_FLIGHT(cpu, kShardRange, "vmm.release_unprotect_shard", frames.size(),
                 frames.front(), frames.back());
-  for (const hw::Pfn pfn : frames) {
-    if (fault_probe_) fault_probe_(site, &cpu);
-    set_frame_writable_batched(cpu, k, pfn, true);
-  }
+  probed_runs(cpu, site, frames.size(), [&](std::size_t first, std::size_t n) {
+    cpu.charge(n * pv::costs::kPerPtBatchFlip);
+    MERC_COUNT_N("vmm.pt_protection_flips", n);
+    for (const hw::Pfn pfn : frames.subspan(first, n))
+      rewrite_direct_map_pte(k, pfn, true);
+  });
 }
 
 void Hypervisor::finish_release(bool retain_page_info) {
@@ -453,20 +486,18 @@ void Hypervisor::forget_frame_range(hw::Pfn first, std::size_t count) {
 
 void Hypervisor::set_frame_writable(hw::Cpu& cpu, Kernel& k, hw::Pfn pfn,
                                     bool writable) {
-  // Total cost stays kPerPtWritabilityFlip: the batched rewrite plus the
-  // per-page shootdown that batching elides.
-  cpu.charge(pv::costs::kPerPtWritabilityFlip - pv::costs::kPerPtBatchFlip);
-  set_frame_writable_batched(cpu, k, pfn, writable);
+  // kPerPtWritabilityFlip: the rewrite plus the per-page shootdown that a
+  // bulk batch elides.
+  cpu.charge(pv::costs::kPerPtWritabilityFlip);
+  MERC_COUNT("vmm.pt_protection_flips");
+  rewrite_direct_map_pte(k, pfn, writable);
   // Direct-map entries are global: purge any cached translation, one
   // cross-CPU round for this page.
   for (std::size_t c = 0; c < machine_.num_cpus(); ++c)
     machine_.cpu(c).tlb().flush_page(hw::vpn_of(k.kva_of_frame(pfn)));
 }
 
-void Hypervisor::set_frame_writable_batched(hw::Cpu& cpu, Kernel& k,
-                                            hw::Pfn pfn, bool writable) {
-  cpu.charge(pv::costs::kPerPtBatchFlip);
-  MERC_COUNT("vmm.pt_protection_flips");
+void Hypervisor::rewrite_direct_map_pte(Kernel& k, hw::Pfn pfn, bool writable) {
   const std::size_t idx = pfn - k.base_pfn();
   const auto& l1s = k.kernel_l1_frames();
   const std::size_t table = idx / hw::kPtEntries;
@@ -613,7 +644,11 @@ bool Hypervisor::validate_update(Domain& d, hw::PhysAddr pte_addr, hw::Pte value
     if (why) *why = "table update in a frame not owned by the domain";
     return false;
   }
-  if (ci.type == PageType::kL1) return pte_value_ok(d, value, why);
+  if (ci.type == PageType::kL1) {
+    const char* violation = pte_value_violation(d, value);
+    if (violation != nullptr && why) *why = violation;
+    return violation == nullptr;
+  }
   if (ci.type == PageType::kL2) {
     if (!value.present()) return true;
     const std::uint32_t index =

@@ -8,6 +8,7 @@
 // rebuilds the page accounting for the already-running kernel (§5.1.2).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -73,6 +74,17 @@ enum class HvFaultPoint : std::uint8_t {
   kMigrateStream,      // once per page sent during pre-copy / stop-and-copy
   kMigrateActivate,    // destination admission steps, before the
                        // irreversible protect/rewire point
+  kNumPoints,
+};
+
+/// The probe the switch engine installs at the HvFaultPoint sites. `visit`
+/// reports one visit and may throw. `pass` counts up to `n` visits that
+/// cannot fire and returns how many it counted, so a per-item loop runs
+/// every stretch no fault can interrupt without a per-item call, and sends
+/// only the visit that fires through `visit`.
+struct FaultProbe {
+  std::function<void(HvFaultPoint, hw::Cpu*)> visit;
+  std::function<std::size_t(HvFaultPoint, std::size_t)> pass;
 };
 
 class Hypervisor : public hw::TrapSink {
@@ -149,12 +161,11 @@ class Hypervisor : public hw::TrapSink {
   /// fully attached state (detach rollback).
   void reprotect_os(hw::Cpu& cpu, DomainId id, kernel::Kernel& k);
   /// Install a fault probe called at the HvFaultPoint sites (tests; unset in
-  /// production paths). The probe may throw. The second argument is the CPU
-  /// executing the probed loop — the control processor on the serial path, a
-  /// crew worker inside a shard — so injected latency charges the right clock.
-  void set_fault_probe(std::function<void(HvFaultPoint, hw::Cpu*)> probe) {
-    fault_probe_ = std::move(probe);
-  }
+  /// production paths). The probe may throw. `visit`'s second argument is
+  /// the CPU executing the probed loop — the control processor on the serial
+  /// path, a crew worker inside a shard — so injected latency charges the
+  /// right clock.
+  void set_fault_probe(FaultProbe probe) { fault_probe_ = std::move(probe); }
   /// Make the hypervisor the machine's trap owner (or stop being it).
   void take_traps();
 
@@ -227,12 +238,10 @@ class Hypervisor : public hw::TrapSink {
   void forget_frame_range(hw::Pfn first, std::size_t count);
   /// Flip the direct-map writability of a frame (page-table protection).
   /// The single-frame form pays a per-page cross-CPU shootdown; trap-time
-  /// pin/unpin and rollback use it. Bulk shards use the batched form (PTE
-  /// rewrite only) and close the batch with one tlb_shootdown_all.
+  /// pin/unpin and rollback use it. Bulk shards pay kPerPtBatchFlip a flip
+  /// (PTE rewrite only) and close the batch with one tlb_shootdown_all.
   void set_frame_writable(hw::Cpu& cpu, kernel::Kernel& k, hw::Pfn pfn,
                           bool writable);
-  void set_frame_writable_batched(hw::Cpu& cpu, kernel::Kernel& k, hw::Pfn pfn,
-                                  bool writable);
   /// One IPI round + full TLB flush on every CPU, closing a batch of flips.
   void tlb_shootdown_all(hw::Cpu& cpu);
   bool validate_l1(hw::Cpu& cpu, Domain& d, hw::Pfn table, hw::Cycles per_pte,
@@ -281,8 +290,21 @@ class Hypervisor : public hw::TrapSink {
   /// friends above call this from their copy loops; the probe may throw to
   /// abort the service mid-flight.
   void probe_fault(HvFaultPoint p, hw::Cpu* cpu) {
-    if (fault_probe_) fault_probe_(p, cpu);
+    if (fault_probe_.visit) fault_probe_.visit(p, cpu);
   }
+  /// Drive a probed per-item loop over `n` items on `cpu`: one visit to
+  /// `site` before each item, with the same visit ordinals, the same item
+  /// on which a fault fires, and the same clock at the fault as the loop
+  /// `for (i) { probe_fault(site, &cpu); body(i); }`. Stretches no fault can
+  /// interrupt go to `run(first, count)` whole; the visit that fires is
+  /// taken per item, so a per-item loop is just a run of length one.
+  template <typename Run>
+  void probed_runs(hw::Cpu& cpu, HvFaultPoint site, std::size_t n, Run&& run);
+  /// The four bytes of every entry of page table `table`, read at once.
+  std::array<std::uint32_t, hw::kPtEntries> read_table(hw::Pfn table) const;
+  /// Point the direct-map PTE of `pfn` at `writable` and track the frame
+  /// in protected_frames_ (uncharged: the callers charge the flip).
+  void rewrite_direct_map_pte(kernel::Kernel& k, hw::Pfn pfn, bool writable);
 
   void hypercall_enter(hw::Cpu& cpu);
   void hypercall_exit(hw::Cpu& cpu);
@@ -294,8 +316,9 @@ class Hypervisor : public hw::TrapSink {
     fn();
     cpu.set_cpl(prev);
   }
-  /// Validate that `value` may be installed as an L1 PTE for `dom`.
-  bool pte_value_ok(Domain& d, hw::Pte value, std::string* why);
+  /// Why `value` may not be installed as an L1 PTE for `d`, or nullptr if
+  /// it may.
+  const char* pte_value_violation(const Domain& d, hw::Pte value) const;
   /// Level-aware validation of a single table update: the rules differ for
   /// entries inside an L1 (ownership, no writable PT mappings) and an L2
   /// (must reference validated L1s / the hypervisor's reserved template).
@@ -328,7 +351,7 @@ class Hypervisor : public hw::TrapSink {
 
   std::unordered_set<hw::Pfn> protected_frames_;
   bool heal_mode_ = false;
-  std::function<void(HvFaultPoint, hw::Cpu*)> fault_probe_;
+  FaultProbe fault_probe_;
   HvStats stats_;
 };
 

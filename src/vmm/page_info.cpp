@@ -42,14 +42,32 @@ void PageInfoTable::reset_shard_counters() {
   for (Shard& s : shards_) s.counters = ShardCounters{};
 }
 
-PageInfo& PageInfoTable::at(hw::Pfn pfn) {
-  MERC_CHECK_MSG(pfn < info_.size(), "page info out of range: pfn " << pfn);
-  return info_[pfn];
+void PageInfoTable::out_of_range(hw::Pfn pfn) const {
+  std::ostringstream msg;
+  msg << "page info out of range: pfn " << pfn;
+  util::invariant_failure("pfn < info_.size()", __FILE__, __LINE__, msg.str());
 }
 
-const PageInfo& PageInfoTable::at(hw::Pfn pfn) const {
-  MERC_CHECK_MSG(pfn < info_.size(), "page info out of range: pfn " << pfn);
-  return info_[pfn];
+void PageInfoTable::note_rebuilt(std::span<const hw::Pfn> frames) {
+  for_each_shard_stretch(
+      frames, [](hw::Pfn pfn) { return pfn; },
+      [](Shard& s, std::size_t n) { s.counters.rebuilt += n; });
+}
+
+void PageInfoTable::note_dirty_rebuilt(std::span<const hw::Pfn> frames) {
+  for_each_shard_stretch(
+      frames, [](hw::Pfn pfn) { return pfn; },
+      [this](Shard& s, std::size_t n) {
+        s.counters.rebuilt += n;
+        s.dirty_epoch = epoch_;
+      });
+}
+
+void PageInfoTable::note_typed(
+    std::span<const std::pair<hw::Pfn, PageType>> tables) {
+  for_each_shard_stretch(
+      tables, [](const std::pair<hw::Pfn, PageType>& t) { return t.first; },
+      [](Shard& s, std::size_t n) { s.counters.typed += n; });
 }
 
 void PageInfoTable::invalidate_all() {
@@ -71,18 +89,21 @@ std::optional<std::string> PageInfoTable::check_invariants() const {
   if (valid_ && retained_)
     return "table claims to be both live (valid) and retained-stale";
   if (!valid_) return "table is invalid (VMM dormant)";
+  // The message is built only for the frame that fails a check.
   for (std::size_t pfn = 0; pfn < info_.size(); ++pfn) {
     const PageInfo& pi = info_[pfn];
-    std::ostringstream err;
     if (pi.pinned && pi.type != PageType::kL1 && pi.type != PageType::kL2) {
+      std::ostringstream err;
       err << "pfn " << pfn << " pinned but typed " << page_type_name(pi.type);
       return err.str();
     }
     if (pi.pinned && pi.type_count == 0) {
+      std::ostringstream err;
       err << "pfn " << pfn << " pinned with zero type_count";
       return err.str();
     }
     if (pi.type != PageType::kNone && pi.owner == kDomInvalid) {
+      std::ostringstream err;
       err << "pfn " << pfn << " typed " << page_type_name(pi.type)
           << " but unowned";
       return err.str();

@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hw/types.hpp"
@@ -42,8 +44,16 @@ class PageInfoTable {
  public:
   explicit PageInfoTable(std::size_t total_frames);
 
-  PageInfo& at(hw::Pfn pfn);
-  const PageInfo& at(hw::Pfn pfn) const;
+  // Inline, with the failure report out of line so the check stays a
+  // compare and branch: the adopt and validate loops index once per frame.
+  PageInfo& at(hw::Pfn pfn) {
+    if (pfn >= info_.size()) [[unlikely]] out_of_range(pfn);
+    return info_[pfn];
+  }
+  const PageInfo& at(hw::Pfn pfn) const {
+    if (pfn >= info_.size()) [[unlikely]] out_of_range(pfn);
+    return info_[pfn];
+  }
   std::size_t size() const { return info_.size(); }
 
   // --- sharded internals (parallel switch pipeline) ---
@@ -70,17 +80,15 @@ class PageInfoTable {
     std::uint64_t typed = 0;    // page-table frames typed + protected
   };
   const ShardCounters& shard_counters(std::size_t shard) const;
-  void note_rebuilt(hw::Pfn pfn) { ++shards_[shard_of(pfn)].counters.rebuilt; }
-  /// A warm (dirty-set) reconstruction touched this frame: count it as
-  /// rebuilt and stamp its shard with the current rebuild epoch, marking
-  /// the shard as revalidated-this-attach. Shards whose stamp lags the
-  /// epoch carried every entry over from the retained table untouched.
-  void note_dirty_rebuilt(hw::Pfn pfn) {
-    Shard& s = shards_[shard_of(pfn)];
-    ++s.counters.rebuilt;
-    s.dirty_epoch = epoch_;
-  }
-  void note_typed(hw::Pfn pfn) { ++shards_[shard_of(pfn)].counters.typed; }
+  // The note_* calls take a run of frames and bump each shard's counter once
+  // per stretch of consecutive frames that fall in it.
+  void note_rebuilt(std::span<const hw::Pfn> frames);
+  /// A warm (dirty-set) reconstruction touched these frames: count them as
+  /// rebuilt and stamp their shards with the current rebuild epoch, marking
+  /// each as revalidated-this-attach. Shards whose stamp lags the epoch
+  /// carried every entry over from the retained table untouched.
+  void note_dirty_rebuilt(std::span<const hw::Pfn> frames);
+  void note_typed(std::span<const std::pair<hw::Pfn, PageType>> tables);
   std::uint64_t rebuilt_total() const;
   std::uint64_t typed_total() const;
   /// Zero every shard's counters (start of an adopt episode).
@@ -135,6 +143,23 @@ class PageInfoTable {
     ShardCounters counters;
     std::uint64_t dirty_epoch = 0;  // last rebuild epoch that touched this shard
   };
+
+  /// Report an at() past the end (MERC_CHECK failure: throws).
+  [[noreturn]] void out_of_range(hw::Pfn pfn) const;
+
+  /// Call `bump(shard, count)` once per stretch of consecutive `items`
+  /// whose frames (`pfn_of(item)`) share a shard.
+  template <typename T, typename PfnOf, typename Bump>
+  void for_each_shard_stretch(std::span<const T> items, PfnOf pfn_of,
+                              Bump bump) {
+    for (std::size_t i = 0; i < items.size();) {
+      const std::size_t shard = shard_of(pfn_of(items[i]));
+      std::size_t j = i + 1;
+      while (j < items.size() && shard_of(pfn_of(items[j])) == shard) ++j;
+      bump(shards_[shard], j - i);
+      i = j;
+    }
+  }
 
   std::vector<PageInfo> info_;
   std::vector<Shard> shards_;

@@ -46,6 +46,7 @@ struct InjectorGuard {
   ~InjectorGuard() {
     core::fault_injector().disarm();
     core::fault_injector().stop_storm();
+    if (!::testing::Test::HasFailure()) obs::remove_own_postmortems();
     obs::set_postmortem_dir("");
   }
 };

@@ -5,9 +5,13 @@
 // running. A clean retry after every rollback must then commit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/fault_inject.hpp"
 #include "core/invariants.hpp"
@@ -16,7 +20,9 @@
 #include "kernel/syscalls.hpp"
 #include "obs/obs.hpp"
 #include "obs/postmortem.hpp"
+#include "pv/costs.hpp"
 #include "tests/json_checker.hpp"
+#include "vmm/page_info.hpp"
 
 namespace mercury::testing {
 namespace {
@@ -57,6 +63,8 @@ struct InjectorGuard {
       ::testing::Test::RecordProperty("unfired_fault_plans",
                                       std::to_string(unfired));
     }
+    // A passing test's bundles are no evidence of anything: drop them.
+    if (!::testing::Test::HasFailure()) obs::remove_own_postmortems();
     obs::set_postmortem_dir("");
   }
 };
@@ -137,16 +145,17 @@ struct Box {
   Mercury m;
   long progress = 0;
 
-  explicit Box(core::SwitchConfig sc = {}, std::size_t cpus = 1)
+  explicit Box(core::SwitchConfig sc = {}, std::size_t cpus = 1,
+               std::size_t kernel_mb = 32, std::size_t mem_mb = 96)
       : machine([&] {
           hw::MachineConfig mc;
           mc.num_cpus = cpus;
-          mc.mem_kb = 96 * 1024;
+          mc.mem_kb = mem_mb * 1024;
           return mc;
         }()),
         m(machine, [&] {
           core::MercuryConfig cfg;
-          cfg.kernel_frames = (32ull * 1024 * 1024) / hw::kPageSize;
+          cfg.kernel_frames = (kernel_mb * 1024 * 1024) / hw::kPageSize;
           cfg.switch_config = sc;
           return cfg;
         }()) {
@@ -188,9 +197,11 @@ struct Box {
 /// Arm `plan`, request `from`→`target`, and verify the dichotomy: either the
 /// fault fired and the engine rolled back to `from`, or the site was never
 /// reached and the switch committed — with zero invariant violations and a
-/// live OS either way. Returns true if the fault fired.
+/// live OS either way. Returns true if the fault fired. `on_fired` runs
+/// right after a faulted switch settles, before any retry.
 bool run_faulted_switch(Box& box, ExecMode from, ExecMode target,
-                        const FaultPlan& plan, const std::string& ctx) {
+                        const FaultPlan& plan, const std::string& ctx,
+                        const std::function<void()>& on_fired = {}) {
   FaultInjector& fi = core::fault_injector();
   EXPECT_EQ(box.m.mode(), from) << ctx;
   const std::uint64_t injected_before = fi.injected();
@@ -202,6 +213,7 @@ bool run_faulted_switch(Box& box, ExecMode from, ExecMode target,
   fi.disarm();
 
   const bool fired = fi.injected() > injected_before;
+  if (fired && on_fired) on_fired();
   if (fired) {
     EXPECT_EQ(box.m.mode(), from) << ctx << ": faulted switch changed mode";
     EXPECT_EQ(box.m.engine().stats().rollbacks, rollbacks_before + 1) << ctx;
@@ -480,6 +492,151 @@ TEST(FaultMatrix, WarmReattachCrewShardFaults) {
     ASSERT_TRUE(box.settle(ExecMode::kNative));
   }
   EXPECT_EQ(fired, 2u);
+}
+
+// --- deep triggers inside a probed run ---------------------------------------
+//
+// The page-info rebuild loops run every stretch no fault can interrupt in
+// one piece and take only the firing visit per item. These rows fire deep
+// inside such a stretch and check it is exact: the fault lands on the
+// trigger-th visit, with the clock the per-item loop would have had there.
+
+struct DeepRow {
+  FaultSite site;
+  std::uint64_t trigger;
+  FaultKind kind;
+  hw::Cycles latency;
+  const char* range_name;  // the shard.range event that opens the run
+};
+
+/// Called right after the faulted switch. The rollback saw exactly the
+/// trigger-1 frames rebuilt before the firing visit; in obs-on builds the
+/// fault.hit event names the trigger as its visit ordinal, and its clock is
+/// the run's opening shard.range clock plus trigger-1 frames of rebuild
+/// plus the latency.
+void expect_fault_deep_in_run(Box& box, const DeepRow& row,
+                              const std::string& ctx) {
+  EXPECT_EQ(box.m.hypervisor().page_info().rebuilt_total(), row.trigger - 1)
+      << ctx << ": frames rebuilt before the fault";
+#if MERCURY_OBS_ENABLED
+  const std::vector<obs::FlightEvent> events = obs::flight_recorder().events();
+  const auto hit = std::find_if(
+      events.rbegin(), events.rend(), [&](const obs::FlightEvent& e) {
+        return e.type == obs::FlightType::kFaultHit &&
+               e.arg0 == static_cast<std::uint64_t>(row.site);
+      });
+  ASSERT_NE(hit, events.rend()) << ctx << ": no fault.hit event";
+  const auto range = std::find_if(hit, events.rend(), [&](const obs::FlightEvent& e) {
+    return e.type == obs::FlightType::kShardRange && e.cpu == hit->cpu &&
+           std::string_view(e.name) == row.range_name;
+  });
+  ASSERT_NE(range, events.rend())
+      << ctx << ": no " << row.range_name << " before the fault";
+  EXPECT_EQ(hit->arg2, row.trigger) << ctx << ": visit ordinal";
+  EXPECT_GE(range->arg0, row.trigger) << ctx << ": fault outside the run";
+  EXPECT_EQ(hit->at - range->at,
+            (row.trigger - 1) * pv::costs::kPerFrameInfoRebuild + row.latency)
+      << ctx << ": clock at the fault";
+#endif
+}
+
+/// Run `row` as an attach from native, with the standard dichotomy checks.
+/// `then` runs after the deep-run checks, still before the retry.
+void run_deep_row(Box& box, const DeepRow& row,
+                  const std::function<void()>& then = {}) {
+  FaultPlan plan;
+  plan.site = row.site;
+  plan.trigger_count = row.trigger;
+  plan.kind = row.kind;
+  plan.latency = row.latency;
+  const std::string ctx = std::string(core::fault_kind_name(row.kind)) + " " +
+                          ctx_of(row.site, ExecMode::kNative,
+                                 ExecMode::kPartialVirtual, row.trigger);
+  SCOPED_TRACE(ctx);
+  EXPECT_TRUE(run_faulted_switch(box, ExecMode::kNative,
+                                 ExecMode::kPartialVirtual, plan, ctx, [&] {
+                                   expect_fault_deep_in_run(box, row, ctx);
+                                   if (then) then();
+                                 }))
+      << ctx << ": the deep trigger never fired";
+}
+
+TEST(FaultMatrix, DeepTriggerInsideSerialRebuildRun) {
+  InjectorGuard guard;
+  core::SwitchConfig sc;
+  sc.crew_workers = 0;
+  Box box(sc);
+  for (const FaultKind kind : {FaultKind::kFail, FaultKind::kTimeout}) {
+    const hw::Cycles latency =
+        kind == FaultKind::kTimeout ? hw::us_to_cycles(100.0) : 0;
+    run_deep_row(box, {FaultSite::kAdoptRebuild, 3000, kind, latency,
+                       "vmm.adopt_rebuild_shard"});
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(FaultMatrix, DeepTriggerCrossesAPageInfoShard) {
+  // One crew worker on a 160 MB kernel: 8 crew shards of 5120 frames, so
+  // these triggers fire inside the first crew shard. Visit 4097 fires on
+  // the first frame past a full 4096-frame page-info shard; visit 5000
+  // ends a run that spans two page-info shards. Each shard must count
+  // exactly its part of the run.
+  InjectorGuard guard;
+  core::SwitchConfig sc;
+  sc.crew_workers = 1;
+  Box box(sc, /*cpus=*/2, /*kernel_mb=*/160, /*mem_mb=*/256);
+  const vmm::PageInfoTable& table = box.m.hypervisor().page_info();
+  const hw::Pfn first = box.m.kernel().pool().owned().front();
+  constexpr std::size_t kShard = vmm::PageInfoTable::kFramesPerShard;
+  const std::size_t shard = first / kShard;
+  const std::uint64_t room = kShard - first % kShard;  // run frames in `shard`
+  const hw::Cycles timeout = hw::us_to_cycles(100.0);
+  for (const DeepRow& row :
+       {DeepRow{FaultSite::kShardRebuild, 4097, FaultKind::kFail, 0,
+                "vmm.adopt_rebuild_shard"},
+        DeepRow{FaultSite::kShardRebuild, 4097, FaultKind::kTimeout, timeout,
+                "vmm.adopt_rebuild_shard"},
+        DeepRow{FaultSite::kShardRebuild, 5000, FaultKind::kFail, 0,
+                "vmm.adopt_rebuild_shard"}}) {
+    const std::uint64_t run = row.trigger - 1;
+    ASSERT_GE(run, room) << "the fire must land past the first page-info shard";
+    run_deep_row(box, row, [&] {
+      EXPECT_EQ(table.shard_counters(shard).rebuilt, room);
+      EXPECT_EQ(table.shard_counters(shard + 1).rebuilt, run - room);
+    });
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// Allocate, write and free `n` free kernel frames — the frame-pool churn of
+/// a busy kernel — so each lands in the warm dirty set. Freed in reverse,
+/// the free list ends in its original order.
+void recycle_frames(Box& box, std::size_t n) {
+  kernel::FramePool& pool = box.m.kernel().pool();
+  std::vector<hw::Pfn> frames(n);
+  for (hw::Pfn& pfn : frames) ASSERT_TRUE(pool.alloc(pfn));
+  for (const hw::Pfn pfn : frames)
+    box.machine.memory().write_u32(hw::addr_of(pfn), 0xD1D1D1D1u);
+  for (auto it = frames.rbegin(); it != frames.rend(); ++it) pool.free(*it);
+}
+
+TEST(FaultMatrix, DeepTriggerInsideDirtyRebuildRun) {
+  InjectorGuard guard;
+  core::SwitchConfig sc;
+  sc.warm_reattach = true;
+  Box box(sc);
+  ASSERT_TRUE(box.settle(ExecMode::kPartialVirtual));
+  ASSERT_TRUE(box.settle(ExecMode::kNative));
+  for (const FaultKind kind : {FaultKind::kFail, FaultKind::kTimeout}) {
+    // 64 recycled frames put the dirty set well past the trigger.
+    recycle_frames(box, 64);
+    if (::testing::Test::HasFatalFailure()) return;
+    const hw::Cycles latency =
+        kind == FaultKind::kTimeout ? hw::us_to_cycles(100.0) : 0;
+    run_deep_row(box, {FaultSite::kDirtyRebuild, 40, kind, latency,
+                       "vmm.adopt_dirty_rebuild_shard"});
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 TEST(FaultMatrix, SupervisedWarmSweepNeverStrandsARequest) {

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <string>
 
+#include <unistd.h>
+
 #include "hw/machine.hpp"
 #include "obs/obs.hpp"
 #include "obs/pause_ledger.hpp"
@@ -623,9 +625,15 @@ TEST(Postmortem, WriteRotatesSlotsAndBumpsCount) {
   EXPECT_NE(p1, p2);  // consecutive dumps land in different slots
   EXPECT_EQ(obs::postmortem_count(), before + 2);
   EXPECT_EQ(obs::last_postmortem_path(), p2);
-  EXPECT_NE(p1.find("mercury-postmortem-"), std::string::npos);
+  // Slot files are per process: parallel test processes sharing the temp
+  // directory never write to the same file.
+  const std::string own_prefix =
+      "mercury-postmortem-" + std::to_string(::getpid()) + "-";
+  EXPECT_NE(p1.find(own_prefix), std::string::npos) << p1;
+  EXPECT_NE(p2.find(own_prefix), std::string::npos) << p2;
 
-  // The file on disk is the serialized bundle.
+  // The file on disk is the serialized bundle, renamed into place: no temp
+  // file stays behind.
   std::FILE* f = std::fopen(p2.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::string content;
@@ -635,6 +643,21 @@ TEST(Postmortem, WriteRotatesSlotsAndBumpsCount) {
   std::fclose(f);
   EXPECT_TRUE(JsonChecker(content).ok());
   EXPECT_NE(content.find("slot rotation test"), std::string::npos);
+  const auto exists = [](const std::string& path) {
+    std::FILE* file = std::fopen(path.c_str(), "rb");
+    if (file != nullptr) std::fclose(file);
+    return file != nullptr;
+  };
+  const std::size_t slash = p2.find_last_of('/');
+  const std::string tmp =
+      p2.substr(0, slash + 1) + "." + p2.substr(slash + 1) + ".tmp";
+  EXPECT_FALSE(exists(tmp)) << tmp;
+
+  obs::set_postmortem_dir(::testing::TempDir());
+  obs::remove_own_postmortems();
+  obs::set_postmortem_dir("");
+  EXPECT_FALSE(exists(p1)) << "not removed: " << p1;
+  EXPECT_FALSE(exists(p2)) << "not removed: " << p2;
 }
 
 // --- pause observatory -------------------------------------------------------

@@ -41,15 +41,19 @@ using kernel::Sub;
 using kernel::Sys;
 
 struct InjectorGuard {
+  // The CI soak job sets MERCURY_POSTMORTEM_DIR to collect the storm's
+  // bundles as build artifacts; keep them in the test temp dir otherwise
+  // (and drop them there once the test has passed).
+  const bool in_temp_dir = std::getenv("MERCURY_POSTMORTEM_DIR") == nullptr;
+
   InjectorGuard() {
-    // The CI soak job sets MERCURY_POSTMORTEM_DIR to collect the storm's
-    // bundles as build artifacts; keep them in the test temp dir otherwise.
-    if (std::getenv("MERCURY_POSTMORTEM_DIR") == nullptr)
-      obs::set_postmortem_dir(::testing::TempDir());
+    if (in_temp_dir) obs::set_postmortem_dir(::testing::TempDir());
   }
   ~InjectorGuard() {
     core::fault_injector().disarm();
     core::fault_injector().stop_storm();
+    if (in_temp_dir && !::testing::Test::HasFailure())
+      obs::remove_own_postmortems();
     obs::set_postmortem_dir("");
   }
 };

@@ -17,6 +17,8 @@
 #include "obs/postmortem.hpp"
 #include "tests/test_seed.hpp"
 #include "util/assert.hpp"
+#include "util/log.hpp"
+#include "util/rng.hpp"
 
 namespace mercury::testing {
 namespace {
@@ -39,12 +41,13 @@ using kernel::Sub;
 using kernel::Sys;
 
 /// Leave the global injector quiet (no plan, no storm) and route postmortem
-/// bundles into the test temp dir.
+/// bundles into the test temp dir (dropped again if the test passed).
 struct InjectorGuard {
   InjectorGuard() { obs::set_postmortem_dir(::testing::TempDir()); }
   ~InjectorGuard() {
     core::fault_injector().disarm();
     core::fault_injector().stop_storm();
+    if (!::testing::Test::HasFailure()) obs::remove_own_postmortems();
     obs::set_postmortem_dir("");
   }
 };
@@ -627,6 +630,121 @@ TEST(FaultInjector, StormDecayBurstAndPauseSemantics) {
   }
   EXPECT_FALSE(fi.paused());
   fi.stop_storm();
+}
+
+/// Put `fi` into a random regime drawn from `rng`: a single-shot plan, a
+/// storm (rates, burst, decay, max_fires), both or neither, a few windows
+/// and visits already spent, and maybe paused. Two injectors set up from
+/// equal streams end in equal states.
+void random_regime(FaultInjector& fi, util::Rng& rng,
+                   const std::vector<FaultSite>& sites) {
+  const auto any_site = [&] { return sites[rng.below(sites.size())]; };
+  if (rng.chance(0.6)) {
+    FaultPlan plan;
+    plan.site = any_site();
+    plan.trigger_count = 1 + rng.below(40);
+    fi.arm(plan);
+  }
+  if (rng.chance(0.6)) {
+    FaultStorm storm;
+    for (const FaultSite s : sites) {
+      const double rates[] = {0.0, 0.5, 1.0};
+      storm.rate[static_cast<std::size_t>(s)] = rates[rng.below(3)];
+    }
+    storm.max_trigger_depth = 1 + rng.below(30);
+    storm.burst_windows = 1 + static_cast<std::uint32_t>(rng.below(3));
+    const double decays[] = {1.0, 0.5, 0.0};
+    storm.decay = decays[rng.below(3)];
+    storm.max_fires = rng.below(3);
+    storm.seed = rng.next();
+    fi.arm_storm(storm);
+  }
+  for (std::uint64_t w = rng.below(3); w > 0; --w) {
+    fi.begin_window();
+    for (std::uint64_t v = rng.below(12); v > 0; --v) {
+      try {
+        fi.on_site(any_site());
+      } catch (const core::FaultInjected&) {
+      }
+    }
+  }
+  fi.set_paused(rng.chance(0.25));
+}
+
+/// Visit `site` once; the 1-based `ordinal` if it fired, else 0.
+std::uint64_t visit_once(FaultInjector& fi, FaultSite site,
+                         std::uint64_t ordinal) {
+  try {
+    fi.on_site(site);
+  } catch (const core::FaultInjected& f) {
+    EXPECT_EQ(f.site, site);
+    return ordinal;
+  }
+  return 0;
+}
+
+TEST(FaultInjector, PassCountsVisitsExactlyAsPerVisitCalls) {
+  // pass(site, n) then one on_site must be indistinguishable from n+1
+  // on_site calls (stopping at a fire): same visit counts, same fire count,
+  // same firing visit — and the same state after, so the two injectors
+  // keep agreeing through further windows.
+  const std::uint64_t seed = test_seed(0x9A55ull);
+  util::Rng trials(seed);
+  // Hundreds of fires: keep their warnings out of the test log.
+  const util::LogLevel fault_log = util::log_level("fault");
+  util::set_log_level("fault", util::LogLevel::kError);
+  const std::vector<FaultSite> sites = {
+      FaultSite::kAdoptRebuild, FaultSite::kShardRebuild,
+      FaultSite::kDirtyRebuild};
+  int runs_cut_short = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::uint64_t regime_seed = trials.next();
+    const FaultSite site = sites[trials.below(sites.size())];
+    const std::uint64_t n = trials.below(60);
+    FaultInjector bulk, per_visit;
+    util::Rng ra(regime_seed), rb(regime_seed);
+    random_regime(bulk, ra, sites);
+    random_regime(per_visit, rb, sites);
+    SCOPED_TRACE("trial " + std::to_string(trial) + " n=" + std::to_string(n));
+
+    const std::uint64_t visits_before = bulk.visits(site);
+    const std::uint64_t passed = bulk.pass(site, n);
+    EXPECT_LE(passed, n);
+    EXPECT_EQ(bulk.visits(site), visits_before + passed);
+    const std::uint64_t bulk_fire = visit_once(bulk, site, passed + 1);
+    if (passed < n) {
+      EXPECT_EQ(bulk_fire, passed + 1) << "a short pass must end at a fire";
+      ++runs_cut_short;
+    }
+
+    std::uint64_t per_visit_fire = 0;
+    for (std::uint64_t v = 1; v <= n + 1 && per_visit_fire == 0; ++v)
+      per_visit_fire = visit_once(per_visit, site, v);
+
+    EXPECT_EQ(bulk_fire, per_visit_fire);
+    for (const FaultSite s : sites)
+      EXPECT_EQ(bulk.visits(s), per_visit.visits(s));
+    EXPECT_EQ(bulk.injected(), per_visit.injected());
+    EXPECT_EQ(bulk.storm_fires(), per_visit.storm_fires());
+    EXPECT_EQ(bulk.armed(), per_visit.armed());
+    EXPECT_EQ(bulk.storm_active(), per_visit.storm_active());
+
+    // Same hidden state (window ordinals, burst, decayed rates): both keep
+    // firing on the same visits from here on.
+    bulk.set_paused(false);
+    per_visit.set_paused(false);
+    for (int w = 0; w < 3; ++w) {
+      bulk.begin_window();
+      per_visit.begin_window();
+      for (std::uint64_t v = 1; v <= 20; ++v)
+        EXPECT_EQ(visit_once(bulk, site, v), visit_once(per_visit, site, v))
+            << "window " << w << " visit " << v;
+    }
+    EXPECT_EQ(bulk.injected(), per_visit.injected());
+  }
+  util::set_log_level("fault", fault_log);
+  // The regimes must reach the interesting case, not just quiet passes.
+  EXPECT_GT(runs_cut_short, 40);
 }
 
 }  // namespace
