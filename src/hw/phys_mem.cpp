@@ -18,8 +18,7 @@ std::span<std::uint8_t> PhysicalMemory::chunk_for(PhysAddr pa, bool create) {
   const std::size_t idx = static_cast<std::size_t>(pa / kChunkBytes);
   if (!chunks_[idx]) {
     if (!create) return {};
-    chunks_[idx] = std::make_unique<std::uint8_t[]>(kChunkBytes);
-    std::memset(chunks_[idx].get(), 0, kChunkBytes);
+    chunks_[idx] = std::make_unique<std::uint8_t[]>(kChunkBytes);  // zeroed
   }
   return {chunks_[idx].get(), kChunkBytes};
 }
@@ -106,27 +105,36 @@ void PhysicalMemory::write_bytes(PhysAddr pa, std::span<const std::uint8_t> in) 
   }
 }
 
+const std::uint8_t* PhysicalMemory::frame_bytes(Pfn pfn) const {
+  auto c = chunk_for(addr_of(pfn));
+  return c.empty() ? nullptr : c.data() + addr_of(pfn) % kChunkBytes;
+}
+
+void PhysicalMemory::write_frame(Pfn pfn, const std::uint8_t* src) {
+  if (src == nullptr) {
+    zero_frame(pfn);
+    return;
+  }
+  std::uint8_t* dst =
+      chunk_for(addr_of(pfn), true).data() + addr_of(pfn) % kChunkBytes;
+  // A frame copied onto itself arrives here with src == dst, where memcpy
+  // would be undefined; frames never partially overlap.
+  if (dst != src) std::memcpy(dst, src, kPageSize);
+  note_write(addr_of(pfn));
+}
+
 void PhysicalMemory::zero_frame(Pfn pfn) {
   // Even when the chunk was never materialized (contents already zero) the
   // clear is a store as far as dirty tracking goes: the caller is recycling
   // the frame and any retained metadata about it is now stale.
   note_write(addr_of(pfn));
-  auto c = chunk_for(addr_of(pfn));
+  auto c = chunk_for(addr_of(pfn), false);
   if (c.empty()) return;  // never materialized == already zero
-  auto wc = chunk_for(addr_of(pfn), true);
-  std::memset(wc.data() + addr_of(pfn) % kChunkBytes, 0, kPageSize);
+  std::memset(c.data() + addr_of(pfn) % kChunkBytes, 0, kPageSize);
 }
 
 void PhysicalMemory::copy_frame(Pfn dst, Pfn src) {
-  note_write(addr_of(dst));
-  auto sc = chunk_for(addr_of(src));
-  if (sc.empty()) {
-    zero_frame(dst);
-    return;
-  }
-  auto dc = chunk_for(addr_of(dst), true);
-  std::memcpy(dc.data() + addr_of(dst) % kChunkBytes,
-              sc.data() + addr_of(src) % kChunkBytes, kPageSize);
+  write_frame(dst, frame_bytes(src));
 }
 
 std::size_t PhysicalMemory::resident_chunks() const {

@@ -34,11 +34,21 @@ class PhysicalMemory {
   void read_bytes(PhysAddr pa, std::span<std::uint8_t> out) const;
   void write_bytes(PhysAddr pa, std::span<const std::uint8_t> in);
 
+  /// The frame's 4 KB in the backing, or nullptr when that backing was never
+  /// materialized and the frame therefore reads as zeros. Backing is never
+  /// released, so the pointer stays valid for the memory's lifetime.
+  const std::uint8_t* frame_bytes(Pfn pfn) const;
+
+  /// Store a whole frame: 4 KB from `src`, or zeros through zero_frame when
+  /// `src` is nullptr (never-materialized backing stays unmaterialized).
+  /// Either way the dirty sink is told once.
+  void write_frame(Pfn pfn, const std::uint8_t* src);
+
   /// Zero an entire frame (models a streaming clear; cost is charged by the
   /// caller via the cost model).
   void zero_frame(Pfn pfn);
 
-  /// Copy a whole frame.
+  /// Copy a whole frame: write_frame(dst, frame_bytes(src)).
   void copy_frame(Pfn dst, Pfn src);
 
   /// Number of backing chunks actually materialized (test/diagnostic hook).

@@ -38,11 +38,18 @@ FlightRecorder::FlightRecorder(std::size_t capacity_per_cpu)
 
 void FlightRecorder::set_capacity(std::size_t per_cpu) {
   capacity_ = per_cpu ? per_cpu : 1;
+  rings_.clear();
   clear();
 }
 
 void FlightRecorder::clear() {
-  rings_.clear();
+  // Keep each ring's slots: callers clear between runs, and re-allocating
+  // (and value-initializing) a full ring on the next record() is the
+  // expensive part of a clear.
+  for (Ring& r : rings_) {
+    r.head = 0;
+    r.size = 0;
+  }
   recorded_ = 0;
   dropped_ = 0;
   // next_seq_ keeps counting: seq is an emission order, not an index, and a

@@ -92,6 +92,8 @@ class FlightRecorder {
   /// a caller can capture it just before emitting an event it wants to
   /// cross-reference (the pause ledger's worst-case tracker does).
   std::uint64_t next_seq() const { return next_seq_; }
+  /// Forget every event and zero recorded()/dropped(); the rings keep their
+  /// storage.
   void clear();
 
  private:

@@ -1,5 +1,6 @@
 #include "vmm/checkpoint.hpp"
 
+#include <array>
 #include <cstring>
 
 #include "hw/costs.hpp"
@@ -8,27 +9,53 @@
 
 namespace mercury::vmm {
 
+namespace {
+
+/// Whether two pages hold the same bytes; nullptr is a page of zeros.
+bool same_page(const std::uint8_t* a, const std::uint8_t* b) {
+  static constexpr std::array<std::uint8_t, hw::kPageSize> kZeros{};
+  if (a == b) return true;  // two zero pages
+  return std::memcmp(a != nullptr ? a : kZeros.data(),
+                     b != nullptr ? b : kZeros.data(), hw::kPageSize) == 0;
+}
+
+}  // namespace
+
 Snapshot Checkpointer::take(hw::Cpu& cpu, Hypervisor& hv, DomainId dom) {
   Domain& d = hv.domain(dom);
+  const hw::PhysicalMemory& mem = hv.machine().memory();
   Snapshot snap;
   snap.dom = dom;
   snap.first_frame = d.first_frame();
   snap.frame_count = d.frame_count();
   snap.taken_at = cpu.now();
-  snap.image.resize(d.frame_count() * hw::kPageSize);
+  MERC_CHECK(snap.frame_count < Snapshot::kZeroPage);
+  // Size the page store once: a fully written domain still copies each
+  // page once, with no zero-fill and no regrowth.
+  std::size_t resident = 0;
+  for (std::size_t i = 0; i < snap.frame_count; ++i)
+    if (mem.frame_bytes(snap.first_frame + static_cast<hw::Pfn>(i)) != nullptr)
+      ++resident;
+  snap.data.reserve(resident * hw::kPageSize);
+  snap.slot.assign(snap.frame_count, Snapshot::kZeroPage);
   const hw::Cycles t0 = cpu.now();
   MERC_FLIGHT(cpu, kPhaseBegin, "checkpoint.capture",
               static_cast<std::uint64_t>(d.frame_count()));
-  for (std::size_t i = 0; i < d.frame_count(); ++i) {
-    // A fault here throws away the partial snapshot (it is caller-local);
-    // the domain's memory was only read, so retry is trivially safe.
-    hv.probe_fault(HvFaultPoint::kCheckpointCapture, &cpu);
-    cpu.charge(hw::costs::kPageCopy);
-    hv.machine().memory().read_bytes(
-        hw::addr_of(d.first_frame() + static_cast<hw::Pfn>(i)),
-        std::span<std::uint8_t>(snap.image.data() + i * hw::kPageSize,
-                                hw::kPageSize));
-  }
+  // A fault here throws away the partial snapshot (it is caller-local); the
+  // domain's memory was only read, so retry is trivially safe.
+  hv.probed_runs(
+      cpu, HvFaultPoint::kCheckpointCapture, snap.frame_count,
+      [&](std::size_t first, std::size_t n) {
+        cpu.charge(n * hw::costs::kPageCopy);
+        for (std::size_t i = first; i < first + n; ++i) {
+          const std::uint8_t* page =
+              mem.frame_bytes(snap.first_frame + static_cast<hw::Pfn>(i));
+          if (page == nullptr) continue;
+          snap.slot[i] =
+              static_cast<std::uint32_t>(snap.data.size() / hw::kPageSize);
+          snap.data.insert(snap.data.end(), page, page + hw::kPageSize);
+        }
+      });
   for (std::size_t v = 0; v < d.num_vcpus(); ++v) snap.vcpus.push_back(d.vcpu(v));
   MERC_PAUSE(kCheckpointCopy, cpu.id(), t0, cpu.now(), "checkpoint-capture");
   MERC_FLIGHT(cpu, kPhaseEnd, "checkpoint.capture",
@@ -41,21 +68,22 @@ void Checkpointer::restore(hw::Cpu& cpu, Hypervisor& hv, const Snapshot& snap) {
   MERC_CHECK_MSG(d.first_frame() == snap.first_frame &&
                      d.frame_count() == snap.frame_count,
                  "snapshot does not match the domain's memory layout");
+  hw::PhysicalMemory& mem = hv.machine().memory();
   const hw::Cycles t0 = cpu.now();
   MERC_FLIGHT(cpu, kPhaseBegin, "restore.apply",
               static_cast<std::uint64_t>(snap.frame_count));
-  for (std::size_t i = 0; i < snap.frame_count; ++i) {
-    // A fault here leaves the domain half-restored. Restore is a full-image
-    // rewrite, hence idempotent: the supervising arc retries (re-running
-    // this loop from frame 0) or rolls back to an undo snapshot — it never
-    // leaves the machine in this state.
-    hv.probe_fault(HvFaultPoint::kRestoreApply, &cpu);
-    cpu.charge(hw::costs::kPageCopy);
-    hv.machine().memory().write_bytes(
-        hw::addr_of(snap.first_frame + static_cast<hw::Pfn>(i)),
-        std::span<const std::uint8_t>(snap.image.data() + i * hw::kPageSize,
-                                      hw::kPageSize));
-  }
+  // A fault here leaves the domain half-restored. Restore is a full-image
+  // rewrite, hence idempotent: the supervising arc retries (re-running this
+  // loop from frame 0) or rolls back to an undo snapshot — it never leaves
+  // the machine in this state. A zero page is stored as a clear, so backing
+  // the domain never wrote stays unmaterialized.
+  hv.probed_runs(cpu, HvFaultPoint::kRestoreApply, snap.frame_count,
+                 [&](std::size_t first, std::size_t n) {
+                   cpu.charge(n * hw::costs::kPageCopy);
+                   for (std::size_t i = first; i < first + n; ++i)
+                     mem.write_frame(snap.first_frame + static_cast<hw::Pfn>(i),
+                                     snap.frame(i));
+                 });
   for (std::size_t v = 0; v < snap.vcpus.size() && v < d.num_vcpus(); ++v)
     d.vcpu(v) = snap.vcpus[v];
   // Every cached translation may now be stale.
@@ -69,14 +97,11 @@ void Checkpointer::restore(hw::Cpu& cpu, Hypervisor& hv, const Snapshot& snap) {
 }
 
 bool Checkpointer::matches(Hypervisor& hv, const Snapshot& snap) {
-  std::vector<std::uint8_t> cur(hw::kPageSize);
-  for (std::size_t i = 0; i < snap.frame_count; ++i) {
-    hv.machine().memory().read_bytes(
-        hw::addr_of(snap.first_frame + static_cast<hw::Pfn>(i)), cur);
-    if (std::memcmp(cur.data(), snap.image.data() + i * hw::kPageSize,
-                    hw::kPageSize) != 0)
+  const hw::PhysicalMemory& mem = hv.machine().memory();
+  for (std::size_t i = 0; i < snap.frame_count; ++i)
+    if (!same_page(mem.frame_bytes(snap.first_frame + static_cast<hw::Pfn>(i)),
+                   snap.frame(i)))
       return false;
-  }
   return true;
 }
 

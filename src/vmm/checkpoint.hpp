@@ -16,15 +16,28 @@
 
 namespace mercury::vmm {
 
+/// A zero-page-aware memory image: a frame whose backing was never
+/// materialized reads as zeros and is stored as nothing; every other frame
+/// is one 4 KB page of `data`.
 struct Snapshot {
+  static constexpr std::uint32_t kZeroPage = ~std::uint32_t{0};
+
   DomainId dom = kDomInvalid;
   hw::Pfn first_frame = 0;
   std::size_t frame_count = 0;
   hw::Cycles taken_at = 0;
-  std::vector<std::uint8_t> image;  // frame_count * 4K bytes
+  std::vector<std::uint32_t> slot;  // per frame: its page in data, or kZeroPage
+  std::vector<std::uint8_t> data;   // the stored pages, packed
   std::vector<VcpuContext> vcpus;
 
-  std::size_t bytes() const { return image.size(); }
+  /// The logical image size, zero pages included.
+  std::size_t bytes() const { return frame_count * hw::kPageSize; }
+  /// Frame `i`'s bytes, or nullptr for a zero page.
+  const std::uint8_t* frame(std::size_t i) const {
+    return slot[i] == kZeroPage
+               ? nullptr
+               : data.data() + std::size_t{slot[i]} * hw::kPageSize;
+  }
 };
 
 class Checkpointer {

@@ -240,22 +240,6 @@ void Hypervisor::init_reserved_page_info() {
   page_info_.reset_shard_counters();
 }
 
-template <typename Run>
-void Hypervisor::probed_runs(hw::Cpu& cpu, HvFaultPoint site, std::size_t n,
-                             Run&& run) {
-  for (std::size_t i = 0; i < n;) {
-    std::size_t len = fault_probe_.pass ? fault_probe_.pass(site, n - i) : n - i;
-    if (len == 0) {
-      // The next visit fires: take it per item, before its item, as the
-      // per-item loop would.
-      fault_probe_.visit(site, &cpu);
-      len = 1;
-    }
-    run(i, len);
-    i += len;
-  }
-}
-
 void Hypervisor::adopt_rebuild_shard(hw::Cpu& cpu, DomainId id,
                                      std::span<const hw::Pfn> frames,
                                      HvFaultPoint site) {

@@ -287,7 +287,8 @@ class Hypervisor : public hw::TrapSink {
   friend class Checkpointer;
 
   /// Fire the installed fault probe (if any) at a service-side point. The
-  /// friends above call this from their copy loops; the probe may throw to
+  /// friends above call this for single steps (migration admission) and
+  /// drive their copy loops through probed_runs; the probe may throw to
   /// abort the service mid-flight.
   void probe_fault(HvFaultPoint p, hw::Cpu* cpu) {
     if (fault_probe_.visit) fault_probe_.visit(p, cpu);
@@ -299,7 +300,20 @@ class Hypervisor : public hw::TrapSink {
   /// interrupt go to `run(first, count)` whole; the visit that fires is
   /// taken per item, so a per-item loop is just a run of length one.
   template <typename Run>
-  void probed_runs(hw::Cpu& cpu, HvFaultPoint site, std::size_t n, Run&& run);
+  void probed_runs(hw::Cpu& cpu, HvFaultPoint site, std::size_t n, Run&& run) {
+    for (std::size_t i = 0; i < n;) {
+      std::size_t len =
+          fault_probe_.pass ? fault_probe_.pass(site, n - i) : n - i;
+      if (len == 0) {
+        // The next visit fires: take it per item, before its item, as the
+        // per-item loop would.
+        fault_probe_.visit(site, &cpu);
+        len = 1;
+      }
+      run(i, len);
+      i += len;
+    }
+  }
   /// The four bytes of every entry of page table `table`, read at once.
   std::array<std::uint32_t, hw::kPtEntries> read_table(hw::Pfn table) const;
   /// Point the direct-map PTE of `pfn` at `writable` and track the frame

@@ -11,21 +11,6 @@
 
 namespace mercury::vmm {
 
-namespace {
-
-/// Ship one frame's contents src->dst: map + copy on the source, wire time,
-/// and the write on the destination image.
-void send_frame(hw::Cpu& scpu, hw::Machine& src_m, hw::Machine& dst_m,
-                hw::Pfn src_pfn, hw::Pfn dst_pfn, hw::Cycles wire_per_page) {
-  scpu.charge(hw::costs::kPageCopy + pv::costs::kGrantMapPerPage / 2);
-  scpu.charge(wire_per_page);
-  std::vector<std::uint8_t> buf(hw::kPageSize);
-  src_m.memory().read_bytes(hw::addr_of(src_pfn), buf);
-  dst_m.memory().write_bytes(hw::addr_of(dst_pfn), buf);
-}
-
-}  // namespace
-
 MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst,
                                   const MigrationConfig& config) {
   MigrationStats stats;
@@ -46,6 +31,32 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
   const hw::Pfn old_base = d.first_frame();
   stats.pages_total = d.frame_count();
 
+  // Ship `n` pages, the i-th from source frame `pfn_at(i)` to its twin in
+  // the target region, one kMigrateStream visit before each: map + copy on
+  // the source, wire time, and the write on the target image. A frame whose
+  // source backing was never materialized arrives as a clear, so stale
+  // target bytes read as zeros. pages_sent counts every page that made it
+  // across, also when a fault aborts the stream.
+  const hw::Cycles per_page = hw::costs::kPageCopy +
+                              pv::costs::kGrantMapPerPage / 2 +
+                              config.wire_cycles_per_page;
+  const auto send = [&](std::size_t n, auto&& pfn_at) {
+    src.probed_runs(scpu, HvFaultPoint::kMigrateStream, n,
+                    [&](std::size_t first, std::size_t count) {
+                      scpu.charge(count * per_page);
+                      for (std::size_t i = first; i < first + count; ++i) {
+                        const hw::Pfn pfn = pfn_at(i);
+                        dst_m.memory().write_frame(
+                            new_base + (pfn - old_base),
+                            src_m.memory().frame_bytes(pfn));
+                      }
+                      stats.pages_sent += count;
+                    });
+  };
+  const auto send_dirty = [&](const std::vector<hw::Pfn>& dirty) {
+    send(dirty.size(), [&](std::size_t i) { return dirty[i]; });
+  };
+
   // Everything from the first page sent to the last admission step is
   // abortable: a thrown fault (injected at kMigrateStream/kMigrateActivate,
   // or a wire failure) unwinds to "the guest still runs on the source, the
@@ -58,13 +69,8 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
     MERC_FLIGHT(scpu, kPhaseBegin, "migrate.precopy",
                 static_cast<std::uint64_t>(stats.pages_total));
     d.set_log_dirty(true);
-    for (std::size_t i = 0; i < d.frame_count(); ++i) {
-      src.probe_fault(HvFaultPoint::kMigrateStream, &scpu);
-      send_frame(scpu, src_m, dst_m, old_base + static_cast<hw::Pfn>(i),
-                 new_base + static_cast<hw::Pfn>(i),
-                 config.wire_cycles_per_page);
-      ++stats.pages_sent;
-    }
+    send(d.frame_count(),
+         [&](std::size_t i) { return old_base + static_cast<hw::Pfn>(i); });
     stats.rounds = 1;
 
     // Iterative pre-copy: let the guest run, harvest what it dirtied, resend.
@@ -92,13 +98,7 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
       // would understate its real stop-and-copy cost.)
       if (d.dirty_count() <= config.stop_threshold_pages) break;
       if (stats.rounds + 1 >= config.max_rounds) break;
-      const std::vector<hw::Pfn> dirty = d.harvest_dirty();
-      for (const hw::Pfn pfn : dirty) {
-        src.probe_fault(HvFaultPoint::kMigrateStream, &scpu);
-        send_frame(scpu, src_m, dst_m, pfn, new_base + (pfn - old_base),
-                   config.wire_cycles_per_page);
-        ++stats.pages_sent;
-      }
+      send_dirty(d.harvest_dirty());
       ++stats.rounds;
     }
     MERC_FLIGHT(scpu, kPhaseEnd, "migrate.precopy",
@@ -109,13 +109,7 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
     down0 = scpu.now();
     MERC_FLIGHT(scpu, kPhaseBegin, "migrate.stopcopy",
                 static_cast<std::uint64_t>(d.dirty_count()));
-    const std::vector<hw::Pfn> residue = d.harvest_dirty();
-    for (const hw::Pfn pfn : residue) {
-      src.probe_fault(HvFaultPoint::kMigrateStream, &scpu);
-      send_frame(scpu, src_m, dst_m, pfn, new_base + (pfn - old_base),
-                 config.wire_cycles_per_page);
-      ++stats.pages_sent;
-    }
+    send_dirty(d.harvest_dirty());
     // Vcpu state + device model handover.
     scpu.charge(20 * hw::kCyclesPerMicrosecond);
     d.set_log_dirty(false);

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "core/invariants.hpp"
 #include "core/mercury.hpp"
 #include "kernel/syscalls.hpp"
+#include "tests/recording_sink.hpp"
 #include "tests/test_seed.hpp"
 #include "util/rng.hpp"
 #include "vmm/checkpoint.hpp"
@@ -187,6 +189,69 @@ TEST(CheckpointRestore, RestoredImageMatchesLiveTwin) {
   ASSERT_TRUE(a.settle(ExecMode::kNative));
   a.expect_consistent("post-detach");
   ASSERT_TRUE(b.settle(ExecMode::kNative));
+}
+
+// --- the zero-page image ---
+//
+// A frame whose backing was never materialized is stored as nothing and
+// restored as a clear. These rows pin the two edges of that format: a
+// store into such a frame is a real difference, and a restore still
+// reports every frame of the domain to the dirty sink, exactly once.
+
+TEST(CheckpointRestore, WriteToAZeroPageBreaksTheMatchAndRestoreClearsIt) {
+  TwinRig rig(test_seed(0xC4E50005ull));
+  ASSERT_TRUE(rig.settle(ExecMode::kPartialVirtual));
+  hw::Cpu& cpu = rig.machine.cpu(0);
+  vmm::Hypervisor& hv = rig.m.hypervisor();
+  hw::PhysicalMemory& mem = rig.machine.memory();
+  const vmm::Snapshot snap =
+      vmm::Checkpointer::take(cpu, hv, rig.m.driver_vo().dom());
+  EXPECT_EQ(snap.bytes(), snap.frame_count * hw::kPageSize);
+  EXPECT_LT(snap.data.size(), snap.bytes()) << "no frame stored as a zero page";
+
+  std::size_t zero = 0;
+  while (zero < snap.frame_count && snap.frame(zero) != nullptr) ++zero;
+  ASSERT_LT(zero, snap.frame_count);
+  const hw::Pfn pfn = snap.first_frame + static_cast<hw::Pfn>(zero);
+  ASSERT_EQ(mem.frame_bytes(pfn), nullptr);
+  ASSERT_TRUE(vmm::Checkpointer::matches(hv, snap));
+
+  mem.write_u32(hw::addr_of(pfn) + 256, 0x2E80BADu);
+  EXPECT_FALSE(vmm::Checkpointer::matches(hv, snap))
+      << "a store into a zero page of the image went unnoticed";
+  vmm::Checkpointer::restore(cpu, hv, snap);
+  std::vector<std::uint8_t> frame(hw::kPageSize, 0xFF);
+  mem.read_bytes(hw::addr_of(pfn), frame);
+  EXPECT_EQ(frame, std::vector<std::uint8_t>(hw::kPageSize, 0))
+      << "restore left the frame's bytes behind";
+  EXPECT_TRUE(vmm::Checkpointer::matches(hv, snap));
+  rig.expect_consistent("zero page restored");
+}
+
+TEST(CheckpointRestore, RestoreNotifiesEveryDomainFrameOnce) {
+  TwinRig rig(test_seed(0xC4E50006ull));
+  ASSERT_TRUE(rig.settle(ExecMode::kPartialVirtual));
+  hw::Cpu& cpu = rig.machine.cpu(0);
+  vmm::Hypervisor& hv = rig.m.hypervisor();
+  hw::PhysicalMemory& mem = rig.machine.memory();
+  const vmm::Snapshot snap =
+      vmm::Checkpointer::take(cpu, hv, rig.m.driver_vo().dom());
+  rig.dirty_window();
+
+  const std::size_t chunks = mem.resident_chunks();
+  std::vector<hw::Pfn> noted;
+  {
+    RecordingSink sink(mem);
+    vmm::Checkpointer::restore(cpu, hv, snap);
+    noted = sink.noted;
+  }
+  std::vector<hw::Pfn> every(snap.frame_count);
+  std::iota(every.begin(), every.end(), snap.first_frame);
+  EXPECT_EQ(noted, every)
+      << "a restore must report each domain frame once, in order";
+  // Zero pages were restored as clears: no backing was materialized.
+  EXPECT_EQ(mem.resident_chunks(), chunks);
+  EXPECT_TRUE(vmm::Checkpointer::matches(hv, snap));
 }
 
 /// Disarm on scope exit so a failed row cannot leak its plan into the next

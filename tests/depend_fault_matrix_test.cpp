@@ -14,23 +14,37 @@
 //                 rows additionally roll back to the undo image)
 //   uniform 5%    the acceptance storm over every site at once, seeded —
 //                 the dichotomy must hold for all three arcs
+//
+// The deep-trigger rows at the end call the three per-frame services
+// directly and check that their bulk copy loops fault exactly where the
+// per-frame loop would.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "cluster/depend.hpp"
 #include "cluster/fabric.hpp"
 #include "core/fault_inject.hpp"
+#include "hw/costs.hpp"
 #include "kernel/syscalls.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/postmortem.hpp"
+#include "pv/costs.hpp"
+#include "tests/recording_sink.hpp"
 #include "tests/test_seed.hpp"
+#include "vmm/checkpoint.hpp"
+#include "vmm/migrate.hpp"
 
 namespace mercury::testing {
 namespace {
 
 using cluster::ArcReport;
 using cluster::DependConfig;
+using core::ExecMode;
+using core::FaultInjected;
 using core::FaultInjector;
 using core::FaultKind;
 using core::FaultPlan;
@@ -228,6 +242,252 @@ TEST(DependFaultMatrix, UniformStormUpholdsTheDichotomy) {
       }
     }
     core::fault_injector().stop_storm();
+  }
+}
+
+// --- deep triggers inside the service copy loops ----------------------------
+//
+// Capture, restore and the migration stream run every stretch of frames no
+// fault can interrupt as one bulk run (Hypervisor::probed_runs) and take
+// only the firing visit per frame. These rows fire deep inside such a run
+// and check it is exact: the fault lands on the trigger-th visit, with the
+// clock the per-frame loop would have had there, after exactly trigger-1
+// frames. Of the service domain's 6144 frames only the last 64, one
+// backing chunk, were ever written. Trigger 65 fires on the first frame
+// past one chunk's worth of zero pages, 3000 deep among them, and 6144 on
+// the domain's last frame, after a run that crosses from zero pages into
+// the resident chunk.
+
+constexpr std::size_t kServiceFrames = 24 * 1024 / 4;  // small_node_config
+constexpr std::size_t kChunkFrames = 64;
+
+struct DeepRow {
+  std::uint64_t trigger;
+  FaultKind kind;
+  hw::Cycles latency;
+};
+
+std::vector<DeepRow> deep_rows() {
+  std::vector<DeepRow> rows;
+  for (const std::uint64_t trigger :
+       {std::uint64_t{65}, std::uint64_t{3000}, std::uint64_t{kServiceFrames}}) {
+    rows.push_back({trigger, FaultKind::kFail, 0});
+    rows.push_back({trigger, FaultKind::kTimeout, hw::us_to_cycles(100.0)});
+  }
+  return rows;
+}
+
+std::string deep_ctx(FaultSite site, const DeepRow& row) {
+  return std::string(core::fault_site_name(site)) + " " +
+         core::fault_kind_name(row.kind) +
+         " trigger=" + std::to_string(row.trigger);
+}
+
+void arm_deep(FaultSite site, const DeepRow& row) {
+  FaultPlan plan;
+  plan.site = site;
+  plan.trigger_count = row.trigger;
+  plan.kind = row.kind;
+  plan.latency = row.latency;
+  core::fault_injector().arm(plan);
+}
+
+/// The layout the trigger depths are chosen for: the domain's last 64
+/// frames are resident, and no earlier frame was ever written.
+void expect_one_resident_chunk(const hw::PhysicalMemory& mem, hw::Pfn first,
+                               std::size_t count) {
+  ASSERT_EQ(count, kServiceFrames);
+  std::vector<std::size_t> resident;
+  for (std::size_t i = 0; i < count; ++i)
+    if (mem.frame_bytes(first + static_cast<hw::Pfn>(i)) != nullptr)
+      resident.push_back(i);
+  ASSERT_EQ(resident.size(), kChunkFrames) << "frames resident in the domain";
+  EXPECT_EQ(resident.front(), count - kChunkFrames);
+  EXPECT_EQ(resident.back(), count - 1);
+}
+
+/// The armed plan fired on visit `row.trigger` of `site`, and the clock at
+/// the fault, `at_fault`, is the per-frame loop's: `t0` plus trigger-1
+/// frames of `per_frame` work plus the fault's latency. In obs-on builds
+/// the fault.hit event carries the same ordinal and clock.
+void expect_exact_fault(FaultSite site, const DeepRow& row, hw::Cycles t0,
+                        hw::Cycles at_fault, hw::Cycles per_frame,
+                        const std::string& ctx) {
+  EXPECT_EQ(core::fault_injector().visits(site), row.trigger)
+      << ctx << ": visit ordinal";
+  EXPECT_EQ(at_fault, t0 + (row.trigger - 1) * per_frame + row.latency)
+      << ctx << ": clock at the fault";
+#if MERCURY_OBS_ENABLED
+  const std::vector<obs::FlightEvent> events = obs::flight_recorder().events();
+  const auto hit = std::find_if(
+      events.rbegin(), events.rend(), [&](const obs::FlightEvent& e) {
+        return e.type == obs::FlightType::kFaultHit &&
+               e.arg0 == static_cast<std::uint64_t>(site);
+      });
+  ASSERT_NE(hit, events.rend()) << ctx << ": no fault.hit event";
+  EXPECT_EQ(hit->arg2, row.trigger) << ctx << ": fault.hit visit ordinal";
+  EXPECT_EQ(hit->at, at_fault) << ctx << ": fault.hit clock";
+#endif
+}
+
+/// `count` consecutive frames from `first`.
+std::vector<hw::Pfn> frame_range(hw::Pfn first, std::size_t count) {
+  std::vector<hw::Pfn> out(count);
+  for (std::size_t i = 0; i < count; ++i)
+    out[i] = first + static_cast<hw::Pfn>(i);
+  return out;
+}
+
+/// Whether frame `pfn` holds `want`'s bytes (nullptr: a page of zeros).
+bool frame_holds(const hw::PhysicalMemory& mem, hw::Pfn pfn,
+                 const std::uint8_t* want) {
+  std::vector<std::uint8_t> have(hw::kPageSize);
+  mem.read_bytes(hw::addr_of(pfn), have);
+  return want == nullptr
+             ? std::all_of(have.begin(), have.end(),
+                           [](std::uint8_t b) { return b == 0; })
+             : std::equal(have.begin(), have.end(), want);
+}
+
+/// A fresh checkpoint node with the VMM attached.
+struct ServiceNode {
+  cluster::Fabric fabric;
+  cluster::Node& node = fabric.add_node("ckpt", small_node_config());
+  hw::Cpu& cpu = node.machine().cpu(0);
+  vmm::Hypervisor& hv = node.mercury().hypervisor();
+  hw::PhysicalMemory& mem = node.machine().memory();
+
+  ServiceNode() { spawn_dirtier(node); }
+  vmm::DomainId dom() { return node.mercury().driver_vo().dom(); }
+};
+
+TEST(DependFaultMatrix, DeepTriggerInsideCaptureRun) {
+  InjectorGuard guard;
+  for (const DeepRow& row : deep_rows()) {
+    const std::string ctx = deep_ctx(FaultSite::kCheckpointCapture, row);
+    SCOPED_TRACE(ctx);
+    ServiceNode s;
+    ASSERT_TRUE(s.node.mercury().switch_to(ExecMode::kPartialVirtual));
+    const vmm::Domain& d = s.hv.domain(s.dom());
+    expect_one_resident_chunk(s.mem, d.first_frame(), d.frame_count());
+    if (::testing::Test::HasFatalFailure()) return;
+
+    RecordingSink sink(s.mem);
+    arm_deep(FaultSite::kCheckpointCapture, row);
+    const hw::Cycles t0 = s.cpu.now();
+    EXPECT_THROW(vmm::Checkpointer::take(s.cpu, s.hv, s.dom()), FaultInjected)
+        << ctx;
+    core::fault_injector().disarm();
+    expect_exact_fault(FaultSite::kCheckpointCapture, row, t0, s.cpu.now(),
+                       hw::costs::kPageCopy, ctx);
+    EXPECT_TRUE(sink.noted.empty()) << ctx << ": a capture stores nothing";
+    const vmm::Snapshot retry = vmm::Checkpointer::take(s.cpu, s.hv, s.dom());
+    EXPECT_TRUE(vmm::Checkpointer::matches(s.hv, retry)) << ctx;
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(DependFaultMatrix, DeepTriggerInsideRestoreRun) {
+  InjectorGuard guard;
+  for (const DeepRow& row : deep_rows()) {
+    const std::string ctx = deep_ctx(FaultSite::kRestoreApply, row);
+    SCOPED_TRACE(ctx);
+    ServiceNode s;
+    ASSERT_TRUE(s.node.mercury().switch_to(ExecMode::kPartialVirtual));
+    const vmm::Snapshot snap = vmm::Checkpointer::take(s.cpu, s.hv, s.dom());
+    expect_one_resident_chunk(s.mem, snap.first_frame, snap.frame_count);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    // Diverge: the dirtier runs on, and three frames get a marker: the
+    // last frame the faulted restore reaches, the first it does not, and
+    // the domain's last frame.
+    s.node.mercury().kernel().run_for(2 * hw::kCyclesPerMillisecond);
+    const std::size_t reached = row.trigger - 1;
+    for (const std::size_t i : {reached - 1, reached, snap.frame_count - 1})
+      s.mem.write_u32(hw::addr_of(snap.first_frame + static_cast<hw::Pfn>(i)),
+                      0xD1F00000u + static_cast<std::uint32_t>(i));
+    const vmm::Snapshot diverged =
+        vmm::Checkpointer::take(s.cpu, s.hv, s.dom());
+
+    RecordingSink sink(s.mem);
+    arm_deep(FaultSite::kRestoreApply, row);
+    const hw::Cycles t0 = s.cpu.now();
+    EXPECT_THROW(vmm::Checkpointer::restore(s.cpu, s.hv, snap), FaultInjected)
+        << ctx;
+    core::fault_injector().disarm();
+    expect_exact_fault(FaultSite::kRestoreApply, row, t0, s.cpu.now(),
+                       hw::costs::kPageCopy, ctx);
+    EXPECT_EQ(sink.noted, frame_range(snap.first_frame, reached))
+        << ctx << ": frames restored before the fault";
+    std::size_t wrong = 0;
+    for (std::size_t i = 0; i < snap.frame_count; ++i) {
+      const hw::Pfn pfn = snap.first_frame + static_cast<hw::Pfn>(i);
+      const std::uint8_t* want = i < reached ? snap.frame(i) : diverged.frame(i);
+      if (!frame_holds(s.mem, pfn, want) && ++wrong <= 4)
+        ADD_FAILURE() << ctx << ": frame " << i << " holds neither the "
+                      << (i < reached ? "restored" : "diverged") << " bytes";
+    }
+    EXPECT_EQ(wrong, 0u) << ctx;
+    EXPECT_EQ(s.mem.read_u32(hw::addr_of(snap.first_frame +
+                                         static_cast<hw::Pfn>(reached))),
+              0xD1F00000u + reached)
+        << ctx << ": the first frame past the fault lost its marker";
+
+    vmm::Checkpointer::restore(s.cpu, s.hv, snap);  // clean retry
+    EXPECT_TRUE(vmm::Checkpointer::matches(s.hv, snap)) << ctx;
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(DependFaultMatrix, DeepTriggerInsideMigrateStreamRun) {
+  InjectorGuard guard;
+  const vmm::MigrationConfig mig;
+  const hw::Cycles per_page = hw::costs::kPageCopy +
+                              pv::costs::kGrantMapPerPage / 2 +
+                              mig.wire_cycles_per_page;
+  for (const DeepRow& row : deep_rows()) {
+    const std::string ctx = deep_ctx(FaultSite::kMigrateStream, row);
+    SCOPED_TRACE(ctx);
+    cluster::Fabric f;
+    cluster::Node& src = f.add_node("src", small_node_config());
+    cluster::Node& dst = f.add_node("dst", small_node_config());
+    f.connect(src, dst);
+    spawn_dirtier(src);
+    ASSERT_TRUE(dst.mercury().switch_to(ExecMode::kPartialVirtual));
+    ASSERT_TRUE(src.mercury().switch_to(ExecMode::kFullVirtual));
+    vmm::Hypervisor& shv = src.mercury().hypervisor();
+    const vmm::DomainId dom = src.mercury().guest_vo().dom();
+    expect_one_resident_chunk(src.machine().memory(),
+                              shv.domain(dom).first_frame(),
+                              shv.domain(dom).frame_count());
+    if (::testing::Test::HasFatalFailure()) return;
+
+    hw::Cpu& scpu = src.machine().cpu(0);
+    RecordingSink sink(dst.machine().memory());
+    arm_deep(FaultSite::kMigrateStream, row);
+    const hw::Cycles t0 = scpu.now();
+    EXPECT_THROW(
+        vmm::LiveMigration::run(shv, dom, dst.mercury().hypervisor(), mig),
+        FaultInjected)
+        << ctx;
+    core::fault_injector().disarm();
+    expect_exact_fault(FaultSite::kMigrateStream, row, t0, scpu.now(),
+                       per_page, ctx);
+    const std::size_t sent = row.trigger - 1;
+    ASSERT_FALSE(sink.noted.empty()) << ctx;
+    EXPECT_EQ(sink.noted, frame_range(sink.noted.front(), sent))
+        << ctx << ": pages sent before the fault";
+#if MERCURY_OBS_ENABLED
+    const std::vector<obs::FlightEvent> events =
+        obs::flight_recorder().events();
+    const auto abort = std::find_if(
+        events.rbegin(), events.rend(), [](const obs::FlightEvent& e) {
+          return std::string_view(e.name) == "migrate.abort";
+        });
+    ASSERT_NE(abort, events.rend()) << ctx << ": no migrate.abort event";
+    EXPECT_EQ(abort->arg0, sent) << ctx << ": pages_sent at the abort";
+#endif
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "hw/frame_alloc.hpp"
 #include "hw/phys_mem.hpp"
+#include "tests/recording_sink.hpp"
 #include "util/assert.hpp"
 
 namespace mercury::hw {
@@ -57,6 +60,81 @@ TEST(PhysicalMemory, CopyFromUnmaterializedZeroes) {
   mem.write_u32(addr_of(9), 7);
   mem.copy_frame(9, 200);  // src never written
   EXPECT_EQ(mem.read_u32(addr_of(9)), 0u);
+}
+
+using mercury::testing::RecordingSink;
+
+TEST(PhysicalMemory, FrameBytesIsNullOnlyForNeverMaterializedBacking) {
+  PhysicalMemory mem(256);
+  EXPECT_EQ(mem.frame_bytes(9), nullptr);
+  mem.write_u32(addr_of(9) + 8, 0xFEEDu);
+  const std::uint8_t* p = mem.frame_bytes(9);
+  ASSERT_NE(p, nullptr);
+  std::uint32_t v = 0;
+  std::memcpy(&v, p + 8, sizeof(v));
+  EXPECT_EQ(v, 0xFEEDu);
+  // Frame 10 shares frame 9's chunk: materialized, and all zeros.
+  const std::uint8_t* q = mem.frame_bytes(10);
+  ASSERT_NE(q, nullptr);
+  EXPECT_EQ(std::vector<std::uint8_t>(q, q + kPageSize),
+            std::vector<std::uint8_t>(kPageSize, 0));
+  EXPECT_EQ(mem.frame_bytes(200), nullptr);  // another chunk, never written
+}
+
+TEST(PhysicalMemory, WriteZeroFrameKeepsBackingUnmaterialized) {
+  PhysicalMemory mem(256);
+  RecordingSink sink(mem);
+  mem.write_frame(200, nullptr);
+  EXPECT_EQ(mem.resident_chunks(), 0u);
+  EXPECT_EQ(sink.noted, std::vector<Pfn>{200});
+  EXPECT_EQ(mem.frame_bytes(200), nullptr);
+}
+
+TEST(PhysicalMemory, WriteZeroFrameClearsAFrameHoldingData) {
+  PhysicalMemory mem(256);
+  mem.write_u32(addr_of(9) + 40, 99);
+  mem.write_u32(addr_of(10) + 40, 77);
+  RecordingSink sink(mem);
+  mem.write_frame(9, nullptr);
+  EXPECT_EQ(sink.noted, std::vector<Pfn>{9});
+  std::vector<std::uint8_t> frame(kPageSize, 0xFF);
+  mem.read_bytes(addr_of(9), frame);
+  EXPECT_EQ(frame, std::vector<std::uint8_t>(kPageSize, 0));
+  EXPECT_EQ(mem.read_u32(addr_of(10) + 40), 77u);  // its neighbour is kept
+}
+
+TEST(PhysicalMemory, WriteFrameCopiesBytesExactlyBetweenMemories) {
+  PhysicalMemory src(256);
+  PhysicalMemory dst(256);
+  std::vector<std::uint8_t> pattern(kPageSize);
+  for (std::size_t i = 0; i < pattern.size(); ++i)
+    pattern[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  src.write_bytes(addr_of(5), pattern);
+  dst.write_u32(addr_of(130) - 4, 0xA5A5A5A5u);  // the byte before the frame
+  RecordingSink sink(dst);
+  dst.write_frame(130, src.frame_bytes(5));
+  EXPECT_EQ(sink.noted, std::vector<Pfn>{130});
+  std::vector<std::uint8_t> out(kPageSize);
+  dst.read_bytes(addr_of(130), out);
+  EXPECT_EQ(out, pattern);
+  EXPECT_EQ(dst.read_u32(addr_of(130) - 4), 0xA5A5A5A5u);
+  EXPECT_EQ(dst.read_u32(addr_of(131)), 0u);  // nothing past the frame
+}
+
+TEST(PhysicalMemory, CopyFrameOntoItselfIsANoOp) {
+  PhysicalMemory mem(256);
+  std::vector<std::uint8_t> pattern(kPageSize);
+  for (std::size_t i = 0; i < pattern.size(); ++i)
+    pattern[i] = static_cast<std::uint8_t>(i ^ 0x5A);
+  mem.write_bytes(addr_of(9), pattern);
+  RecordingSink sink(mem);
+  mem.copy_frame(9, 9);      // materialized: src and dst are one pointer
+  mem.copy_frame(200, 200);  // never materialized: stays that way
+  EXPECT_EQ(sink.noted, (std::vector<Pfn>{9, 200}));
+  std::vector<std::uint8_t> out(kPageSize);
+  mem.read_bytes(addr_of(9), out);
+  EXPECT_EQ(out, pattern);
+  EXPECT_EQ(mem.resident_chunks(), 1u);
 }
 
 TEST(PhysicalMemory, OutOfRangeIsInvariantError) {

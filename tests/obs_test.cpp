@@ -398,6 +398,36 @@ TEST(FlightRecorder, SeqStaysMonotonicAcrossClear) {
   EXPECT_GT(rec.events()[0].seq, first_seq);
 }
 
+TEST(FlightRecorder, ClearKeepsRingsThatRefillAndWrapInSeqOrder) {
+  obs::FlightRecorder rec(4);
+  for (std::uint64_t i = 0; i < 6; ++i)
+    rec.record(0, obs::FlightType::kRollbackStep, "before", i, i);
+  rec.record(1, obs::FlightType::kRollbackStep, "before", 6, 6);
+  ASSERT_EQ(rec.dropped(), 2u);
+  rec.clear();
+  EXPECT_TRUE(rec.events().empty());
+  EXPECT_EQ(rec.dropped(), 0u);
+  EXPECT_EQ(rec.recorded(), 0u);
+  // Refill cpu 0's ring past its capacity (it wraps, and drops count from
+  // 0) and cpu 1's part way. Nothing recorded before the clear comes back.
+  for (std::uint64_t i = 0; i < 7; ++i)
+    rec.record(0, obs::FlightType::kRollbackStep, "after", 100 + i, i);
+  for (std::uint64_t i = 7; i < 9; ++i)
+    rec.record(1, obs::FlightType::kRollbackStep, "after", 100 + i, i);
+  const auto evs = rec.events();
+  ASSERT_EQ(evs.size(), 6u);
+  EXPECT_EQ(rec.dropped(), 3u);
+  EXPECT_EQ(rec.recorded(), 9u);
+  const std::uint64_t kept[] = {3, 4, 5, 6, 7, 8};
+  for (std::size_t i = 0; i < evs.size(); ++i) {
+    EXPECT_STREQ(evs[i].name, "after");
+    EXPECT_EQ(evs[i].arg0, kept[i]);
+    if (i > 0) {
+      EXPECT_EQ(evs[i].seq, evs[i - 1].seq + 1);
+    }
+  }
+}
+
 TEST(FlightRecorder, DisabledRecordsNothing) {
   obs::FlightRecorder rec(4);
   rec.set_enabled(false);

@@ -114,6 +114,58 @@ TEST(MigrationTest, DirtyPagesTriggerExtraRounds) {
       << "downtime must be a small fraction of total migration time";
 }
 
+TEST(MigrationTest, StaleTargetBytesReadAsZerosWhereTheSourceNeverWrote) {
+  // Every free frame of the target holds stale bytes, so the region the
+  // migration reserves there does too. A page whose source backing was
+  // never materialized must still arrive as zeros.
+  cluster::NodeConfig nc;
+  nc.mem_kb = 128 * 1024;
+  nc.kernel_mem_kb = 32 * 1024;
+  Fabric fabric;
+  Node& a = fabric.add_node("a", nc);
+  Node& b = fabric.add_node("b", nc);
+  fabric.connect(a, b);
+  a.mercury().kernel().spawn("idle", [](Sys& s) -> Sub<void> {
+    for (;;) co_await s.sleep_us(20'000.0);
+  });
+  a.mercury().kernel().run_for(5 * hw::kCyclesPerMillisecond);
+  ASSERT_TRUE(b.mercury().switch_to(core::ExecMode::kPartialVirtual));
+  ASSERT_TRUE(a.mercury().switch_to(core::ExecMode::kFullVirtual));
+
+  hw::PhysicalMemory& to = b.machine().memory();
+  std::size_t stale = 0;
+  for (hw::Pfn pfn = 0; pfn < to.total_frames(); ++pfn) {
+    if (b.machine().frames().is_allocated(pfn)) continue;
+    to.write_u32(hw::addr_of(pfn) + 512, 0x57A1E000u + pfn);
+    ++stale;
+  }
+  const vmm::DomainId dom = a.mercury().guest_vo().dom();
+  const hw::Pfn old_base = a.mercury().hypervisor().domain(dom).first_frame();
+  const std::size_t frames = a.mercury().hypervisor().domain(dom).frame_count();
+  ASSERT_GE(stale, frames);
+
+  const auto stats = vmm::LiveMigration::run(a.mercury().hypervisor(), dom,
+                                             b.mercury().hypervisor());
+  ASSERT_TRUE(stats.success);
+  const hw::Pfn new_base =
+      b.mercury().hypervisor().domain(stats.new_domain).first_frame();
+  const hw::PhysicalMemory& from = a.machine().memory();
+  const std::vector<std::uint8_t> zeros(hw::kPageSize, 0);
+  std::vector<std::uint8_t> page(hw::kPageSize);
+  std::size_t never_written = 0;
+  for (std::size_t i = 0; i < frames; ++i) {
+    if (from.frame_bytes(old_base + static_cast<hw::Pfn>(i)) != nullptr)
+      continue;
+    ++never_written;
+    const hw::Pfn pfn = new_base + static_cast<hw::Pfn>(i);
+    ASSERT_NE(to.frame_bytes(pfn), nullptr)
+        << "frame " << pfn << " held no stale bytes";
+    to.read_bytes(hw::addr_of(pfn), page);
+    ASSERT_EQ(page, zeros) << "frame " << i << " kept stale target bytes";
+  }
+  EXPECT_GT(never_written, 0u) << "every source frame was written";
+}
+
 TEST(MigrationTest, SourceFramesAreFreedAfterMigration) {
   TwoNodes t;
   const std::size_t free_before = t.a->machine().frames().frames_free();
