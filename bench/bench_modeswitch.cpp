@@ -26,8 +26,8 @@ struct SwitchTimes {
   double detach_ms = 0;
   // Bulk transfer phases only (page-info rebuild + protect on attach, PT
   // unprotect on detach). On SMP machines the totals above also carry the
-  // rendezvous wait — inter-CPU clock skew identical on the serial and crew
-  // paths — so the crew speedup is visible here, not in the totals.
+  // rendezvous wait — inter-CPU clock skew, whatever the crew width — so the
+  // crew speedup is visible here, not in the totals.
   double attach_transfer_ms = 0;
   double detach_transfer_ms = 0;
   // Per-CPU unavailability intervals recorded while this cell ran (scoped
@@ -225,9 +225,9 @@ int main(int argc, char** argv) {
                 t.render().c_str());
   }
   {
-    // Parallel switch pipeline ablation: kernel-memory size x crew width on
-    // a 4-CPU box. Serial (crew=0) vs crew transfer latency; the largest
-    // memory with crew_workers = ncpus-1 is the headline speedup.
+    // Crew-width ablation: kernel-memory size x crew width on a 4-CPU box.
+    // The CP alone (crew=0) vs crew transfer latency; the largest memory
+    // with crew_workers = ncpus-1 is the headline speedup.
     constexpr std::size_t kCpus = 4;
     mercury::util::Table t({"Memory (KB)", "crew=0 (ms)", "crew=1 (ms)",
                             "crew=2 (ms)", "crew=3 (ms)", "speedup x"});

@@ -24,8 +24,9 @@ double rendezvous_us(std::size_t cpus, RendezvousProtocol proto) {
   // Skew the clocks a little, as real CPUs are never aligned.
   for (std::size_t i = 0; i < cpus; ++i)
     machine.cpu(i).charge(1000 + 313 * i);
-  const auto stats = Rendezvous::run(machine, machine.cpu(0), proto);
-  return mercury::hw::cycles_to_us(stats.latency());
+  Rendezvous rv(machine, machine.cpu(0), proto);
+  rv.park();
+  return mercury::hw::cycles_to_us(rv.release().latency());
 }
 
 void BM_RendezvousIpi32(benchmark::State& state) {

@@ -2,7 +2,7 @@
 // tooling, paper §8's failure-resistant switch made testable).
 //
 // A FaultPlan names one injection site threaded through the switch engine,
-// the rendezvous, the state-transfer functions, the stack fixup, and the
+// the rendezvous, the state-transfer phases, the stack fixup, and the
 // VMM's adopt/release loops, plus a trigger count: the plan fires on the
 // Nth visit to that site after arming, then disarms itself (single-shot, so
 // recovery code that re-traverses the same sites cannot re-fault). Firing
@@ -31,24 +31,28 @@
 
 namespace mercury::core {
 
-/// Named injection sites, in the order a switch traverses them.
+/// Named injection sites. The enum and its name table stay append-only:
+/// FaultInjector::begin_window rolls one storm trial per site in enum
+/// order, so removing an enumerator would re-draw every seeded storm. That
+/// is why kReleaseUnprotect stays although nothing visits it any more.
 enum class FaultSite : std::uint8_t {
   kRendezvous,        // §5.4 barrier entry (both directions, reroles too)
-  kAdoptRebuild,      // VMM page-info rebuild, per frame (attach)
-  kAdoptProtect,      // PT typing + write-protection, per table (attach)
+  kAdoptRebuild,      // whole-range page-info rebuild, per frame (migration
+                      // admission, eager priming, detach rollback)
+  kAdoptProtect,      // whole-range PT typing + write-protection, per table
+                      // (same callers as kAdoptRebuild)
   kStackFixup,        // eager selector-fixup walk, per task (both)
   kTransferBindings,  // trap/descriptor-table rebinding (both)
-  kReleaseUnprotect,  // PT writability restore, per frame (detach)
+  kReleaseUnprotect,  // unvisited: the switch's unprotect is kShardUnprotect
   kReloadHwState,     // per-CPU control-state reload (both)
-  // Worker-side sites: the same bulk loops as above, but executed on a
-  // rendezvous-parked crew CPU as a shard of the parallel switch pipeline.
-  // A fire here aborts the shard mid-flight on the *worker*; the crew joins
-  // and the control processor's rollback must still converge.
+  // The switch's bulk loops, run as crew shards on the rendezvous-parked
+  // CPUs (on the control processor alone when the crew has no helper). A
+  // fire here aborts the shard mid-flight on the CPU running it; the crew
+  // joins and the control processor's rollback must still converge.
   kShardRebuild,      // crew shard of the page-info rebuild (attach)
   kShardProtect,      // crew shard of type-and-protect (attach)
   kShardUnprotect,    // crew shard of the writability restore (detach)
-  kDirtyRebuild,      // warm re-attach dirty-set rebuild, per frame (attach;
-                      // fires on the serial path and inside crew shards)
+  kDirtyRebuild,      // warm re-attach dirty-set rebuild, per frame (attach)
   // Service sites: the dependability arcs (checkpoint/restart, live
   // migration) that run while the VMM is attached. A fire here aborts the
   // service step; the supervising arc retries, rolls back, or quarantines.
@@ -107,8 +111,8 @@ struct FaultPlan {
 };
 
 /// Thrown at a site when the armed plan fires. Carries the id of the CPU
-/// that was executing the faulted step (the control processor on the serial
-/// path, a crew worker inside a shard) so rollback postmortems can name it.
+/// that was executing the faulted step (the crew member running a shard, or
+/// the control processor outside one) so rollback postmortems can name it.
 struct FaultInjected {
   FaultSite site;
   FaultKind kind;

@@ -97,6 +97,10 @@ void Rendezvous::park_tree() {
 
 void Rendezvous::park() {
   MERC_CHECK_MSG(!parked_, "rendezvous parked twice");
+  MERC_SPAN(cp_, kRendezvous,
+            protocol_ == RendezvousProtocol::kTree
+                ? "rendezvous.tree"
+                : "rendezvous.ipi_shared_var");
   MERC_FLIGHT(cp_, kPhaseBegin, "rendezvous.park", machine_.num_cpus());
   fault_point(FaultSite::kRendezvous, &cp_);
   stats_.cpus = machine_.num_cpus();
@@ -185,25 +189,6 @@ RendezvousStats Rendezvous::release() {
   MERC_FLIGHT(cp_, kPhaseEnd, "rendezvous.release", stats_.cpus,
               release_cycles_);
   return stats_;
-}
-
-RendezvousStats Rendezvous::run(hw::Machine& machine, hw::Cpu& cp,
-                                RendezvousProtocol protocol) {
-  Rendezvous rv(machine, cp, protocol);
-  switch (protocol) {
-    case RendezvousProtocol::kIpiSharedVar: {
-      MERC_SPAN(cp, kRendezvous, "rendezvous.ipi_shared_var");
-      rv.park();
-      return rv.release();
-    }
-    case RendezvousProtocol::kTree: {
-      MERC_SPAN(cp, kRendezvous, "rendezvous.tree");
-      rv.park();
-      return rv.release();
-    }
-  }
-  MERC_CHECK(false);
-  return {};
 }
 
 }  // namespace mercury::core

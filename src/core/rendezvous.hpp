@@ -5,12 +5,10 @@
 // large core counts (§8), for the scalability ablation.
 //
 // The rendezvous is an instantiable coordinator with an explicit
-// park()/release() lifetime: while the CPUs are held at the barrier the
-// switch engine may dispatch sharded bulk work to them through a SwitchCrew
-// (the parallel switch pipeline) before letting them go. The one-shot
-// static run() shim (park immediately followed by release) is kept for
-// callers that only need the classic barrier, and is cycle-identical to the
-// pre-object protocol.
+// park()/release() lifetime: the switch engine parks every CPU, runs the
+// whole state transfer on them through a SwitchCrew, and only then lets
+// them go. A caller that only needs the classic barrier calls park() and
+// release() back to back.
 #pragma once
 
 #include <cstdint>
@@ -65,10 +63,6 @@ class Rendezvous {
   hw::Cycles coordination_cycles() const {
     return park_cycles_ + release_cycles_;
   }
-
-  /// One-shot shim: park + release back to back (the classic §5.4 barrier).
-  static RendezvousStats run(hw::Machine& machine, hw::Cpu& cp,
-                             RendezvousProtocol protocol);
 
  private:
   void park_ipi_shared_var();

@@ -50,14 +50,20 @@ CrewPhaseStats SwitchCrew::run_phase(const char* name, std::size_t items,
   hw::Cpu& cp = *members_[0];
   const hw::Cycles phase_start = cp.now();
 
-  // CP publishes the work descriptor; parked members cannot start before
-  // the publish store reaches them (they were spinning, so advancing their
-  // clocks to the publish point costs nothing real).
-  cp.charge(kShardPublish);
-  for (hw::Cpu* m : members_) m->advance_to(cp.now());
+  // Without a helper the CP runs the phase as one shard and pays no
+  // coordination: there is no descriptor to publish, no contended queue
+  // line to grab from, and nobody to join.
+  const bool alone = workers() == 0;
+  if (!alone) {
+    // CP publishes the work descriptor; parked members cannot start before
+    // the publish store reaches them (they were spinning, so advancing
+    // their clocks to the publish point costs nothing real).
+    cp.charge(kShardPublish);
+    for (hw::Cpu* m : members_) m->advance_to(cp.now());
+  }
 
   const std::size_t nshards =
-      std::min(items, members_.size() * kShardsPerMember);
+      alone ? 1 : std::min(items, members_.size() * kShardsPerMember);
   MERC_FLIGHT(cp, kCrewPublish, name, items, nshards, members_.size());
   const std::size_t per = items / nshards;
   const std::size_t extra = items % nshards;
@@ -85,7 +91,7 @@ CrewPhaseStats SwitchCrew::run_phase(const char* name, std::size_t items,
     for (std::size_t m = 1; m < members_.size(); ++m)
       if (members_[m]->now() < members_[who]->now()) who = m;
     hw::Cpu& worker = *members_[who];
-    worker.charge(kShardGrab);
+    if (!alone) worker.charge(kShardGrab);
     const hw::Cycles t0 = worker.now();
     try {
       body(worker, begin, end);
@@ -112,7 +118,7 @@ CrewPhaseStats SwitchCrew::run_phase(const char* name, std::size_t items,
     begin = end;
   }
 
-  join();
+  if (!alone) join();
   stats.span = cp.now() - phase_start;
   busy_total_ += stats.busy;
   span_total_ += stats.span;

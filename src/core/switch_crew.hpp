@@ -1,15 +1,16 @@
-// The parallel switch pipeline's work crew.
+// The switch pipeline's work crew.
 //
-// During a mode switch every non-control CPU used to idle-spin at the
-// rendezvous barrier (§5.4) while the control processor walked all of
-// physical memory alone (§5.1.2 — the dominant attach cost). A SwitchCrew
-// turns those parked cores into workers: the bulk phases (page-info
-// rebuild, type-and-protect, validation, eager selector fixup, release-time
-// unprotect) are decomposed into per-range shards pulled from a shared
-// queue. Scheduling is dynamic — the next shard always goes to the
-// earliest-finishing member — which is the deterministic simulation of a
-// work-stealing deque: uneven shards (e.g. validation cost varies with
-// present PTEs) rebalance automatically.
+// During a mode switch every CPU stays parked at the rendezvous barrier
+// (§5.4) until the state transfer is done (§5.1.2 — the dominant attach
+// cost is a walk over all of physical memory). A SwitchCrew turns parked
+// cores into workers: the bulk phases (page-info rebuild, type-and-protect,
+// validation, eager selector fixup, release-time unprotect) are decomposed
+// into per-range shards pulled from a shared queue. Scheduling is dynamic —
+// the next shard always goes to the earliest-finishing member — which is
+// the deterministic simulation of a work-stealing deque: uneven shards
+// (e.g. validation cost varies with present PTEs) rebalance automatically.
+// A crew with no helper is the control processor alone: each phase is one
+// call on the CP, with no queue and no join to pay for.
 //
 // The crew only ever runs between Rendezvous::park() and release(), and
 // only after the VO reference count hit zero (§5.1.1): the parked CPUs are
@@ -50,8 +51,9 @@ class SwitchCrew {
 
   /// Split [0, items) into shards and execute them across the crew with
   /// earliest-finisher (work-stealing) scheduling, then barrier-join so
-  /// every member's clock sits at the phase end. `name` keys the per-shard
-  /// and per-worker telemetry histograms ("<name>.shard_cycles",
+  /// every member's clock sits at the phase end. With no helper, run
+  /// `body(cp, 0, items)` once and charge no coordination. `name` keys the
+  /// per-shard and per-worker telemetry histograms ("<name>.shard_cycles",
   /// "<name>.worker_cycles", "<name>.phase_cycles"). Rethrows a worker's
   /// FaultInjected after the join.
   CrewPhaseStats run_phase(const char* name, std::size_t items,

@@ -25,7 +25,6 @@ namespace {
 constexpr FaultSite kHvFaultSites[] = {
     FaultSite::kAdoptRebuild,       // kAdoptRebuild
     FaultSite::kAdoptProtect,       // kAdoptProtect
-    FaultSite::kReleaseUnprotect,   // kReleaseUnprotect
     FaultSite::kShardRebuild,       // kShardRebuild
     FaultSite::kShardProtect,       // kShardProtect
     FaultSite::kShardUnprotect,     // kShardUnprotect
@@ -80,9 +79,9 @@ SwitchEngine::SwitchEngine(kernel::Kernel& k, vmm::Hypervisor& hv,
       });
   // The hypervisor links below core/ and cannot name the fault injector;
   // bridge its probe points to the engine's injection sites. The hypervisor
-  // reports the CPU executing the probed loop — the control processor on the
-  // serial path, a crew worker inside a shard — so injected latency charges
-  // the clock that was actually running.
+  // reports the CPU executing the probed loop — the crew member running the
+  // shard, or the control processor outside one — so injected latency
+  // charges the clock that was actually running.
   hv_.set_fault_probe(vmm::FaultProbe{
       [this](vmm::HvFaultPoint p, hw::Cpu* cpu) {
         fault_point(site_of(p),
@@ -299,58 +298,36 @@ void SwitchEngine::commit(hw::Cpu& cpu, ExecMode target) {
   bool committed = true;
   hw::Cycles rendezvous_cycles = 0;
   try {
-    if (config_.crew_workers == 0) {
-      // Legacy serial pipeline: §5.4 barrier completes, then the CP does all
-      // the state transfer alone while the other CPUs idle at the barrier
-      // exit. Kept cycle-identical for the serial-vs-crew ablation.
-      const RendezvousStats rv =
-          Rendezvous::run(kernel_.machine(), cpu, config_.rendezvous);
-      stats_.last_rendezvous_cycles = rv.latency();
-      rendezvous_cycles = rv.latency();
-      stats_.last_max_pause_cycles = rv.max_pause_cycles;
-
-      // Transitions through intermediate modes: native <-> partial <-> full.
+    // §5.4: park every CPU at the barrier, run the transfer as crew phases
+    // on the parked cores (the CP alone when the crew has no helper), and
+    // release only when the transfer is done.
+    Rendezvous rv(kernel_.machine(), cpu, config_.rendezvous);
+    SwitchCrew crew(kernel_.machine(), cpu, config_.crew_workers);
+    try {
+      rv.park();
+      // Shard dispatch must not begin before the §5.1.1 commit point: the
+      // crew mutates state that a live VO reference could be touching.
+      MERC_CHECK_MSG(current_vo().active_refs() == 0,
+                     "crew dispatch before the VO refcount-zero commit point");
       if (mode_ == ExecMode::kNative) {
-        attach(cpu, target);
+        attach(cpu, crew, target);
       } else if (target == ExecMode::kNative) {
-        detach(cpu);
+        detach(cpu, crew);
       } else {
         rerole(cpu, target);
       }
-    } else {
-      // Parallel switch pipeline: park every CPU at the barrier, recruit the
-      // parked cores as a shard work crew for the bulk phases, release only
-      // when the transfer is done.
-      Rendezvous rv(kernel_.machine(), cpu, config_.rendezvous);
-      SwitchCrew crew(kernel_.machine(), cpu, config_.crew_workers);
-      try {
-        rv.park();
-        // Shard dispatch must not begin before the §5.1.1 commit point: the
-        // crew mutates state that a live VO reference could be touching.
-        MERC_CHECK_MSG(current_vo().active_refs() == 0,
-                       "crew dispatch before the VO refcount-zero commit "
-                       "point");
-        if (mode_ == ExecMode::kNative) {
-          attach_with_crew(cpu, crew, target);
-        } else if (target == ExecMode::kNative) {
-          detach_with_crew(cpu, crew);
-        } else {
-          rerole(cpu, target);
-        }
-      } catch (...) {
-        // The barrier must never stay held: release the parked CPUs before
-        // the fault unwinds into the rollback (which runs serially on the
-        // CP, exactly like a serial-path rollback).
-        if (rv.parked()) rv.release();
-        throw;
-      }
-      const RendezvousStats rvs = rv.release();
-      stats_.last_rendezvous_cycles = rv.coordination_cycles();
-      rendezvous_cycles = rv.coordination_cycles();
-      stats_.last_max_pause_cycles = rvs.max_pause_cycles;
-      MERC_GAUGE_SET("switch.crew.workers", crew.workers());
-      MERC_GAUGE_SET("switch.crew.utilization", crew.utilization());
+    } catch (...) {
+      // The barrier must never stay held: release the parked CPUs before
+      // the fault unwinds into the rollback, which runs on the CP alone.
+      if (rv.parked()) rv.release();
+      throw;
     }
+    const RendezvousStats rvs = rv.release();
+    stats_.last_rendezvous_cycles = rv.coordination_cycles();
+    rendezvous_cycles = rv.coordination_cycles();
+    stats_.last_max_pause_cycles = rvs.max_pause_cycles;
+    MERC_GAUGE_SET("switch.crew.workers", crew.workers());
+    MERC_GAUGE_SET("switch.crew.utilization", crew.utilization());
   } catch (const FaultInjected& fault) {
     // A fault fired at one of the pre-commit injection sites: unwind the
     // partial transition instead of crashing mid-switch (paper §8), then
@@ -456,9 +433,9 @@ void SwitchEngine::observe_slo(hw::Cpu& cpu, bool attach, hw::Cycles total,
                tr.page_info_cycles + tr.protection_cycles + tr.binding_cycles,
                cpu.id(), cpu.now());
   slo_.observe("switch.fixup_cycles", tr.fixup_cycles, cpu.id(), cpu.now());
-  // The per-CPU unavailability budget: the serial path measures the whole
-  // park-to-release window, the crew path the same window including shard
-  // work. Breach evidence lands in the flight ring like every other phase.
+  // The per-CPU unavailability budget: the whole park-to-release window,
+  // shard work included. Breach evidence lands in the flight ring like
+  // every other phase.
   slo_.observe("switch.max_pause_cycles", stats_.last_max_pause_cycles,
                cpu.id(), cpu.now());
 }
@@ -618,54 +595,7 @@ void SwitchEngine::set_warm_reattach(bool on) {
   if (!on && dirty_tracker_) dirty_tracker_->disarm();
 }
 
-void SwitchEngine::attach(hw::Cpu& cpu, ExecMode target) {
-  VirtualVo& vo =
-      target == ExecMode::kPartialVirtual ? driver_vo_ : guest_vo_;
-  const std::optional<WarmSet> warm = warm_dirty_set();
-  if (warm) note_warm_attach(cpu, warm->rebuild.size());
-  stats_.last_transfer =
-      transfer_to_virtual(cpu, kernel_, hv_, vo, config_.eager_page_tracking,
-                          config_.eager_selector_fixup,
-                          warm ? &*warm : nullptr);
-  if (target == ExecMode::kFullVirtual) {
-    hv_.blk_backend().connect_frontend(vo.dom());
-    hv_.net_backend().connect_frontend(vo.dom());
-  }
-  MERC_SPAN(cpu, kSwitch, "switch.reload_hw_state");
-  reload_all_cpus(vo);
-  kernel_.set_ops(vo);
-  mode_ = target;
-  // The attach succeeded (warm or cold): the table is fresh, the tracked
-  // window is consumed. A fault above unwinds past this point, leaving the
-  // tracker armed so a supervised retry can still go warm.
-  if (dirty_tracker_) dirty_tracker_->disarm();
-}
-
-void SwitchEngine::detach(hw::Cpu& cpu) {
-  VirtualVo& vo =
-      mode_ == ExecMode::kPartialVirtual ? driver_vo_ : guest_vo_;
-  if (mode_ == ExecMode::kFullVirtual) {
-    hv_.blk_backend().disconnect_frontend(cpu);
-    hv_.net_backend().disconnect_frontend();
-  }
-  const bool retain = warm_retention_enabled();
-  if (retain) begin_warm_retention();
-  stats_.last_transfer = transfer_to_native(cpu, kernel_, hv_, vo,
-                                            config_.eager_selector_fixup,
-                                            retain);
-  if (config_.eager_page_tracking) {
-    // The eager tracker keeps maintaining the table through native mode, so
-    // it stays authoritative across the detach (§5.1.2 alternative 1).
-    hv_.page_info().set_valid(true);
-  }
-  MERC_SPAN(cpu, kSwitch, "switch.reload_hw_state");
-  reload_all_cpus(native_vo_);
-  kernel_.set_ops(native_vo_);
-  mode_ = ExecMode::kNative;
-}
-
-void SwitchEngine::attach_with_crew(hw::Cpu& cpu, SwitchCrew& crew,
-                                    ExecMode target) {
+void SwitchEngine::attach(hw::Cpu& cpu, SwitchCrew& crew, ExecMode target) {
   VirtualVo& vo = target == ExecMode::kPartialVirtual ? driver_vo_ : guest_vo_;
   TransferStats transfer;
   const std::optional<WarmSet> warm = warm_dirty_set();
@@ -677,8 +607,7 @@ void SwitchEngine::attach_with_crew(hw::Cpu& cpu, SwitchCrew& crew,
     const vmm::DomainId dom = hv_.begin_adopt(kernel_);
     if (warm) {
       // Warm re-attach, sharded: only the dirty set is reconstructed; the
-      // rest of the retained table carries over untouched. Shards stamp the
-      // rebuild epoch exactly like the serial warm path.
+      // rest of the retained table carries over untouched.
       MERC_CHECK_MSG(hv_.page_info().retained(),
                      "warm crew attach without a retained page-info table");
       hv_.init_reserved_page_info();
@@ -712,10 +641,13 @@ void SwitchEngine::attach_with_crew(hw::Cpu& cpu, SwitchCrew& crew,
     // Type-and-protect, then validation. Protection of *every* table must
     // precede validation of *any* L1 ("no writable mapping of a PT frame"),
     // and all L1 typing must precede L2 validation — hence three phases
-    // with crew joins between them, not one. On the warm path only
-    // content-dirty tables are revalidated (same rule as the serial warm
-    // adopt): an unwritten table still holds the entries verified before
-    // the detach.
+    // with crew joins between them, not one. On the warm path protection
+    // still covers every table (it also re-canonicalizes the type/pin
+    // fields the dirty rebuild reset), but only content-dirty tables are
+    // revalidated: PTE writes while attached are trapped and checked
+    // inline, and any write while detached — kernel PTE update, MMU A/D
+    // write-back, or tampering — lands the frame in the content set, so an
+    // unwritten table still holds the entries verified before the detach.
     const auto tables = hv_.collect_tables(kernel_);
     std::vector<std::pair<hw::Pfn, vmm::PageType>> l1s, l2s;
     for (const auto& t : tables) {
@@ -793,11 +725,13 @@ void SwitchEngine::attach_with_crew(hw::Cpu& cpu, SwitchCrew& crew,
   reload_all_cpus(vo);
   kernel_.set_ops(vo);
   mode_ = target;
-  // Success consumes the tracked window (see attach()).
+  // The attach succeeded (warm or cold): the table is fresh, the tracked
+  // window is consumed. A fault above unwinds past this point, leaving the
+  // tracker armed so a supervised retry can still go warm.
   if (dirty_tracker_) dirty_tracker_->disarm();
 }
 
-void SwitchEngine::detach_with_crew(hw::Cpu& cpu, SwitchCrew& crew) {
+void SwitchEngine::detach(hw::Cpu& cpu, SwitchCrew& crew) {
   VirtualVo& vo = mode_ == ExecMode::kPartialVirtual ? driver_vo_ : guest_vo_;
   if (mode_ == ExecMode::kFullVirtual) {
     hv_.blk_backend().disconnect_frontend(cpu);

@@ -3,10 +3,11 @@
 //
 // A switch request raises the self-virtualization interrupt on the control
 // processor. The handler refuses to commit while any VO reference is live
-// (re-arming a 10 ms kernel timer, §5.1.1), rendezvouses all CPUs (§5.4),
-// runs the state-transfer functions (§5.1.2), reloads hardware control
-// state in interrupt context — including the patched return privilege level
-// (§5.1.3) — and finally swaps the kernel's VO pointer.
+// (re-arming a 10 ms kernel timer, §5.1.1), parks all CPUs at the
+// rendezvous (§5.4), runs the state transfer (§5.1.2) as crew phases while
+// they stay parked, reloads hardware control state in interrupt context —
+// including the patched return privilege level (§5.1.3) — swaps the
+// kernel's VO pointer, and only then releases the barrier.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,6 @@
 #include "core/dirty_tracker.hpp"
 #include "core/native_vo.hpp"
 #include "core/rendezvous.hpp"
-#include "core/state_transfer.hpp"
 #include "core/virtual_vo.hpp"
 #include "kernel/kernel.hpp"
 #include "obs/metrics.hpp"
@@ -79,12 +79,11 @@ struct SwitchConfig {
   RendezvousProtocol rendezvous = RendezvousProtocol::kIpiSharedVar;
   double defer_retry_ms = 10.0;      // §5.1.1 timer interval
   bool validate_before_commit = false;  // failure-resistant switch (§8)
-  /// Parallel switch pipeline: number of rendezvous-parked CPUs recruited as
-  /// shard workers for the bulk switch phases (page-info rebuild,
-  /// type-and-protect, validation, eager fixup, release-time unprotect).
-  /// 0 selects the legacy serial path — cycle-identical to the pre-crew
-  /// engine, kept for the serial-vs-crew ablation. Clamped to the machine's
-  /// other CPUs; the control processor always works too.
+  /// Number of rendezvous-parked CPUs recruited as shard workers for the
+  /// bulk switch phases (page-info rebuild, type-and-protect, validation,
+  /// eager fixup, release-time unprotect), besides the control processor,
+  /// which always works. Clamped to the machine's other CPUs. With 0 the CP
+  /// runs every phase alone while the other CPUs stay parked (§5.4).
   std::size_t crew_workers = 0;
   /// Run the machine-state invariant checker after every commit attempt
   /// (committed or rolled back) and abort the simulation on a violation.
@@ -103,6 +102,19 @@ struct SwitchConfig {
   std::size_t warm_dirty_capacity = 0;
   /// Switch-SLO cycle budgets; breaches are flagged, never enforced.
   SwitchSloBudgets slo{};
+};
+
+/// Cycles of the state-transfer phases of the last attach or detach
+/// (paper §5.1.2). Three classes of state move between representations:
+/// page-table pages (writable <-> read-only + typed), the kernel segment
+/// privilege in every suspended thread's saved frame, and the interrupt
+/// bindings (kernel IDT on hardware <-> hypervisor IDT with the kernel's
+/// table registered as the guest trap table).
+struct TransferStats {
+  hw::Cycles page_info_cycles = 0;   // owner/type/count rebuild + typing
+  hw::Cycles protection_cycles = 0;  // PT writability restore (detach)
+  hw::Cycles fixup_cycles = 0;       // eager selector fixups (if enabled)
+  hw::Cycles binding_cycles = 0;     // trap/descriptor table rebinding
 };
 
 /// Per-engine switch telemetry. This struct is the single storage for these
@@ -212,14 +224,12 @@ class SwitchEngine {
   /// Record the outcome and notify the completion hook (if installed).
   void resolve(ExecMode target, SwitchOutcome outcome);
   void register_obs_instruments();
-  void attach(hw::Cpu& cpu, ExecMode target);
-  void detach(hw::Cpu& cpu);
+  /// Native <-> virtual with every CPU parked: the bulk phases run as
+  /// shards across `crew` (the CP alone when it has no helper).
+  void attach(hw::Cpu& cpu, SwitchCrew& crew, ExecMode target);
+  void detach(hw::Cpu& cpu, SwitchCrew& crew);
   /// partial <-> full transition: re-role the virtual VO in place.
   void rerole(hw::Cpu& cpu, ExecMode target);
-  /// Crew variants of attach/detach: the bulk phases run as shards across
-  /// the rendezvous-parked crew instead of serially on the CP.
-  void attach_with_crew(hw::Cpu& cpu, SwitchCrew& crew, ExecMode target);
-  void detach_with_crew(hw::Cpu& cpu, SwitchCrew& crew);
   bool validate_for_switch(hw::Cpu& cpu, ExecMode target);
   void reload_all_cpus(VirtObject& vo);
   /// Warm re-attach plumbing. `warm_retention_enabled` gates the detach

@@ -210,12 +210,11 @@ bool Hypervisor::validate_l2(hw::Cpu& cpu, Domain& d, hw::Pfn table,
 
 // --- adopt / release (Mercury's heavy lifting) -----------------------------------
 //
-// The serial entry points (rebuild_page_info / type_and_protect_tables /
-// unprotect_tables, and adopt_running_os / release_os around them) are
-// compositions of the range-based shard functions below. The composition is
-// cycle-identical to the historical single-loop code: the serial path runs
-// one shard spanning the whole range on the control processor, with the
-// legacy fault-point names.
+// The switch engine runs the range-based shard functions below across its
+// crew. The whole-range entry points (rebuild_page_info /
+// type_and_protect_tables, and adopt_running_os around them) run one shard
+// spanning the whole range on one CPU, with the kAdopt* fault points; they
+// serve migration admission, eager priming and detach rollback.
 
 DomainId Hypervisor::begin_adopt(Kernel& k) {
   MERC_CHECK_MSG(state_ == State::kDormant, "adopt while not dormant");
@@ -422,41 +421,6 @@ void Hypervisor::type_and_protect_tables(hw::Cpu& cpu, Domain& d, Kernel& k) {
   adopt_validate_shard(cpu, d.id(), tables, PageType::kL2);
 }
 
-void Hypervisor::type_and_protect_tables_warm(
-    hw::Cpu& cpu, Domain& d, Kernel& k,
-    std::span<const hw::Pfn> content_dirty) {
-  MERC_SPAN(cpu, kVmm, "vmm.type_and_protect_warm");
-  // Protection is enforcement: every current table is typed, pinned, and
-  // write-revoked, exactly as cold. (The pass also re-canonicalizes the
-  // type/pin fields the dirty rebuild reset, so the resulting table is
-  // byte-identical to a cold one.)
-  const auto tables = collect_tables(k);
-  adopt_protect_shard(cpu, d.id(), k, tables, HvFaultPoint::kAdoptProtect);
-  if (!tables.empty()) tlb_shootdown_all(cpu);
-  // Revalidation is limited to tables whose contents were written while the
-  // VMM was away: the others still hold exactly the PTEs verified before
-  // the detach (PTE writes while attached are trapped and checked inline,
-  // so every table was clean at release). Any write — kernel PTE update,
-  // MMU A/D write-back, or tampering — lands a frame in `content_dirty`.
-  std::vector<std::pair<hw::Pfn, PageType>> stale;
-  stale.reserve(content_dirty.size());
-  for (const auto& t : tables)
-    if (std::binary_search(content_dirty.begin(), content_dirty.end(), t.first))
-      stale.push_back(t);
-  adopt_validate_shard(cpu, d.id(), stale, PageType::kL1);
-  adopt_validate_shard(cpu, d.id(), stale, PageType::kL2);
-  MERC_COUNT_N("vmm.page_info.tables_revalidated", stale.size());
-  MERC_COUNT_N("vmm.page_info.table_validations_skipped",
-               tables.size() - stale.size());
-}
-
-void Hypervisor::unprotect_tables(hw::Cpu& cpu, Kernel& k) {
-  const std::vector<hw::Pfn> frames = protected_frames_snapshot();
-  release_unprotect_shard(cpu, k, frames, HvFaultPoint::kReleaseUnprotect);
-  if (!frames.empty()) tlb_shootdown_all(cpu);
-  MERC_CHECK(protected_frames_.empty());
-}
-
 void Hypervisor::forget_frame_range(hw::Pfn first, std::size_t count) {
   // Frames are leaving this machine: retained accounting is stale.
   page_info_.poison_retention();
@@ -526,34 +490,6 @@ DomainId Hypervisor::adopt_running_os(hw::Cpu& cpu, Kernel& k,
   type_and_protect_tables(cpu, d, k);
   finish_adopt(id, k);
   return id;
-}
-
-DomainId Hypervisor::adopt_running_os_warm(hw::Cpu& cpu, Kernel& k,
-                                           std::span<const hw::Pfn> dirty,
-                                           std::span<const hw::Pfn> content_dirty) {
-  const DomainId id = begin_adopt(k);
-  MERC_SPAN(cpu, kVmm, "vmm.adopt_running_os_warm");
-  MERC_CHECK_MSG(page_info_.retained(),
-                 "warm adopt without a retained page-info table");
-  MERC_SPAN(cpu, kVmm, "vmm.rebuild_page_info_dirty");
-  // The reserved region is re-canonicalized exactly as the cold path does
-  // (CP-side, uncharged); the per-frame cost is paid only for the dirty set.
-  init_reserved_page_info();
-  adopt_dirty_rebuild_shard(cpu, id, dirty);
-  MERC_COUNT_N("vmm.page_info.frames_reconstructed", dirty.size());
-  // Typing and protection run in full (enforcement covers every table);
-  // PTE revalidation is limited to content-dirty tables.
-  type_and_protect_tables_warm(cpu, domain(id), k, content_dirty);
-  finish_adopt(id, k);
-  return id;
-}
-
-void Hypervisor::release_os(hw::Cpu& cpu, DomainId id, bool retain_page_info) {
-  begin_release(id);
-  MERC_SPAN(cpu, kVmm, "vmm.release_os");
-  Kernel* k = domain(id).guest();
-  unprotect_tables(cpu, *k);
-  finish_release(retain_page_info);
 }
 
 void Hypervisor::rollback_adopt(hw::Cpu& cpu, Kernel& k, bool keep_page_info) {

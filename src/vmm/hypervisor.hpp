@@ -4,8 +4,9 @@
 // serves hypercalls, routes hardware traps to the owning guest, and hosts
 // the split-driver backends. Supports being *pre-cached*: warmed up at
 // machine boot into a reserved top-of-memory region and left dormant until
-// Mercury attaches it (paper §4.1), at which point `adopt_running_os`
-// rebuilds the page accounting for the already-running kernel (§5.1.2).
+// Mercury attaches it (paper §4.1), at which point the switch engine's
+// adopt shards rebuild the page accounting for the already-running kernel
+// (§5.1.2).
 #pragma once
 
 #include <array>
@@ -54,17 +55,16 @@ struct HvStats {
 /// A probe may throw to abort the surrounding operation mid-flight — that
 /// is the point: the engine's rollback must unwind the partial mutation.
 enum class HvFaultPoint : std::uint8_t {
+  // Whole-range adoption outside a switch: migration admission, eager
+  // priming and the re-adopt/reprotect of a detach rollback.
   kAdoptRebuild,      // once per frame during the page-info rebuild
   kAdoptProtect,      // once per page-table frame during type-and-protect
-  kReleaseUnprotect,  // once per frame during the writability restore
-  // Worker-side variants: the same loops, but executed as a shard of the
-  // parallel switch pipeline on a rendezvous-parked crew CPU. Distinct
-  // points so tests can target "a worker faulted mid-shard" specifically.
+  // The switch's bulk loops, run as crew shards (on the control processor
+  // alone when the crew has no helper).
   kShardRebuild,      // crew shard of the page-info rebuild
   kShardProtect,      // crew shard of type-and-protect
   kShardUnprotect,    // crew shard of the writability restore
-  kDirtyRebuild,      // once per frame during a warm (dirty-set) rebuild,
-                      // serial and crew alike
+  kDirtyRebuild,      // once per frame during a warm (dirty-set) rebuild
   // Service-side points: the dependability services (checkpoint/restart,
   // live migration) that run against an attached hypervisor. Fired by
   // Checkpointer and LiveMigration (friends below) through the same probe,
@@ -126,30 +126,12 @@ class Hypervisor : public hw::TrapSink {
 
   // --- Mercury attach/detach support ---
   /// Build a (privileged, driver) domain around an already-running native
-  /// kernel. When `trust_page_info` is false the full owner/type/count
-  /// rebuild runs (the paper's dominant switch cost); true corresponds to
-  /// the eager-tracking variant that kept the table fresh.
+  /// kernel in one call on `cpu`. When `trust_page_info` is false the full
+  /// owner/type/count rebuild runs (the paper's dominant switch cost); true
+  /// corresponds to the eager-tracking variant that kept the table fresh.
+  /// The switch engine composes the shard entry points below instead; this
+  /// whole-range form re-adopts after a detach rollback.
   DomainId adopt_running_os(hw::Cpu& cpu, kernel::Kernel& k, bool trust_page_info);
-  /// Warm (incremental) adoption: the page-info table was retained across
-  /// the last detach, so only the frames in `dirty` — recorded by the
-  /// DirtyFrameTracker while native — are reconstructed; everything else is
-  /// carried over. The caller (switch engine) is responsible for deciding
-  /// eligibility (retention unpoisoned, tracker armed and not overflowed)
-  /// and for filtering both spans to the kernel-owned frame range. The
-  /// type-and-protect pass runs in full (enforcement must cover every
-  /// current table), but PTE revalidation is limited to tables in
-  /// `content_dirty` — frames whose bytes were written while detached. An
-  /// untouched table still holds exactly the entries validated before the
-  /// detach, so its scan is skipped; any tampering is a store, hence in the
-  /// set.
-  DomainId adopt_running_os_warm(hw::Cpu& cpu, kernel::Kernel& k,
-                                 std::span<const hw::Pfn> dirty,
-                                 std::span<const hw::Pfn> content_dirty);
-  /// Undo adoption: page tables become writable again, accounting is
-  /// dropped (O(1)), the hypervisor returns to dormancy. With
-  /// `retain_page_info` the table keeps its (now stale) contents and is
-  /// marked retained so a later warm adoption can rebuild incrementally.
-  void release_os(hw::Cpu& cpu, DomainId id, bool retain_page_info = false);
   /// Unwind a *partially applied* adoption after a mid-switch fault: restore
   /// writability of every frame protected so far, drop (or, for eager
   /// tracking, keep) the page accounting, return to dormancy, and hand the
@@ -162,9 +144,8 @@ class Hypervisor : public hw::TrapSink {
   void reprotect_os(hw::Cpu& cpu, DomainId id, kernel::Kernel& k);
   /// Install a fault probe called at the HvFaultPoint sites (tests; unset in
   /// production paths). The probe may throw. `visit`'s second argument is
-  /// the CPU executing the probed loop — the control processor on the serial
-  /// path, a crew worker inside a shard — so injected latency charges the
-  /// right clock.
+  /// the CPU executing the probed loop (for a switch shard, the crew member
+  /// running it), so injected latency charges the right clock.
   void set_fault_probe(FaultProbe probe) { fault_probe_ = std::move(probe); }
   /// Make the hypervisor the machine's trap owner (or stop being it).
   void take_traps();
@@ -175,16 +156,16 @@ class Hypervisor : public hw::TrapSink {
   /// Initialize page accounting for a freshly built domain (boot path).
   void init_domain_memory(Domain& d);
 
-  // --- parallel switch pipeline (sharded adopt/release) ---
-  // The serial adopt/release entry points above are compositions of these
-  // range-based pieces; the switch engine calls them directly when it farms
-  // the bulk loops out to a SwitchCrew. Every shard charges the CPU actually
-  // executing it and reports the worker-side fault points, so a mid-shard
-  // fault surfaces on the worker and the engine's rollback must converge.
+  // --- switch pipeline (sharded adopt/release) ---
+  // The switch engine farms the bulk loops out to a SwitchCrew through these
+  // range-based pieces; adopt_running_os above is a whole-range composition
+  // of them. Every shard charges the CPU actually executing it and reports
+  // the shard fault points, so a mid-shard fault surfaces on the worker and
+  // the engine's rollback must converge.
   /// State checks + stats + domain reuse/creation. No simulated cost.
   DomainId begin_adopt(kernel::Kernel& k);
   /// Reset the hypervisor's own reserved frames' accounting (CP-side, O(64MB
-  /// of frames), uncharged as in the serial path) and zero shard counters.
+  /// of frames), uncharged) and zero shard counters.
   void init_reserved_page_info();
   /// Rebuild owner/type/count for `frames`, charging `cpu` per frame.
   void adopt_rebuild_shard(hw::Cpu& cpu, DomainId id,
@@ -228,11 +209,6 @@ class Hypervisor : public hw::TrapSink {
   PageInfoTable& page_info() { return page_info_; }
   void rebuild_page_info(hw::Cpu& cpu, Domain& d);
   void type_and_protect_tables(hw::Cpu& cpu, Domain& d, kernel::Kernel& k);
-  /// Warm variant: full protect pass, but validation only of tables whose
-  /// frame is in `content_dirty` (ascending).
-  void type_and_protect_tables_warm(hw::Cpu& cpu, Domain& d, kernel::Kernel& k,
-                                    std::span<const hw::Pfn> content_dirty);
-  void unprotect_tables(hw::Cpu& cpu, kernel::Kernel& k);
   /// Drop protection bookkeeping for frames leaving this machine (domain
   /// migrated away / destroyed): no flips, just forget.
   void forget_frame_range(hw::Pfn first, std::size_t count);

@@ -381,25 +381,25 @@ TEST(SwitchEngine, AttachScalesWithMemoryDetachDoesNot) {
   EXPECT_GT(attach_big, 5 * detach_big) << "attach >> detach, as measured";
 }
 
-TEST(SwitchEngine, CrewAttachMatchesSerialStateAndIsFaster) {
-  // Parallel switch pipeline vs. the legacy serial path on the same machine
-  // shape: the final machine state must be identical frame-for-frame, and
-  // the sharded bulk transfer must be at least 2x faster with 3 workers.
+TEST(SwitchEngine, CrewAttachMatchesCpAloneStateAndIsFaster) {
+  // The CP alone (crew 0) vs a crew of four CPUs on the same machine shape:
+  // the final machine state must be identical frame-for-frame, and the
+  // sharded bulk transfer must be at least 2x faster with 3 workers.
   // Compare the transfer-phase cycles, not last_attach_cycles: on an SMP
   // box the total is dominated by inter-CPU clock skew (idle CPUs run ahead
   // until the switch interrupt, and the rendezvous aligns the CP to the max
-  // clock), identically on both paths.
-  hw::Cycles serial_attach = 0;
-  hw::Cycles serial_detach = 0;
-  std::vector<vmm::PageInfo> serial_snap;
+  // clock), identically at every crew width.
+  hw::Cycles alone_attach = 0;
+  hw::Cycles alone_detach = 0;
+  std::vector<vmm::PageInfo> alone_snap;
   {
-    MercuryBox serial({}, /*mem_mb=*/256, /*cpus=*/4);
-    Mercury& m = *serial.mercury;
+    MercuryBox alone({}, /*mem_mb=*/256, /*cpus=*/4);
+    Mercury& m = *alone.mercury;
     ASSERT_TRUE(m.switch_to(ExecMode::kPartialVirtual));
-    serial_attach = m.engine().stats().last_transfer.page_info_cycles;
-    serial_snap = m.hypervisor().page_info().snapshot();
+    alone_attach = m.engine().stats().last_transfer.page_info_cycles;
+    alone_snap = m.hypervisor().page_info().snapshot();
     ASSERT_TRUE(m.switch_to(ExecMode::kNative));
-    serial_detach = m.engine().stats().last_transfer.protection_cycles;
+    alone_detach = m.engine().stats().last_transfer.protection_cycles;
   }
 
   MercuryConfig cfg;
@@ -409,16 +409,16 @@ TEST(SwitchEngine, CrewAttachMatchesSerialStateAndIsFaster) {
   ASSERT_TRUE(m.switch_to(ExecMode::kPartialVirtual));
   const hw::Cycles crew_attach =
       m.engine().stats().last_transfer.page_info_cycles;
-  EXPECT_GE(serial_attach, 2 * crew_attach)
+  EXPECT_GE(alone_attach, 2 * crew_attach)
       << "4 CPUs sharding the bulk phases must at least halve the transfer "
-         "latency (serial=" << serial_attach << " crew=" << crew_attach << ")";
+         "latency (alone=" << alone_attach << " crew=" << crew_attach << ")";
 
   const std::vector<vmm::PageInfo> crew_snap =
       m.hypervisor().page_info().snapshot();
-  ASSERT_EQ(serial_snap.size(), crew_snap.size());
+  ASSERT_EQ(alone_snap.size(), crew_snap.size());
   std::size_t mismatches = 0;
-  for (std::size_t pfn = 0; pfn < serial_snap.size(); ++pfn) {
-    const vmm::PageInfo& a = serial_snap[pfn];
+  for (std::size_t pfn = 0; pfn < alone_snap.size(); ++pfn) {
+    const vmm::PageInfo& a = alone_snap[pfn];
     const vmm::PageInfo& b = crew_snap[pfn];
     if (a.owner != b.owner || a.type != b.type ||
         a.type_count != b.type_count || a.ref_count != b.ref_count ||
@@ -426,50 +426,90 @@ TEST(SwitchEngine, CrewAttachMatchesSerialStateAndIsFaster) {
       ++mismatches;
   }
   EXPECT_EQ(mismatches, 0u)
-      << "sharded rebuild diverged from the serial accounting";
+      << "sharded rebuild diverged from the CP-alone accounting";
 
   ASSERT_TRUE(m.switch_to(ExecMode::kNative));
   const hw::Cycles crew_detach =
       m.engine().stats().last_transfer.protection_cycles;
-  EXPECT_LT(crew_detach, serial_detach)
-      << "sharded unprotect must not be slower than the serial walk";
+  EXPECT_LT(crew_detach, alone_detach)
+      << "sharded unprotect must not be slower than the CP alone";
   EXPECT_FALSE(m.hypervisor().active());
 }
 
-TEST(SwitchEngine, CrewWorkersZeroTakesTheSerialPathExactly) {
-  // crew_workers = 0 must select the legacy serial pipeline, cycle for
-  // cycle: identical machines, one defaulted and one explicit, land on the
-  // same clock after a full round trip.
-  MercuryBox a({}, /*mem_mb=*/128, /*cpus=*/2);
-  MercuryConfig cfg;
-  cfg.switch_config.crew_workers = 0;
-  MercuryBox b(cfg, /*mem_mb=*/128, /*cpus=*/2);
+TEST(SwitchEngine, CrewOfOnePaysNoCoordination) {
+  // A crew with no helper is the CP alone: no work descriptor to publish,
+  // no shared queue line to grab from, nobody to join. On one CPU,
+  // crew_workers = 16 clamps to that same crew of one, so both land on the
+  // same cycles, clock and page-info table.
+  MercuryConfig zero_cfg;
+  zero_cfg.switch_config.crew_workers = 0;
+  MercuryBox a(zero_cfg, /*mem_mb=*/128, /*cpus=*/1);
+  MercuryConfig clamped_cfg;
+  clamped_cfg.switch_config.crew_workers = 16;
+  MercuryBox b(clamped_cfg, /*mem_mb=*/128, /*cpus=*/1);
   ASSERT_TRUE(a.mercury->switch_to(ExecMode::kPartialVirtual));
   ASSERT_TRUE(b.mercury->switch_to(ExecMode::kPartialVirtual));
   EXPECT_EQ(a.mercury->engine().stats().last_attach_cycles,
             b.mercury->engine().stats().last_attach_cycles);
+  EXPECT_TRUE(a.mercury->hypervisor().page_info().snapshot() ==
+              b.mercury->hypervisor().page_info().snapshot())
+      << "the clamped crew built a different page-info table";
   ASSERT_TRUE(a.mercury->switch_to(ExecMode::kNative));
   ASSERT_TRUE(b.mercury->switch_to(ExecMode::kNative));
   EXPECT_EQ(a.mercury->engine().stats().last_detach_cycles,
             b.mercury->engine().stats().last_detach_cycles);
   EXPECT_EQ(a.machine->cpu(0).now(), b.machine->cpu(0).now());
-  EXPECT_EQ(a.machine->cpu(1).now(), b.machine->cpu(1).now());
 
   // And the supervised retry machinery must be free on the happy path: the
-  // same round trip through a SwitchSupervisor (crew_workers = 0) lands on
-  // exactly the same clocks as the bare serial engine.
-  MercuryConfig sup_cfg;
-  sup_cfg.switch_config.crew_workers = 0;
-  MercuryBox c(sup_cfg, /*mem_mb=*/128, /*cpus=*/2);
-  core::SwitchSupervisor sup(c.mercury->engine());
-  ASSERT_TRUE(sup.switch_now(ExecMode::kPartialVirtual));
-  ASSERT_TRUE(sup.switch_now(ExecMode::kNative));
-  EXPECT_EQ(a.mercury->engine().stats().last_attach_cycles,
-            c.mercury->engine().stats().last_attach_cycles);
-  EXPECT_EQ(a.mercury->engine().stats().last_detach_cycles,
-            c.mercury->engine().stats().last_detach_cycles);
-  EXPECT_EQ(a.machine->cpu(0).now(), c.machine->cpu(0).now());
-  EXPECT_EQ(a.machine->cpu(1).now(), c.machine->cpu(1).now());
+  // same round trip through a SwitchSupervisor lands on exactly the same
+  // clocks as the bare engine, on a 2-CPU box too.
+  for (const std::size_t cpus : {1ul, 2ul}) {
+    SCOPED_TRACE("cpus=" + std::to_string(cpus));
+    MercuryBox bare(zero_cfg, /*mem_mb=*/128, cpus);
+    ASSERT_TRUE(bare.mercury->switch_to(ExecMode::kPartialVirtual));
+    ASSERT_TRUE(bare.mercury->switch_to(ExecMode::kNative));
+    MercuryBox c(zero_cfg, /*mem_mb=*/128, cpus);
+    core::SwitchSupervisor sup(c.mercury->engine());
+    ASSERT_TRUE(sup.switch_now(ExecMode::kPartialVirtual));
+    ASSERT_TRUE(sup.switch_now(ExecMode::kNative));
+    EXPECT_EQ(bare.mercury->engine().stats().last_attach_cycles,
+              c.mercury->engine().stats().last_attach_cycles);
+    EXPECT_EQ(bare.mercury->engine().stats().last_detach_cycles,
+              c.mercury->engine().stats().last_detach_cycles);
+    for (std::size_t i = 0; i < cpus; ++i)
+      EXPECT_EQ(bare.machine->cpu(i).now(), c.machine->cpu(i).now());
+  }
+}
+
+TEST(SwitchEngine, EveryCpuStaysParkedThroughTheTransfer) {
+  // §5.4: a switch is atomic across CPUs. Every core stays parked at the
+  // barrier until the state transfer is done, even when the CP does all
+  // of the transfer alone, so the worst per-CPU pause covers it.
+  for (const std::size_t cpus : {1ul, 2ul}) {
+    SCOPED_TRACE("cpus=" + std::to_string(cpus));
+    MercuryConfig cfg;
+    cfg.switch_config.crew_workers = 0;
+    MercuryBox box(cfg, /*mem_mb=*/128, cpus);
+    Mercury& m = *box.mercury;
+    const core::SwitchStats& st = m.engine().stats();
+    obs::PauseLedger ledger;
+    {
+      obs::PauseLedgerScope scope(ledger);
+      ASSERT_TRUE(m.switch_to(ExecMode::kPartialVirtual));
+    }
+    const hw::Cycles attach_transfer =
+        st.last_transfer.page_info_cycles + st.last_transfer.binding_cycles;
+    EXPECT_GE(st.last_max_pause_cycles, attach_transfer);
+#if MERCURY_OBS_ENABLED
+    EXPECT_GE(ledger.total(obs::PauseCause::kRendezvousParked),
+              cpus * attach_transfer)
+        << "every CPU's parked interval must span the attach transfer";
+#endif
+    ASSERT_TRUE(m.switch_to(ExecMode::kNative));
+    EXPECT_GE(st.last_max_pause_cycles,
+              st.last_transfer.protection_cycles +
+                  st.last_transfer.binding_cycles);
+  }
 }
 
 TEST(SwitchEngine, CrewClampsToMachineSize) {

@@ -161,8 +161,9 @@ TEST(RendezvousTest, SingleCpuIsFree) {
   hw::MachineConfig mc;
   mc.mem_kb = 8 * 1024;
   hw::Machine m(mc);
-  const auto stats =
-      Rendezvous::run(m, m.cpu(0), RendezvousProtocol::kIpiSharedVar);
+  Rendezvous rv(m, m.cpu(0), RendezvousProtocol::kIpiSharedVar);
+  rv.park();
+  const auto stats = rv.release();
   EXPECT_EQ(stats.latency(), 0u);
 }
 
@@ -173,8 +174,9 @@ TEST(RendezvousTest, AlignsAllCpuClocks) {
   hw::Machine m(mc);
   m.cpu(1).charge(5000);
   m.cpu(3).charge(12000);
-  const auto stats =
-      Rendezvous::run(m, m.cpu(0), RendezvousProtocol::kIpiSharedVar);
+  Rendezvous rv(m, m.cpu(0), RendezvousProtocol::kIpiSharedVar);
+  rv.park();
+  const auto stats = rv.release();
   EXPECT_EQ(m.cpu(0).now(), m.cpu(1).now());
   EXPECT_EQ(m.cpu(1).now(), m.cpu(2).now());
   EXPECT_EQ(m.cpu(2).now(), m.cpu(3).now());
@@ -187,7 +189,9 @@ TEST(RendezvousTest, SharedVarScalesWorseThanTreeAtHighCounts) {
     mc.num_cpus = cpus;
     mc.mem_kb = 8 * 1024;
     hw::Machine m(mc);
-    return Rendezvous::run(m, m.cpu(0), p).latency();
+    Rendezvous rv(m, m.cpu(0), p);
+    rv.park();
+    return rv.release().latency();
   };
   // The paper prefers IPI+shared-var on its 2-way box...
   EXPECT_LE(latency(2, RendezvousProtocol::kIpiSharedVar),

@@ -243,9 +243,9 @@ bool run_faulted_switch(Box& box, ExecMode from, ExecMode target,
 }
 
 const FaultSite kAllSites[] = {
-    FaultSite::kRendezvous,      FaultSite::kAdoptRebuild,
-    FaultSite::kAdoptProtect,    FaultSite::kStackFixup,
-    FaultSite::kTransferBindings, FaultSite::kReleaseUnprotect,
+    FaultSite::kRendezvous,      FaultSite::kShardRebuild,
+    FaultSite::kShardProtect,    FaultSite::kStackFixup,
+    FaultSite::kTransferBindings, FaultSite::kShardUnprotect,
     FaultSite::kReloadHwState,
 };
 
@@ -464,7 +464,7 @@ TEST(FaultMatrix, WarmReattachDirtyRebuildRows) {
 TEST(FaultMatrix, WarmReattachCrewShardFaults) {
   // The same site fired from inside a crew worker's dirty_rebuild shard:
   // the crew must abort, join, rethrow on the CP, and the rollback +
-  // warm retry must converge exactly as on the serial path.
+  // warm retry must converge exactly as with the CP alone.
   InjectorGuard guard;
   core::SwitchConfig sc;
   sc.warm_reattach = true;
@@ -561,7 +561,7 @@ void run_deep_row(Box& box, const DeepRow& row,
       << ctx << ": the deep trigger never fired";
 }
 
-TEST(FaultMatrix, DeepTriggerInsideSerialRebuildRun) {
+TEST(FaultMatrix, DeepTriggerInsideCrewOfOneRebuildRun) {
   InjectorGuard guard;
   core::SwitchConfig sc;
   sc.crew_workers = 0;
@@ -569,7 +569,7 @@ TEST(FaultMatrix, DeepTriggerInsideSerialRebuildRun) {
   for (const FaultKind kind : {FaultKind::kFail, FaultKind::kTimeout}) {
     const hw::Cycles latency =
         kind == FaultKind::kTimeout ? hw::us_to_cycles(100.0) : 0;
-    run_deep_row(box, {FaultSite::kAdoptRebuild, 3000, kind, latency,
+    run_deep_row(box, {FaultSite::kShardRebuild, 3000, kind, latency,
                        "vmm.adopt_rebuild_shard"});
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -695,7 +695,7 @@ TEST(FaultMatrix, SupervisedWarmSweepNeverStrandsARequest) {
 }
 
 TEST(FaultMatrix, SupervisedSweepNeverStrandsARequest) {
-  // The whole serial fault matrix again, but driven through the switch
+  // The whole fault matrix again, but driven through the switch
   // supervisor: a single-shot fault at any site, in either direction, must
   // end as committed-after-retry (the plan disarms on firing, so the backoff
   // retry is clean) — and no request may ever be left non-terminal.
@@ -817,7 +817,7 @@ TEST(FaultMatrix, RollbackAndInjectionMetricsAreExported) {
   InjectorGuard guard;
   Box box;
   FaultPlan plan;
-  plan.site = FaultSite::kAdoptProtect;
+  plan.site = FaultSite::kShardProtect;
   core::fault_injector().arm(plan);
   ASSERT_TRUE(box.settle(ExecMode::kPartialVirtual));
   ASSERT_EQ(box.m.mode(), ExecMode::kNative);

@@ -35,8 +35,8 @@ void fuzz(std::uint64_t seed, core::SwitchConfig sc,
   util::Rng rng(seed);
   hw::MachineConfig mc;
   if (randomize_crew) {
-    // Parallel switch pipeline: random machine width and crew size (0 =
-    // serial path, up to every other CPU recruited). Seed-deterministic, so
+    // Random machine width and crew size (0 = the CP alone, up to every
+    // other CPU recruited). Seed-deterministic, so
     // MERCURY_TEST_SEED replays the exact crew shape.
     mc.num_cpus = 1 + rng.below(4);
     sc.crew_workers = rng.below(mc.num_cpus);

@@ -163,7 +163,7 @@ TEST(SwitchSupervisor, RetryAfterRollbackCommits) {
   SwitchSupervisor sup(m.engine(), cfg);
 
   FaultPlan plan;
-  plan.site = FaultSite::kAdoptProtect;
+  plan.site = FaultSite::kShardProtect;
   plan.trigger_count = 1;
   core::fault_injector().arm(plan);
 

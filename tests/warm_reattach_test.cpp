@@ -261,12 +261,12 @@ void sweep(std::uint64_t seed, std::size_t cpus, std::size_t crew,
 
 // --- the seeded differential sweep: >= 50 rounds across UP + SMP crews ---
 
-TEST(WarmReattachDifferential, UpSerial) {
+TEST(WarmReattachDifferential, UpCrew0) {
   sweep(test_seed(0x3A9E0001ull), /*cpus=*/1, /*crew=*/0, /*rounds=*/14,
         ExecMode::kPartialVirtual);
 }
 
-TEST(WarmReattachDifferential, SmpSerialPath) {
+TEST(WarmReattachDifferential, SmpCrew0) {
   sweep(test_seed(0x3A9E0002ull), /*cpus=*/2, /*crew=*/0, /*rounds=*/13,
         ExecMode::kPartialVirtual);
 }
