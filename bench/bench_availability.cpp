@@ -13,8 +13,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "cluster/depend.hpp"
 #include "cluster/failure.hpp"
-#include "cluster/scenarios.hpp"
 #include "kernel/syscalls.hpp"
 #include "util/table.hpp"
 #include "workloads/configs.hpp"
@@ -27,8 +27,9 @@ using kernel::Sub;
 using kernel::Sys;
 
 struct MeasuredCosts {
+  bool evacuated = false;        // the evacuation arc landed
   double evac_downtime_ms = 0;   // stop-and-copy pause per event
-  double evac_total_ms = 0;      // full migration wall time
+  double evac_total_ms = 0;      // the migration leg's wall time
   double attach_ms = 0;
   double detach_ms = 0;
   double virt_slowdown = 0.10;   // measured compute overhead under the VMM
@@ -50,9 +51,10 @@ MeasuredCosts measure() {
   });
   a.mercury().kernel().run_for(10 * hw::kCyclesPerMillisecond);
 
-  const auto ev = cluster::evacuate(a, b);
-  m.evac_downtime_ms = hw::cycles_to_us(ev.migration.downtime_cycles) / 1000.0;
-  m.evac_total_ms = hw::cycles_to_us(ev.migration.total_cycles) / 1000.0;
+  const cluster::ArcReport ev = cluster::evacuate_arc(a, b);
+  m.evacuated = ev.success;
+  m.evac_downtime_ms = hw::cycles_to_us(ev.downtime_cycles) / 1000.0;
+  m.evac_total_ms = hw::cycles_to_us(ev.service_cycles) / 1000.0;
 
   // Attach/detach cost on a third node.
   cluster::Fabric f2;
@@ -80,6 +82,7 @@ MeasuredCosts measure() {
 void BM_EvacuationDowntime(benchmark::State& state) {
   for (auto _ : state) {
     const MeasuredCosts m = measure();
+    if (!m.evacuated) state.SkipWithError("the evacuation arc did not land");
     state.counters["downtime_sim_ms"] = m.evac_downtime_ms;
   }
 }
@@ -95,6 +98,11 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   const MeasuredCosts m = measure();
+  if (!m.evacuated) {
+    std::fprintf(stderr, "bench_availability: the evacuation arc did not "
+                         "land; no costs to project\n");
+    return 1;
+  }
   std::printf("\nmeasured: evacuation downtime %.3f ms (total %.1f ms), "
               "attach %.3f ms, detach %.3f ms, VMM compute tax %.1f%%\n",
               m.evac_downtime_ms, m.evac_total_ms, m.attach_ms, m.detach_ms,

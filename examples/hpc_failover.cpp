@@ -6,8 +6,8 @@
 // completely shielded from the failure.
 #include <cstdio>
 
+#include "cluster/depend.hpp"
 #include "cluster/failure.hpp"
-#include "cluster/scenarios.hpp"
 #include "kernel/syscalls.hpp"
 
 using namespace mercury;
@@ -58,7 +58,7 @@ int main() {
   std::printf("prediction at %ld solver steps; evacuating node1 -> node2\n",
               steps_at_prediction);
 
-  const auto report = cluster::evacuate(n1, n2);
+  const cluster::ArcReport report = cluster::evacuate_arc(n1, n2);
   if (!report.success) {
     std::fprintf(stderr, "evacuation failed\n");
     return 1;
@@ -71,8 +71,9 @@ int main() {
               steps, steps - steps_at_prediction);
   std::printf("prediction -> safety: %.1f ms; migration downtime %.3f ms "
               "(%zu pages, %zu rounds)\n",
-              hw::cycles_to_us(report.prediction_to_safety()) / 1000.0,
-              hw::cycles_to_us(report.migration.downtime_cycles) / 1000.0,
-              report.migration.pages_sent, report.migration.rounds);
+              hw::cycles_to_us(report.window_cycles) / 1000.0,
+              hw::cycles_to_us(report.downtime_cycles) / 1000.0,
+              static_cast<std::size_t>(report.pages_sent),
+              static_cast<std::size_t>(report.precopy_rounds));
   return steps > steps_at_prediction ? 0 : 1;
 }

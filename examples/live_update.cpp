@@ -3,7 +3,7 @@
 // the VMM is attached only for the update window, then detached.
 #include <cstdio>
 
-#include "cluster/scenarios.hpp"
+#include "cluster/depend.hpp"
 #include "kernel/syscalls.hpp"
 
 using namespace mercury;
@@ -11,12 +11,11 @@ using kernel::Sub;
 using kernel::Sys;
 
 int main() {
-  hw::MachineConfig mc;
-  mc.mem_kb = 256 * 1024;
-  hw::Machine machine(mc);
-  core::MercuryConfig cfg;
-  cfg.kernel_frames = (128ull * 1024 * 1024) / hw::kPageSize;
-  core::Mercury mercury(machine, cfg);
+  cluster::NodeConfig nc;
+  nc.mem_kb = 256 * 1024;
+  nc.kernel_mem_kb = 128 * 1024;
+  cluster::Node node("host", nc);
+  core::Mercury& mercury = node.mercury();
 
   // The "vulnerable" behaviour: the resume-time selector fixup is disabled
   // (a latent kernel bug the vendor shipped a patch for).
@@ -38,7 +37,7 @@ int main() {
   patch.description = "enable saved-selector fixup stub (CVE-mercury-0001)";
   patch.apply_fn = [](kernel::Kernel& k) { k.set_selector_fixup_enabled(true); };
 
-  const auto report = cluster::live_update(mercury, patch);
+  const cluster::ArcReport report = cluster::live_update_arc(node, patch);
   if (!report.success) {
     std::fprintf(stderr, "live update failed\n");
     return 1;
@@ -51,8 +50,8 @@ int main() {
   std::printf("\nupdate window: attach %.3f ms + patch %.3f ms + detach "
               "%.3f ms = %.3f ms total, no restart, no resident VMM\n",
               hw::cycles_to_us(report.attach_cycles) / 1000.0,
-              hw::cycles_to_us(report.patch_cycles) / 1000.0,
+              hw::cycles_to_us(report.service_cycles) / 1000.0,
               hw::cycles_to_us(report.detach_cycles) / 1000.0,
-              hw::cycles_to_us(report.total_cycles) / 1000.0);
+              hw::cycles_to_us(report.window_cycles) / 1000.0);
   return mercury.kernel().selector_fixup_enabled() ? 0 : 1;
 }

@@ -7,7 +7,9 @@
 // workload never stops.
 #include <cstdio>
 
-#include "cluster/scenarios.hpp"
+#include "cluster/availability.hpp"
+#include "cluster/depend.hpp"
+#include "cluster/fabric.hpp"
 #include "kernel/syscalls.hpp"
 
 using namespace mercury;
@@ -36,8 +38,8 @@ int main() {
   std::printf("alpha serving (native): %ld transactions\n", before);
 
   cluster::AvailabilityTracker availability;
-  const auto report = cluster::online_maintenance(
-      alpha, beta, [&](hw::Machine& machine) {
+  const cluster::ArcReport report = cluster::migrate_arc(
+      alpha, beta, {}, [&](hw::Machine& machine) {
         std::printf("alpha machine empty: swapping the failing fan...\n");
         machine.sensors().clear_anomalies();
       });
@@ -47,18 +49,19 @@ int main() {
     return 1;
   }
   availability.service_down(0, "stop-and-copy windows");
-  availability.service_up(report.service_downtime());
-  availability.finish(report.total_cycles);
+  availability.service_up(report.downtime_cycles);
+  availability.finish(report.window_cycles);
 
   alpha.mercury().kernel().run_for(25 * hw::kCyclesPerMillisecond);
   std::printf("alpha serving again (native): %ld transactions (+%ld)\n",
               transactions, transactions - before);
   std::printf("\nmaintenance window: %.1f ms wall, %.3f ms service downtime "
               "(two stop-and-copy pauses)\n",
-              hw::cycles_to_us(report.total_cycles) / 1000.0,
-              hw::cycles_to_us(report.service_downtime()) / 1000.0);
-  std::printf("migration out: %zu pages in %zu round(s); back: %zu pages\n",
-              report.out.pages_sent, report.out.rounds, report.back.pages_sent);
+              hw::cycles_to_us(report.window_cycles) / 1000.0,
+              hw::cycles_to_us(report.downtime_cycles) / 1000.0);
+  std::printf("migration out and back: %zu pages in %zu pre-copy rounds\n",
+              static_cast<std::size_t>(report.pages_sent),
+              static_cast<std::size_t>(report.precopy_rounds));
   std::printf("availability over the window: %.5f\n",
               availability.availability());
   return transactions > before ? 0 : 1;

@@ -5,7 +5,7 @@
 // repair machine (the Backdoors approach) required.
 #include <cstdio>
 
-#include "cluster/scenarios.hpp"
+#include "cluster/depend.hpp"
 #include "kernel/syscalls.hpp"
 
 using namespace mercury;
@@ -13,12 +13,11 @@ using kernel::Sub;
 using kernel::Sys;
 
 int main() {
-  hw::MachineConfig mc;
-  mc.mem_kb = 256 * 1024;
-  hw::Machine machine(mc);
-  core::MercuryConfig cfg;
-  cfg.kernel_frames = (128ull * 1024 * 1024) / hw::kPageSize;
-  core::Mercury mercury(machine, cfg);
+  cluster::NodeConfig nc;
+  nc.mem_kb = 256 * 1024;
+  nc.kernel_mem_kb = 128 * 1024;
+  cluster::Node node("host", nc);
+  core::Mercury& mercury = node.mercury();
 
   bool touch_ok = false;
   hw::VirtAddr buf = 0;
@@ -44,12 +43,15 @@ int main() {
               "(tainted kernel state)\n");
 
   // The healing pass: attach in heal mode, validation repairs, detach.
-  const auto report = cluster::self_heal(mercury);
+  vmm::Hypervisor& hv = mercury.hypervisor();
+  const std::uint64_t healed_before = hv.stats().entries_healed;
+  const cluster::ArcReport report = cluster::self_heal_arc(node);
+  const std::uint64_t healed = hv.stats().entries_healed - healed_before;
   std::printf("self-heal: %llu tainted entr%s repaired in %.3f ms "
               "(VMM attached only for the repair)\n",
-              static_cast<unsigned long long>(report.entries_healed),
-              report.entries_healed == 1 ? "y" : "ies",
-              hw::cycles_to_us(report.total_cycles) / 1000.0);
+              static_cast<unsigned long long>(healed),
+              healed == 1 ? "y" : "ies",
+              hw::cycles_to_us(report.window_cycles) / 1000.0);
 
   // The victim keeps running: its next touch demand-faults a fresh page in.
   touch_ok = false;
@@ -57,5 +59,5 @@ int main() {
   std::printf("victim alive after repair: %s (mode=%s)\n",
               touch_ok ? "yes" : "no",
               core::exec_mode_name(mercury.mode()));
-  return report.entries_healed >= 1 && touch_ok ? 0 : 1;
+  return report.success && healed >= 1 && touch_ok ? 0 : 1;
 }

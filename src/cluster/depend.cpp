@@ -198,6 +198,76 @@ ArcReport live_update_arc(Node& node, const KernelPatch& patch,
   return r;
 }
 
+ArcReport self_heal_arc(Node& node, const DependConfig& cfg) {
+  ArcReport r;
+  r.service = "self-heal";
+  obs::PauseLedger ledger;
+  {
+    obs::PauseLedgerScope scope(ledger);
+    core::Mercury& m = node.mercury();
+    core::SwitchSupervisor sup(m.engine(), cfg.supervisor);
+    vmm::Hypervisor& hv = m.hypervisor();
+    hw::Cpu& cpu = node.machine().cpu(0);
+    const hw::Cycles t0 = cpu.now();
+    const std::uint64_t crashed_before = hv.stats().domains_crashed;
+    core::FaultInjected last{};
+
+    // The attach validates every page table; in heal mode validation
+    // repairs a tainted entry instead of crashing the domain (§6.2: the
+    // VMM "repairs the tainted state").
+    hv.set_heal_mode(true);
+    const bool attached =
+        sup.switch_now(ExecMode::kPartialVirtual, cfg.switch_budget);
+    hv.set_heal_mode(false);
+    if (!attached) {
+      quarantine(r, node, "attach never committed", &last);
+    } else {
+      r.attach_cycles = m.engine().stats().last_attach_cycles;
+      r.verified = hv.stats().domains_crashed == crashed_before;
+      r.success = r.verified;
+      if (!r.verified) quarantine(r, node, "a domain crashed", &last);
+      if (sup.switch_now(ExecMode::kNative, cfg.switch_budget)) {
+        r.detach_cycles = m.engine().stats().last_detach_cycles;
+      } else {
+        r.success = false;
+        if (!r.quarantined)
+          quarantine(r, node, "detach never committed", &last);
+      }
+    }
+    r.window_cycles = cpu.now() - t0;
+    fold_supervisor(r, sup);
+    fold_invariants(r, m.engine(), cfg.check_invariants);
+  }
+  fold_pauses(r, ledger);
+  r.downtime_cycles = r.pause_rendezvous_cycles;
+  return r;
+}
+
+bool inject_pte_corruption(core::Mercury& mercury, kernel::Pid pid) {
+  kernel::Kernel& k = mercury.kernel();
+  kernel::Task* t = k.find_task(pid);
+  if (t == nullptr || !t->aspace) return false;
+  vmm::Hypervisor& hv = mercury.hypervisor();
+
+  for (const auto& vma : t->aspace->vmas()) {
+    for (hw::VirtAddr va = vma.start; va < vma.end; va += hw::kPageSize) {
+      const hw::Pfn l1 = t->aspace->l1_for_pde(hw::pde_index(va));
+      if (l1 == 0) continue;
+      const hw::PhysAddr pte_addr = hw::addr_of(l1) + hw::pte_index(va) * 4;
+      hw::Pte pte{k.machine().memory().read_u32(pte_addr)};
+      if (!pte.present()) continue;
+      // Taint: point the mapping at a hypervisor-owned frame (a fault/bug
+      // scribbled over the page table).
+      pte.set_pfn(hv.reserved_first());
+      k.machine().memory().write_u32(pte_addr, pte.raw);
+      for (std::size_t c = 0; c < k.machine().num_cpus(); ++c)
+        k.machine().cpu(c).tlb().flush_global();
+      return true;
+    }
+  }
+  return false;
+}
+
 ArcReport checkpoint_restart_arc(Node& node, const DependConfig& cfg) {
   ArcReport r;
   r.service = "checkpoint-restart";
@@ -288,9 +358,53 @@ ArcReport checkpoint_restart_arc(Node& node, const DependConfig& cfg) {
   return r;
 }
 
-ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg) {
+namespace {
+
+/// One migration leg: move the OS running on `from` to `to` under the
+/// service retry ladder, with `from`'s content-dirty frames harvested every
+/// pre-copy round. A mid-stream fault unwinds inside LiveMigration
+/// (destination reservation dropped, source untouched and running), so each
+/// retry restarts from a clean source. On success the OS is rebound to
+/// `to`'s guest VO and the two nodes swap active kernels, which is the
+/// whole difference between an outbound and a homeward leg.
+bool migrate_leg(ArcReport& r, const DependConfig& cfg, const char* label,
+                 Node& from, Node& to, core::FaultInjected* last) {
+  core::Mercury& fm = from.mercury();
+  core::Mercury& tm = to.mercury();
+  ContentDirtyScope content(from);
+  vmm::MigrationConfig mig = cfg.migration;
+  mig.harvest_content_dirty = [&content](std::vector<hw::Pfn>& o) {
+    content.harvest(o);
+  };
+  vmm::MigrationStats stats;
+  const bool ok = run_service_step(
+      r, cfg, label,
+      [&] {
+        stats = vmm::LiveMigration::run(fm.hypervisor(), fm.guest_vo().dom(),
+                                        tm.hypervisor(), mig);
+        return stats.success;
+      },
+      last);
+  if (!ok) return false;
+  r.pages_sent += stats.pages_sent;
+  r.pages_total += stats.pages_total;
+  r.precopy_rounds += stats.rounds;
+  r.downtime_cycles += stats.downtime_cycles;
+  kernel::Kernel& os = from.active();
+  tm.guest_vo().bind(stats.new_domain);
+  os.set_ops(tm.guest_vo());
+  from.set_active(&to.active());
+  to.set_active(&os);
+  return true;
+}
+
+/// The migrate arc, or with `round_trip` false its outbound leg alone (the
+/// evacuate arc).
+ArcReport migration_arc(Node& src, Node& dst, const DependConfig& cfg,
+                        bool round_trip,
+                        const std::function<void(hw::Machine&)>& maintenance) {
   ArcReport r;
-  r.service = "migrate";
+  r.service = round_trip ? "migrate" : "evacuate";
   obs::PauseLedger ledger;
   {
     obs::PauseLedgerScope scope(ledger);
@@ -302,9 +416,9 @@ ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg) {
     core::SwitchSupervisor dsup(dm.engine(), dcfg);
     const hw::Cycles t0 = src.machine().max_cpu_time();
     core::FaultInjected last{};
-    // When the OS ends the arc away from home (homeward leg abandoned),
-    // the stranded-but-serving layout is legitimate: skip the native-mode
-    // invariant sweep that assumes every kernel is back on its own machine.
+    // When the OS ends the arc away from home (evacuated, or homeward leg
+    // abandoned), the layout is legitimate: skip the native-mode invariant
+    // sweep that assumes every kernel is back on its own machine.
     bool guest_home = true;
 
     // Receiver first: partial-virtual, so its driver domain hosts the
@@ -317,29 +431,7 @@ ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg) {
     } else {
       r.attach_cycles = sm.engine().stats().last_attach_cycles;
       const hw::Cycles s0 = src.machine().max_cpu_time();
-
-      // Outbound leg. A mid-stream fault unwinds inside LiveMigration
-      // (destination reservation dropped, source untouched and running),
-      // so each retry restarts from a clean source.
-      vmm::MigrationStats out;
-      bool ok;
-      {
-        ContentDirtyScope content(src);
-        vmm::MigrationConfig mig = cfg.migration;
-        mig.harvest_content_dirty = [&content](std::vector<hw::Pfn>& o) {
-          content.harvest(o);
-        };
-        ok = run_service_step(
-            r, cfg, "migrate.out",
-            [&] {
-              out = vmm::LiveMigration::run(sm.hypervisor(),
-                                            sm.guest_vo().dom(),
-                                            dm.hypervisor(), mig);
-              return out.success;
-            },
-            &last);
-      }
-      if (!ok) {
+      if (!migrate_leg(r, cfg, "migrate.out", src, dst, &last)) {
         // Every attempt rolled the source back; both nodes come home.
         r.rolled_back = true;
         r.service_cycles = src.machine().max_cpu_time() - s0;
@@ -348,40 +440,22 @@ ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg) {
         quarantine(r, src,
                    "outbound migration kept failing; source rolled back",
                    &last);
+      } else if (!round_trip) {
+        // Evacuated: the OS now runs on the receiver's machine.
+        guest_home = false;
+        r.service_cycles = src.machine().max_cpu_time() - s0;
+        r.verified = &sm.kernel().machine() == &dst.machine();
+        r.success = r.verified;
+        if (!r.verified)
+          quarantine(r, dst, "evacuated OS is not on the receiver", &last);
       } else {
-        r.pages_sent += out.pages_sent;
-        r.pages_total += out.pages_total;
-        r.precopy_rounds += out.rounds;
-        r.downtime_cycles += out.downtime_cycles;
-        // Rebind the migrated OS to the destination's plumbing and swap
-        // the nodes' active-kernel roles.
-        dm.guest_vo().bind(out.new_domain);
-        sm.kernel().set_ops(dm.guest_vo());
-        src.set_active(&dm.kernel());
-        dst.set_active(&sm.kernel());
+        // §6.3: the hardware work happens on the emptied source.
+        if (maintenance) maintenance(src.machine());
         // Service phase: the OS runs on the receiver, frontends already
         // reconnected by the migration's activation step.
         sm.kernel().run_for(cfg.service_run);
 
-        // Homeward leg, content tracker now on the receiver's machine.
-        vmm::MigrationStats back;
-        bool home;
-        {
-          ContentDirtyScope content(dst);
-          vmm::MigrationConfig mig = cfg.migration;
-          mig.harvest_content_dirty = [&content](std::vector<hw::Pfn>& o) {
-            content.harvest(o);
-          };
-          home = run_service_step(
-              r, cfg, "migrate.back",
-              [&] {
-                back = vmm::LiveMigration::run(dm.hypervisor(),
-                                               dm.guest_vo().dom(),
-                                               sm.hypervisor(), mig);
-                return back.success;
-              },
-              &last);
-        }
+        const bool home = migrate_leg(r, cfg, "migrate.back", dst, src, &last);
         r.service_cycles = src.machine().max_cpu_time() - s0;
         if (!home) {
           // The OS stays on the receiver: consistent and serving, but the
@@ -393,14 +467,6 @@ ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg) {
                      "receiver",
                      &last);
         } else {
-          r.pages_sent += back.pages_sent;
-          r.pages_total += back.pages_total;
-          r.precopy_rounds += back.rounds;
-          r.downtime_cycles += back.downtime_cycles;
-          sm.guest_vo().bind(back.new_domain);
-          sm.kernel().set_ops(sm.guest_vo());
-          src.set_active(&sm.kernel());
-          dst.set_active(&dm.kernel());
           const bool sn = ssup.switch_now(ExecMode::kNative, cfg.switch_budget);
           const bool dn = dsup.switch_now(ExecMode::kNative, cfg.switch_budget);
           if (sn) r.detach_cycles = sm.engine().stats().last_detach_cycles;
@@ -428,6 +494,17 @@ ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg) {
   }
   fold_pauses(r, ledger);
   return r;
+}
+
+}  // namespace
+
+ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg,
+                      const std::function<void(hw::Machine&)>& maintenance) {
+  return migration_arc(src, dst, cfg, true, maintenance);
+}
+
+ArcReport evacuate_arc(Node& src, Node& dst, const DependConfig& cfg) {
+  return migration_arc(src, dst, cfg, false, {});
 }
 
 namespace {

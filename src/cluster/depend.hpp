@@ -1,10 +1,13 @@
-// Dependability arcs: the paper's payoff scenarios driven end-to-end as
+// Dependability arcs: the paper's §6 services driven end-to-end as
 // *supervised* native → attach → service → detach → native stories, every
-// failure mode survivable (ISSUE/ROADMAP item 3).
+// failure mode survivable. This is the one implementation of each service;
+// the examples, the benches and the tests all run on it.
 //
-// Three arcs, in increasing ambition:
+// Five arcs:
 //
 //   live-update         attach, quiesce + patch the kernel, detach (§6.4)
+//   self-heal           attach in heal mode, so table validation repairs
+//                       tainted entries instead of crashing, detach (§6.2)
 //   checkpoint-restart  attach, snapshot, diverge, restore, verify, detach
 //                       (§6.1) — the restore path is a first-class fault
 //                       surface: a fault mid-write-back triggers supervised
@@ -14,10 +17,15 @@
 //                       live-migrates out over iterative pre-copy (riding
 //                       the warm-reattach DirtyFrameTracker for
 //                       content-dirty frames), serves on the destination
-//                       with reconnected split-I/O frontends, migrates
-//                       home, and both nodes return to native (§6.3). A
-//                       mid-stream fault aborts the transfer and rolls the
-//                       source back; the arc retries the whole leg.
+//                       with reconnected split-I/O frontends while an
+//                       optional maintenance step runs on the emptied
+//                       source, migrates home, and both nodes return to
+//                       native (§6.3). A mid-stream fault aborts the
+//                       transfer and rolls the source back; the arc retries
+//                       the whole leg.
+//   evacuate            the migrate arc's outbound leg alone: the OS leaves
+//                       a node predicted to fail and stays on the healthy
+//                       one (§6.5)
 //
 // Every mode switch goes through a scoped SwitchSupervisor (retry/backoff/
 // quarantine), every service step runs under its own retry → rollback →
@@ -28,21 +36,27 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "cluster/node.hpp"
-#include "cluster/scenarios.hpp"
 #include "core/switch_supervisor.hpp"
 #include "vmm/migrate.hpp"
 
 namespace mercury::cluster {
 
+struct KernelPatch {
+  std::string description;
+  std::function<void(kernel::Kernel&)> apply_fn;
+  hw::Cycles patch_work = 150 * hw::kCyclesPerMicrosecond;  // redirection setup
+};
+
 struct DependConfig {
   /// Supervisor settings for the arc-scoped switch supervisors.
   core::SupervisorConfig supervisor;
-  /// Migration tuning for the migrate arc (harvest_content_dirty is wired
-  /// by the arc itself; anything set here is overridden).
+  /// Migration tuning for the migration arcs (harvest_content_dirty is
+  /// wired by the arc itself; anything set here is overridden).
   vmm::MigrationConfig migration;
   /// Retry budget for the service step (capture, restore, one migration
   /// leg). Exhaustion escalates to rollback + quarantine.
@@ -62,7 +76,8 @@ struct DependConfig {
 /// verified) or quarantined (service abandoned *cleanly*: state rolled
 /// back or left consistent, postmortem written) — never neither.
 struct ArcReport {
-  std::string service;  // "live-update" | "checkpoint-restart" | "migrate"
+  std::string service;  // "live-update" | "self-heal" |
+                        // "checkpoint-restart" | "migrate" | "evacuate"
   bool success = false;
   bool quarantined = false;
   bool rolled_back = false;  // the undo path ran (restore undo / source abort)
@@ -95,7 +110,7 @@ struct ArcReport {
   hw::Cycles pause_backoff_cycles = 0;
   hw::Cycles pause_rollback_cycles = 0;
 
-  // Migrate-arc specifics (zero elsewhere).
+  // Migration-arc specifics (zero elsewhere).
   std::uint64_t pages_sent = 0;
   std::uint64_t pages_total = 0;
   std::uint64_t precopy_rounds = 0;
@@ -111,6 +126,17 @@ struct ArcReport {
 ArcReport live_update_arc(Node& node, const KernelPatch& patch,
                           const DependConfig& cfg = {});
 
+/// §6.2: attach with the hypervisor in heal mode, so validating the page
+/// tables repairs tainted entries instead of crashing the domain, then
+/// detach. `verified` means no domain crashed; the repairs are counted in
+/// the hypervisor's entries_healed.
+ArcReport self_heal_arc(Node& node, const DependConfig& cfg = {});
+
+/// Test/demo hook: corrupt one present user PTE of `pid` so it points at a
+/// hypervisor-owned frame (the kind of kernel-state taint §6.2 targets).
+/// Returns true if an entry was corrupted.
+bool inject_pte_corruption(core::Mercury& mercury, kernel::Pid pid);
+
 /// §6.1: attach → capture → diverge → restore (fault surface) → verify
 /// bit-exactness + invariants → detach. A restore that cannot complete
 /// within the retry budget is rolled back to an undo snapshot taken
@@ -119,10 +145,19 @@ ArcReport checkpoint_restart_arc(Node& node, const DependConfig& cfg = {});
 
 /// §6.3: round-trip live migration between two fabric nodes. dst goes
 /// partial-virtual (backend/driver-domain split-I/O host), src goes
-/// full-virtual, the OS migrates out, serves, migrates home, and both
+/// full-virtual, the OS migrates out, `maintenance` runs on the emptied
+/// src machine while the OS serves on dst, the OS migrates home, and both
 /// nodes return native. Mid-stream faults abort a leg (source rolled back
 /// by LiveMigration's unwind) and the arc retries the leg.
-ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg = {});
+ArcReport migrate_arc(
+    Node& src, Node& dst, const DependConfig& cfg = {},
+    const std::function<void(hw::Machine&)>& maintenance = {});
+
+/// §6.5: the migrate arc's outbound leg alone. On success the OS runs on
+/// dst and stays there (src full-virtual and empty, dst partial-virtual);
+/// if the leg keeps failing, the source is rolled back and both nodes
+/// return native.
+ArcReport evacuate_arc(Node& src, Node& dst, const DependConfig& cfg = {});
 
 /// The bench_depend document: one run = the three arcs under one fault
 /// regime (rate 0 = clean).

@@ -1,10 +1,11 @@
 // Fault matrix for the dependability arcs: the four service-side injection
 // sites (checkpoint.capture, restore.apply, migrate.stream,
 // migrate.activate) × fault kind × trigger depth, driven through the full
-// supervised arcs. Every row must uphold the completion dichotomy — the
-// service is rendered and verified, or abandoned *cleanly* (state rolled
-// back or left consistent, postmortem written) — with zero stranded
-// requests and zero invariant violations either way.
+// supervised arcs; the two migrate sites run through both the round-trip
+// migrate arc and the one-way evacuate arc. Every row must uphold the
+// completion dichotomy — the service is rendered and verified, or abandoned
+// *cleanly* (state rolled back or left consistent, postmortem written) —
+// with zero stranded requests and zero invariant violations either way.
 //
 // Three regimes per site:
 //   single-shot   the plan fires once mid-service; the arc's retry ladder
@@ -84,9 +85,18 @@ void spawn_dirtier(cluster::Node& node) {
   node.mercury().kernel().run_for(5 * hw::kCyclesPerMillisecond);
 }
 
+/// Where a migration arc left the OS, and the modes it left both nodes in.
+struct Landing {
+  bool os_on_dst = false;
+  bool both_native = false;
+};
+
 /// Run the arc that exercises `site` on fresh nodes (an arc is one
-/// maintenance window; rows must not inherit each other's state).
-ArcReport run_arc_for_site(FaultSite site, const DependConfig& cfg) {
+/// maintenance window; rows must not inherit each other's state). A
+/// migrate site runs the round-trip arc, or with `evacuate` the one-way
+/// evacuation; `landing`, if given, records where that arc left things.
+ArcReport run_arc_for_site(FaultSite site, const DependConfig& cfg,
+                           bool evacuate = false, Landing* landing = nullptr) {
   if (site == FaultSite::kCheckpointCapture ||
       site == FaultSite::kRestoreApply) {
     cluster::Fabric f;
@@ -99,7 +109,15 @@ ArcReport run_arc_for_site(FaultSite site, const DependConfig& cfg) {
   cluster::Node& dst = f.add_node("dst", small_node_config());
   f.connect(src, dst);
   spawn_dirtier(src);
-  return cluster::migrate_arc(src, dst, cfg);
+  const ArcReport r = evacuate ? cluster::evacuate_arc(src, dst, cfg)
+                               : cluster::migrate_arc(src, dst, cfg);
+  if (landing != nullptr) {
+    landing->os_on_dst =
+        &src.mercury().kernel().machine() == &dst.machine();
+    landing->both_native = src.mercury().mode() == ExecMode::kNative &&
+                           dst.mercury().mode() == ExecMode::kNative;
+  }
+  return r;
 }
 
 void expect_dichotomy(const ArcReport& r, const std::string& ctx) {
@@ -123,6 +141,23 @@ const FaultSite kServiceSites[] = {
     FaultSite::kMigrateActivate,
 };
 
+/// The single-shot and persistent rows: every service site through its
+/// arc, then the two migrate sites again through the evacuate arc.
+struct ArcRow {
+  FaultSite site;
+  bool evacuate;
+};
+const ArcRow kArcRows[] = {
+    {FaultSite::kCheckpointCapture, false}, {FaultSite::kRestoreApply, false},
+    {FaultSite::kMigrateStream, false},     {FaultSite::kMigrateActivate, false},
+    {FaultSite::kMigrateStream, true},      {FaultSite::kMigrateActivate, true},
+};
+
+std::string row_name(const ArcRow& row) {
+  return std::string(core::fault_site_name(row.site)) +
+         (row.evacuate ? " (evacuate)" : "");
+}
+
 TEST(DependFaultMatrix, SingleShotFaultsRecoverByRetry) {
   InjectorGuard guard;
   FaultInjector& fi = core::fault_injector();
@@ -131,7 +166,8 @@ TEST(DependFaultMatrix, SingleShotFaultsRecoverByRetry) {
   cfg.supervisor.backoff_base_ms = 0.5;
   std::size_t fired = 0;
 
-  for (const FaultSite site : kServiceSites) {
+  for (const ArcRow& row : kArcRows) {
+    const FaultSite site = row.site;
     // Bulk sites see one visit per frame/page (thousands per attempt), so
     // deep triggers still land. The activation site has exactly three
     // probes per admission; triggers 2 and 3 fire past migrate_to and
@@ -142,8 +178,8 @@ TEST(DependFaultMatrix, SingleShotFaultsRecoverByRetry) {
          {FaultKind::kFail, FaultKind::kTimeout, FaultKind::kCorruptFrame}) {
       if (!bulk && kind != FaultKind::kFail) continue;  // 3 probes, keep 1xN
       for (const std::uint64_t trigger : {std::uint64_t{1}, deep}) {
-        const std::string ctx = std::string(core::fault_site_name(site)) +
-                                " " + core::fault_kind_name(kind) +
+        const std::string ctx = row_name(row) + " " +
+                                core::fault_kind_name(kind) +
                                 " trigger=" + std::to_string(trigger);
         SCOPED_TRACE(ctx);
         FaultPlan plan;
@@ -155,7 +191,8 @@ TEST(DependFaultMatrix, SingleShotFaultsRecoverByRetry) {
 
         const std::uint64_t injected_before = fi.injected();
         fi.arm(plan);
-        const ArcReport r = run_arc_for_site(site, cfg);
+        Landing landing;
+        const ArcReport r = run_arc_for_site(site, cfg, row.evacuate, &landing);
         fi.disarm();
 
         ASSERT_TRUE(fi.injected() > injected_before)
@@ -168,6 +205,8 @@ TEST(DependFaultMatrix, SingleShotFaultsRecoverByRetry) {
         EXPECT_GE(r.faults, 1u) << ctx;
         EXPECT_GE(r.retries, 1u)
             << ctx << ": a fired fault must cost at least one retry";
+        EXPECT_EQ(landing.os_on_dst, row.evacuate)
+            << ctx << ": the OS ended on the wrong node";
         if (::testing::Test::HasFatalFailure()) return;
       }
     }
@@ -183,9 +222,9 @@ TEST(DependFaultMatrix, PersistentFaultsQuarantineCleanly) {
   cfg.supervisor.backoff_base_ms = 0.5;
   cfg.service_max_attempts = 3;  // exhaust quickly
 
-  for (const FaultSite site : kServiceSites) {
-    const std::string ctx =
-        std::string("persistent ") + core::fault_site_name(site);
+  for (const ArcRow& row : kArcRows) {
+    const FaultSite site = row.site;
+    const std::string ctx = "persistent " + row_name(row);
     SCOPED_TRACE(ctx);
     // A storm pinned to one site at rate 1.0: every service attempt opens a
     // window, every window fires — the retry ladder cannot win.
@@ -196,7 +235,8 @@ TEST(DependFaultMatrix, PersistentFaultsQuarantineCleanly) {
     storm.max_trigger_depth = site == FaultSite::kMigrateActivate ? 3 : 4;
     storm.seed = cfg.supervisor.seed;
     core::fault_injector().arm_storm(storm);
-    const ArcReport r = run_arc_for_site(site, cfg);
+    Landing landing;
+    const ArcReport r = run_arc_for_site(site, cfg, row.evacuate, &landing);
     core::fault_injector().stop_storm();
 
     expect_dichotomy(r, ctx);
@@ -214,6 +254,8 @@ TEST(DependFaultMatrix, PersistentFaultsQuarantineCleanly) {
       // Every attempt unwound inside LiveMigration; the source was rolled
       // back and both nodes came home.
       EXPECT_TRUE(r.rolled_back) << ctx;
+      EXPECT_TRUE(landing.both_native) << ctx;
+      EXPECT_FALSE(landing.os_on_dst) << ctx;
     }
     if (::testing::Test::HasFatalFailure()) return;
   }

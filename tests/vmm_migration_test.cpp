@@ -1,7 +1,10 @@
 // Live migration + checkpoint/restore correctness.
 #include <gtest/gtest.h>
 
-#include "cluster/scenarios.hpp"
+#include <vector>
+
+#include "cluster/depend.hpp"
+#include "cluster/fabric.hpp"
 #include "kernel/syscalls.hpp"
 #include "vmm/checkpoint.hpp"
 #include "vmm/migrate.hpp"
@@ -48,7 +51,7 @@ TEST(MigrationTest, GuestMemoryContentsArriveBitExact) {
   const hw::Pfn old_frame = pte->pfn();
   t.a->machine().memory().write_u32(hw::addr_of(old_frame) + 128, 0x5EC0FFEE);
 
-  const auto ev = cluster::evacuate(*t.a, *t.b);
+  const cluster::ArcReport ev = cluster::evacuate_arc(*t.a, *t.b);
   ASSERT_TRUE(ev.success);
 
   // Same kernel object, new machine + frames: content must have traveled.
@@ -81,7 +84,7 @@ TEST(MigrationTest, GuestKeepsRunningAfterMigration) {
   const long before = counter;
   ASSERT_GT(before, 0);
 
-  const auto ev = cluster::evacuate(*t.a, *t.b);
+  const cluster::ArcReport ev = cluster::evacuate_arc(*t.a, *t.b);
   ASSERT_TRUE(ev.success);
   t.a->mercury().kernel().run_for(10 * hw::kCyclesPerMillisecond);
   EXPECT_GT(counter, before);
@@ -169,9 +172,52 @@ TEST(MigrationTest, StaleTargetBytesReadAsZerosWhereTheSourceNeverWrote) {
 TEST(MigrationTest, SourceFramesAreFreedAfterMigration) {
   TwoNodes t;
   const std::size_t free_before = t.a->machine().frames().frames_free();
-  const auto ev = cluster::evacuate(*t.a, *t.b);
+  const cluster::ArcReport ev = cluster::evacuate_arc(*t.a, *t.b);
   ASSERT_TRUE(ev.success);
   EXPECT_GT(t.a->machine().frames().frames_free(), free_before);
+}
+
+// A guest that maps and touches a fresh page every 200 µs while it is
+// migrated. Each mapping is a kernel page-table write through the direct
+// map: it sets no PTE dirty bit, so log-dirty pre-copy never resends the
+// table page, and only the content-dirty harvest carries the new entry to
+// the target. Without it, most of the pages mapped during pre-copy have no
+// PTE on the machine the guest lands on.
+TEST(MigrationTest, PageTableWritesDuringPrecopyReachTheTarget) {
+  for (const bool round_trip : {false, true}) {
+    SCOPED_TRACE(round_trip ? "migrate_arc" : "evacuate_arc");
+    TwoNodes t;
+    std::vector<hw::VirtAddr> mapped;
+    kernel::Kernel& os = t.a->mercury().kernel();
+    const kernel::Pid pid = os.spawn("mapper", [&](Sys& s) -> Sub<void> {
+      for (;;) {
+        const hw::VirtAddr va = s.mmap(hw::kPageSize, true);
+        s.touch_pages(va, 1, true);
+        mapped.push_back(va);
+        co_await s.sleep_us(200.0);
+      }
+    });
+    os.run_for(5 * hw::kCyclesPerMillisecond);
+    const std::size_t before = mapped.size();
+
+    const cluster::ArcReport r = round_trip
+                                     ? cluster::migrate_arc(*t.a, *t.b)
+                                     : cluster::evacuate_arc(*t.a, *t.b);
+    ASSERT_TRUE(r.success);
+    hw::Machine& now_on = round_trip ? t.a->machine() : t.b->machine();
+    ASSERT_EQ(&os.machine(), &now_on);
+    ASSERT_GT(mapped.size(), before + 100) << "the guest mapped during pre-copy";
+
+    hw::Cpu& c = now_on.cpu(0);
+    c.set_cpl(hw::Ring::kRing0);
+    c.write_cr3(os.find_task(pid)->aspace->page_directory());
+    std::size_t missing = 0;
+    for (const hw::VirtAddr va : mapped) {
+      const auto pte = now_on.mmu().peek_pte(c, va);
+      if (!pte.has_value() || !pte->present()) ++missing;
+    }
+    EXPECT_EQ(missing, 0u) << "of " << mapped.size() << " mapped pages";
+  }
 }
 
 TEST(CheckpointTest, RestoreIsBitExact) {
@@ -213,8 +259,11 @@ TEST(CheckpointTest, SnapshotCapturesVcpuState) {
   core::MercuryConfig cfg;
   cfg.kernel_frames = (48ull * 1024 * 1024) / hw::kPageSize;
   core::Mercury mercury(machine, cfg);
-  auto ckpt = cluster::checkpoint_os(mercury);
-  EXPECT_EQ(ckpt.snapshot.vcpus.size(), machine.num_cpus());
+  ASSERT_TRUE(mercury.switch_to(core::ExecMode::kPartialVirtual));
+  const auto snap = vmm::Checkpointer::take(machine.cpu(0), mercury.hypervisor(),
+                                            mercury.driver_vo().dom());
+  EXPECT_EQ(snap.vcpus.size(), machine.num_cpus());
+  ASSERT_TRUE(mercury.switch_to(core::ExecMode::kNative));
 }
 
 }  // namespace
