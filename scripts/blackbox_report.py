@@ -10,11 +10,12 @@ Usage:
 Dispatches on the document's `schema` field. For a `mercury.postmortem.v1`
 bundle (see obs/postmortem.hpp) it prints: the failure header, per-CPU
 clocks, the phase timeline reconstructed from paired phase.begin/phase.end
-flight events, the supervisor timeline (attempts, backoffs, resolutions,
-health transitions), refcount-retry storms, crew shard utilization, SLO
-breaches, and the raw tail of the flight ring. For `mercury.timeseries.v1`
-it prints each series as a unicode sparkline with min/max/last stats; for
-`mercury.profile.v1`, the engine-loop buckets ranked by wall time; for
+flight events (an interval ended by an exception shows as aborted), the
+supervisor timeline (attempts, backoffs, resolutions, health transitions),
+refcount-retry storms, crew shard utilization, and the raw tail of the
+flight ring. For `mercury.timeseries.v1` it prints each series as a
+unicode sparkline with min/max/last stats; for `mercury.profile.v1`, the
+engine-loop buckets ranked by self time, beside their inclusive time; for
 `mercury.pause.v1`, the per-cause pause-attribution table, per-CPU
 unavailability totals, and the flight tail surrounding the worst-case
 interval. Stdlib-only, importable: render(doc) / render_timeseries(doc) /
@@ -43,47 +44,53 @@ def _fmt_event(ev):
     )
 
 
+# IntervalKind enum values (obs/interval.hpp), as arg0 of every phase.begin
+# and phase.end. Only the kinds this report singles out are named here; a
+# static_assert in obs/interval.cpp pins them.
+CREW_PHASE_KIND = 5
+CREW_SHARD_KIND = 6
+SUPERVISOR_BACKOFF_KIND = 26
+
+
 def phase_timeline(events):
     """Pair phase.begin/phase.end by (cpu, name), innermost-first. Returns
-    [(begin_cycles, cpu, name, duration_cycles_or_None)] — None marks a
-    phase still open when the recording stopped (the likely crime scene)."""
-    open_phases = {}  # (cpu, name) -> stack of begin events
+    [(begin_cycles, cpu, name, duration_cycles_or_None, aborted)] — None
+    marks a phase still open when the recording stopped (the likely crime
+    scene); aborted marks one ended by an exception (phase.end arg2 = 1)."""
+    open_phases = {}  # (cpu, name) -> stack of open rows
     rows = []
     for ev in events:
         key = (ev["cpu"], ev["name"])
         if ev["type"] == "phase.begin":
-            open_phases.setdefault(key, []).append(ev)
-            rows.append([ev["cycles"], ev["cpu"], ev["name"], None])
+            row = [ev["cycles"], ev["cpu"], ev["name"], None, False]
+            open_phases.setdefault(key, []).append(row)
+            rows.append(row)
         elif ev["type"] == "phase.end" and open_phases.get(key):
-            begin = open_phases[key].pop()
-            for row in reversed(rows):
-                if row[1] == ev["cpu"] and row[2] == ev["name"] and (
-                    row[3] is None
-                ):
-                    row[3] = ev["cycles"] - begin["cycles"]
-                    break
+            row = open_phases[key].pop()
+            row[3] = ev["cycles"] - row[0]
+            row[4] = ev.get("args", [0, 0, 0])[2] == 1
     return [tuple(r) for r in rows]
 
 
 def crew_utilization(events):
-    """Per-phase crew summary from crew.publish/grab/join events. Returns
-    [(phase_name, shards, busy_cycles, span_cycles, per_worker)] where
-    per_worker maps cpu -> busy cycles from its grab events."""
+    """Per-phase crew summary from crew-phase and crew-shard intervals.
+    Returns [(phase_name, shards, busy_cycles, span_cycles, per_worker)]
+    where per_worker maps cpu -> busy cycles of the shards it ran."""
     out = []
     per_worker = {}
-    current = None
+    shards = 0
     for ev in events:
-        if ev["type"] == "crew.publish":
-            current = ev["name"]
+        if ev["type"] != "phase.end":
+            continue
+        kind, elapsed = ev["args"][0], ev["args"][1]
+        if kind == CREW_SHARD_KIND:
+            shards += 1
+            per_worker[ev["cpu"]] = per_worker.get(ev["cpu"], 0) + elapsed
+        elif kind == CREW_PHASE_KIND:
+            busy = sum(per_worker.values())
+            out.append((ev["name"], shards, busy, elapsed, dict(per_worker)))
             per_worker = {}
-        elif ev["type"] == "crew.grab" and current == ev["name"]:
-            per_worker[ev["cpu"]] = per_worker.get(ev["cpu"], 0) + (
-                ev["args"][2]
-            )
-        elif ev["type"] == "crew.join" and current == ev["name"]:
-            shards, busy, span = ev["args"]
-            out.append((ev["name"], shards, busy, span, dict(per_worker)))
-            current = None
+            shards = 0
     return out
 
 
@@ -128,19 +135,24 @@ def supervisor_timeline(events):
     order. Returns [(cycles, description)] rows — the retry/backoff/health
     story the switch supervisor recorded before the bundle was dumped."""
     rows = []
+    backoff = None  # args of the open backoff interval's begin
     for ev in events:
         args = ev.get("args", [0, 0, 0])
-        if ev["type"] == "supervisor.attempt":
+        backoff_kind = args[0] == SUPERVISOR_BACKOFF_KIND
+        if ev["type"] == "phase.begin" and backoff_kind:
+            backoff = args  # [kind, request id, attempt #]
+        elif ev["type"] == "phase.end" and backoff_kind and backoff:
+            rows.append(
+                (ev["cycles"] - args[1],
+                 f"request {backoff[1]} backoff after attempt #{backoff[2]} "
+                 f"({_us(args[1]):.3f} us)")
+            )
+            backoff = None
+        elif ev["type"] == "supervisor.attempt":
             target = MODE_NAMES.get(args[2], f"mode#{args[2]}")
             rows.append(
                 (ev["cycles"],
                  f"request {args[0]} attempt #{args[1]} -> {target}")
-            )
-        elif ev["type"] == "supervisor.backoff":
-            rows.append(
-                (ev["cycles"],
-                 f"request {args[0]} backoff after attempt #{args[1]} "
-                 f"({_us(args[2]):.3f} us)")
             )
         elif ev["type"] == "supervisor.resolve":
             rows.append(
@@ -198,9 +210,10 @@ def render(doc, tail_n=40):
     if timeline:
         add("")
         add("--- phase timeline ---")
-        for begin, cpu, name, dur in timeline:
+        for begin, cpu, name, dur, aborted in timeline:
             dur_txt = (
-                f"{_us(dur):>12.3f} us" if dur is not None else "   (unfinished)"
+                "   (unfinished)" if dur is None
+                else f"{_us(dur):>12.3f} us" + (" (aborted)" if aborted else "")
             )
             add(f"  {_us(begin):>14.3f}us  cpu {cpu:>2}  {name:<32} {dur_txt}")
 
@@ -232,16 +245,6 @@ def render(doc, tail_n=40):
             )
             for cpu in sorted(per_worker):
                 add(f"    cpu {cpu:>2}: {_us(per_worker[cpu]):>12.3f} us busy")
-
-    breaches = [e for e in events if e["type"] == "slo.breach"]
-    if breaches:
-        add("")
-        add("--- SLO breaches ---")
-        for e in breaches:
-            add(
-                f"  {e['name']}: ran {_us(e['args'][0]):.3f} us against a "
-                f"budget of {_us(e['args'][1]):.3f} us (cpu {e['cpu']})"
-            )
 
     hits = [e for e in events if e["type"] == "fault.hit"]
     if hits:
@@ -338,8 +341,9 @@ def render_timeseries(doc):
 
 
 def render_profile(doc):
-    """Render a mercury.profile.v1 document: buckets ranked by wall time
-    with per-event costs and the wall/sim attribution."""
+    """Render a mercury.profile.v1 document: buckets ranked by self time
+    (the wall time no nested bucket took; its share is wall_fraction), with
+    inclusive wall time, per-event costs and the sim attribution."""
     lines = []
     add = lines.append
     add("=== Mercury engine profile ===")
@@ -351,7 +355,7 @@ def render_profile(doc):
     )
     buckets = sorted(
         doc.get("buckets", []),
-        key=lambda b: b.get("wall_ns", 0),
+        key=lambda b: b.get("self_ns", 0),
         reverse=True,
     )
     if not buckets:
@@ -360,17 +364,18 @@ def render_profile(doc):
     width = max(len(b["name"]) for b in buckets)
     add("")
     add(
-        f"  {'bucket':<{width}}  {'count':>8}  {'wall ms':>10}  "
-        f"{'wall %':>7}  {'ns/event':>9}  {'sim us':>12}"
+        f"  {'bucket':<{width}}  {'count':>8}  {'self ms':>10}  "
+        f"{'self %':>7}  {'wall ms':>10}  {'ns/event':>9}  {'sim us':>12}"
     )
     for b in buckets:
         count = b.get("count", 0)
         wall = b.get("wall_ns", 0)
         per_event = wall / count if count else 0.0
         add(
-            f"  {b['name']:<{width}}  {count:>8}  {wall / 1e6:>10.3f}  "
-            f"{b.get('wall_fraction', 0.0):>7.1%}  {per_event:>9.0f}  "
-            f"{_us(b.get('sim_cycles', 0)):>12.3f}"
+            f"  {b['name']:<{width}}  {count:>8}  "
+            f"{b.get('self_ns', 0) / 1e6:>10.3f}  "
+            f"{b.get('wall_fraction', 0.0):>7.1%}  {wall / 1e6:>10.3f}  "
+            f"{per_event:>9.0f}  {_us(b.get('sim_cycles', 0)):>12.3f}"
         )
     return "\n".join(lines) + "\n"
 

@@ -674,7 +674,8 @@ def validate_profile(doc):
         name = b.get("name")
         if not isinstance(name, str) or not name:
             raise SchemaError(f"{where} lacks a non-empty string 'name'")
-        for field in ("count", "wall_ns", "sim_cycles", "wall_fraction"):
+        for field in ("count", "wall_ns", "self_ns", "sim_cycles",
+                      "wall_fraction"):
             if not _is_number(b.get(field)):
                 raise SchemaError(
                     f"{where} ('{name}') field '{field}' is missing or not "
@@ -684,7 +685,19 @@ def validate_profile(doc):
             raise SchemaError(
                 f"{where} ('{name}') wall_fraction outside [0, 1]"
             )
+        if b["self_ns"] > b["wall_ns"]:
+            raise SchemaError(
+                f"{where} ('{name}') self_ns exceeds its inclusive wall_ns"
+            )
         names.add(name)
+    # wall_fraction is each bucket's share of the self-time total, so the
+    # shares add up to one (each is printed to six significant digits).
+    if buckets and doc["wall_ns_total"] > 0:
+        share = sum(b["wall_fraction"] for b in buckets)
+        if abs(share - 1.0) > 1e-3:
+            raise SchemaError(
+                f"wall_fraction values sum to {share:.6f}, expected 1"
+            )
     return names
 
 

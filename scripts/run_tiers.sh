@@ -81,10 +81,11 @@ run_sanitizer() {
   fi
 }
 
-# The obs-off guard: MERC_SPAN/MERC_FLIGHT/metrics must be free when compiled
-# out, and — because instrumentation never cpu.charge()s — the *simulated*
-# switch cost must be identical with them compiled in. The CycleIdentityProbe
-# tests print that cost; the same lines from both builds must match exactly.
+# The obs-off guard: the interval stream, MERC_FLIGHT and metrics must be
+# free when compiled out, and — because instrumentation never cpu.charge()s —
+# the *simulated* switch cost must be identical with them compiled in. The
+# CycleIdentityProbe tests print that cost; the same lines from both builds
+# must match exactly.
 cycle_identity_of() {
   local dir="$1" bin="$2"
   "$dir"/tests/"$bin" --gtest_filter='*CycleIdentityProbe*' \
@@ -113,7 +114,8 @@ run_obsoff() {
   configure_and_build build-obsoff -DMERCURY_OBS=OFF
   run_label build-obsoff tier1
   # The switch path, and the dependability services (checkpoint/restore/
-  # migrate carry MERC_PAUSE/MERC_FLIGHT hooks that must stay weightless).
+  # migrate carry interval and flight hooks that must stay weightless, and
+  # the update and checkpoint arcs read their downtime from the ledger).
   local lines
   lines="$(check_cycle_identity core_switch_test
            check_cycle_identity checkpoint_restore_test)"

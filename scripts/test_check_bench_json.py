@@ -77,21 +77,25 @@ def postmortem_doc():
             {"cpu": 1, "cycles": 9000000},
         ],
         "flight": {
-            "recorded": 7,
+            "recorded": 8,
             "dropped": 0,
             "events": [
                 flight_event(1, 0, 3000, "switch.request", "attach"),
-                flight_event(2, 0, 6000, "phase.begin",
-                             "switch.attach.total_cycles"),
+                # Interval records carry their IntervalKind in arg0: 0 is
+                # the attach commit, 5 a crew phase, 6 a crew shard.
+                flight_event(2, 0, 6000, "phase.begin", "switch.attach",
+                             (0, 0, 1)),
                 flight_event(3, 0, 9000, "refcount.retry", "attach",
                              (2, 1, 0)),
-                flight_event(4, 0, 12000, "crew.publish",
-                             "vmm.adopt_rebuild", (64, 8, 4)),
-                flight_event(5, 1, 15000, "crew.grab", "vmm.adopt_rebuild",
-                             (0, 8, 4500)),
-                flight_event(6, 0, 21000, "crew.join", "vmm.adopt_rebuild",
-                             (8, 36000, 9000)),
-                flight_event(7, 2, 24000, "fault.hit", "vmm.adopt_protect",
+                flight_event(4, 0, 12000, "phase.begin",
+                             "switch.crew.rebuild", (5, 64, 8)),
+                flight_event(5, 1, 10500, "phase.begin",
+                             "switch.crew.rebuild", (6, 0, 8)),
+                flight_event(6, 1, 15000, "phase.end", "switch.crew.rebuild",
+                             (6, 4500, 0)),
+                flight_event(7, 0, 21000, "phase.end", "switch.crew.rebuild",
+                             (5, 9000, 0)),
+                flight_event(8, 2, 24000, "fault.hit", "vmm.adopt_protect",
                              (4, 0, 1)),
             ],
         },
@@ -206,14 +210,17 @@ def profile_doc():
     return {
         "schema": "mercury.profile.v1",
         "enabled": True,
-        "wall_ns_total": 123456789,
-        "events_total": 6530,
+        "wall_ns_total": 100000000,
+        "events_total": 3012,
+        # switch.commit runs inside kernel.step.timer: the timer's wall_ns
+        # includes it, its self_ns does not.
         "buckets": [
             {"name": "kernel.step.timer", "count": 2816,
-             "wall_ns": 100000000, "sim_cycles": 4000000,
-             "wall_fraction": 0.81},
+             "wall_ns": 100000000, "self_ns": 76543211,
+             "sim_cycles": 4000000, "wall_fraction": 0.765432},
             {"name": "switch.commit", "count": 196, "wall_ns": 23456789,
-             "sim_cycles": 9000000, "wall_fraction": 0.19},
+             "self_ns": 23456789, "sim_cycles": 9000000,
+             "wall_fraction": 0.234568},
         ],
     }
 
@@ -744,6 +751,18 @@ class ProfileSchemaTest(unittest.TestCase):
         with self.assertRaisesRegex(cbj.SchemaError, "wall_ns_total"):
             cbj.validate_profile(doc)
 
+    def test_self_time_above_inclusive_rejected(self):
+        doc = profile_doc()
+        doc["buckets"][1]["self_ns"] = doc["buckets"][1]["wall_ns"] + 1
+        with self.assertRaisesRegex(cbj.SchemaError, "self_ns"):
+            cbj.validate_profile(doc)
+
+    def test_inclusive_fractions_that_double_count_rejected(self):
+        doc = profile_doc()
+        doc["buckets"][0]["wall_fraction"] = 1.0  # inclusive share
+        with self.assertRaisesRegex(cbj.SchemaError, "sum to"):
+            cbj.validate_profile(doc)
+
 
 class BenchCompareTest(unittest.TestCase):
     def test_identical_docs_pass(self):
@@ -925,6 +944,17 @@ class BlackboxReportTest(unittest.TestCase):
         text = blackbox_report.render(doc)
         self.assertIn("(unfinished)", text)  # attach never saw phase.end
 
+    def test_unwound_phase_marked_aborted(self):
+        doc = postmortem_doc()
+        doc["flight"]["events"].append(
+            flight_event(9, 0, 27000, "phase.end", "switch.attach",
+                         (0, 21000, 1)))
+        rows = blackbox_report.phase_timeline(doc["flight"]["events"])
+        self.assertEqual(rows[0][2:], ("switch.attach", 21000, True))
+        text = blackbox_report.render(doc)
+        self.assertIn("(aborted)", text)
+        self.assertNotIn("(unfinished)", text)
+
     def test_phase_timeline_pairs_by_cpu_and_name(self):
         events = [
             flight_event(1, 0, 3000, "phase.begin", "p"),
@@ -941,8 +971,10 @@ class BlackboxReportTest(unittest.TestCase):
             postmortem_doc()["flight"]["events"])
         self.assertEqual(len(crews), 1)
         name, shards, busy, span, per_worker = crews[0]
-        self.assertEqual(name, "vmm.adopt_rebuild")
-        self.assertEqual(shards, 8)
+        self.assertEqual(name, "switch.crew.rebuild")
+        self.assertEqual(shards, 1)
+        self.assertEqual(busy, 4500)
+        self.assertEqual(span, 9000)
         self.assertEqual(per_worker, {1: 4500})
 
     def test_render_tail_limit(self):
@@ -953,13 +985,17 @@ class BlackboxReportTest(unittest.TestCase):
         return [
             flight_event(1, 0, 3000, "supervisor.attempt",
                          "supervisor.attempt", (7, 1, 1)),
-            flight_event(2, 0, 6000, "supervisor.backoff",
-                         "supervisor.backoff", (7, 1, 3000)),
-            flight_event(3, 0, 9000, "supervisor.attempt",
+            # The backoff is an interval (IntervalKind 26): its begin
+            # carries the request and attempt, its end the delay.
+            flight_event(2, 0, 6000, "phase.begin", "supervisor.backoff",
+                         (26, 7, 1)),
+            flight_event(3, 0, 9000, "phase.end", "supervisor.backoff",
+                         (26, 3000, 0)),
+            flight_event(4, 0, 9000, "supervisor.attempt",
                          "supervisor.attempt", (7, 2, 1)),
-            flight_event(4, 0, 12000, "supervisor.health",
+            flight_event(5, 0, 12000, "supervisor.health",
                          "supervisor.health", (0, 1, 2)),
-            flight_event(5, 0, 15000, "supervisor.resolve", "committed",
+            flight_event(6, 0, 15000, "supervisor.resolve", "committed",
                          (7, 3, 2)),
         ]
 
@@ -1024,7 +1060,7 @@ class TimeseriesProfileRenderTest(unittest.TestCase):
         # kernel.step.timer has the larger wall_ns: it must come first.
         self.assertLess(text.index("kernel.step.timer"),
                         text.index("switch.commit"))
-        self.assertIn("81.0%", text)
+        self.assertIn("76.5%", text)
 
     def test_render_profile_no_buckets(self):
         doc = profile_doc()

@@ -131,7 +131,8 @@ void fold_invariants(ArcReport& r, core::SwitchEngine& engine, bool enabled) {
   r.invariant_violations += rep.violations.size();
 }
 
-void fold_pauses(ArcReport& r, const obs::PauseLedger& ledger) {
+void fold_pauses(ArcReport& r) {
+  const obs::PauseLedger& ledger = r.pauses;
   r.pause_intervals = ledger.intervals();
   r.pause_unattributed = ledger.unattributed();
   r.pause_rendezvous_cycles = ledger.total(obs::PauseCause::kRendezvousParked);
@@ -148,9 +149,8 @@ ArcReport live_update_arc(Node& node, const KernelPatch& patch,
                           const DependConfig& cfg) {
   ArcReport r;
   r.service = "live-update";
-  obs::PauseLedger ledger;
   {
-    obs::PauseLedgerScope scope(ledger);
+    obs::PauseLedgerScope scope(r.pauses);
     core::Mercury& m = node.mercury();
     core::SwitchSupervisor sup(m.engine(), cfg.supervisor);
     hw::Cpu& cpu = node.machine().cpu(0);
@@ -191,7 +191,7 @@ ArcReport live_update_arc(Node& node, const KernelPatch& patch,
     fold_supervisor(r, sup);
     fold_invariants(r, m.engine(), cfg.check_invariants);
   }
-  fold_pauses(r, ledger);
+  fold_pauses(r);
   // The update's guest-frozen time is the rendezvous parking around the
   // quiesced patch window.
   r.downtime_cycles = r.pause_rendezvous_cycles;
@@ -201,9 +201,8 @@ ArcReport live_update_arc(Node& node, const KernelPatch& patch,
 ArcReport self_heal_arc(Node& node, const DependConfig& cfg) {
   ArcReport r;
   r.service = "self-heal";
-  obs::PauseLedger ledger;
   {
-    obs::PauseLedgerScope scope(ledger);
+    obs::PauseLedgerScope scope(r.pauses);
     core::Mercury& m = node.mercury();
     core::SwitchSupervisor sup(m.engine(), cfg.supervisor);
     vmm::Hypervisor& hv = m.hypervisor();
@@ -238,7 +237,7 @@ ArcReport self_heal_arc(Node& node, const DependConfig& cfg) {
     fold_supervisor(r, sup);
     fold_invariants(r, m.engine(), cfg.check_invariants);
   }
-  fold_pauses(r, ledger);
+  fold_pauses(r);
   r.downtime_cycles = r.pause_rendezvous_cycles;
   return r;
 }
@@ -271,9 +270,8 @@ bool inject_pte_corruption(core::Mercury& mercury, kernel::Pid pid) {
 ArcReport checkpoint_restart_arc(Node& node, const DependConfig& cfg) {
   ArcReport r;
   r.service = "checkpoint-restart";
-  obs::PauseLedger ledger;
   {
-    obs::PauseLedgerScope scope(ledger);
+    obs::PauseLedgerScope scope(r.pauses);
     core::Mercury& m = node.mercury();
     core::SwitchSupervisor sup(m.engine(), cfg.supervisor);
     hw::Cpu& cpu = node.machine().cpu(0);
@@ -353,7 +351,7 @@ ArcReport checkpoint_restart_arc(Node& node, const DependConfig& cfg) {
     r.window_cycles = cpu.now() - t0;
     fold_supervisor(r, sup);
   }
-  fold_pauses(r, ledger);
+  fold_pauses(r);
   r.downtime_cycles = r.pause_checkpoint_cycles;
   return r;
 }
@@ -405,9 +403,8 @@ ArcReport migration_arc(Node& src, Node& dst, const DependConfig& cfg,
                         const std::function<void(hw::Machine&)>& maintenance) {
   ArcReport r;
   r.service = round_trip ? "migrate" : "evacuate";
-  obs::PauseLedger ledger;
   {
-    obs::PauseLedgerScope scope(ledger);
+    obs::PauseLedgerScope scope(r.pauses);
     core::Mercury& sm = src.mercury();
     core::Mercury& dm = dst.mercury();
     core::SupervisorConfig dcfg = cfg.supervisor;
@@ -492,7 +489,7 @@ ArcReport migration_arc(Node& src, Node& dst, const DependConfig& cfg,
       fold_invariants(r, dm.engine(), cfg.check_invariants);
     }
   }
-  fold_pauses(r, ledger);
+  fold_pauses(r);
   return r;
 }
 

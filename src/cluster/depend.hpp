@@ -42,6 +42,7 @@
 
 #include "cluster/node.hpp"
 #include "core/switch_supervisor.hpp"
+#include "obs/pause_ledger.hpp"
 #include "vmm/migrate.hpp"
 
 namespace mercury::cluster {
@@ -101,7 +102,9 @@ struct ArcReport {
   /// live-update.
   hw::Cycles downtime_cycles = 0;
 
-  // Pause-ledger decomposition of the window (cycles per cause).
+  /// Every stop recorded inside the window; the pause_* fields below
+  /// summarize it (cycles per cause).
+  obs::PauseLedger pauses;
   std::uint64_t pause_intervals = 0;
   std::uint64_t pause_unattributed = 0;
   hw::Cycles pause_rendezvous_cycles = 0;

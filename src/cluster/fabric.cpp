@@ -20,10 +20,10 @@ bool Fabric::step_node(Node& n) {
 #if MERCURY_OBS_ENABLED
   obs::TraceNodeScope node_scope(n.trace_node());
   obs::ProfScope prof_scope(n.prof_bucket(), &n.machine().cpu(0));
+#endif
   // Pause intervals recorded while this node runs land in its own ledger,
   // so nodes[] rollups attribute unavailability per node.
   obs::PauseLedgerScope pause_scope(n.pauses());
-#endif
   return n.active().step();
 }
 

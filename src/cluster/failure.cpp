@@ -11,16 +11,6 @@ void FailureInjector::schedule_overheat(Node& node, hw::Cycles at,
       at, [n, temperature_c] { n->machine().sensors().inject_overheat(temperature_c); });
 }
 
-void FailureInjector::schedule_fan_failure(Node& node, hw::Cycles at) {
-  Node* n = &node;
-  node.active().add_timer(at, [n] { n->machine().sensors().inject_fan_failure(); });
-}
-
-void FailureInjector::schedule_crash(Node& node, hw::Cycles at) {
-  Node* n = &node;
-  node.active().add_timer(at, [n] { n->fail(); });
-}
-
 void FailureInjector::set_link_loss(Fabric& fabric, Node& a, Node& b,
                                     double drop_probability) {
   hw::Link* link = fabric.link_between(a, b);

@@ -1,5 +1,5 @@
 // Failure injection for dependability scenarios: sensor anomalies (the
-// §6.5 failure-prediction signal), link failures, and node crashes.
+// §6.5 failure-prediction signal) and link failures.
 #pragma once
 
 #include <cstdint>
@@ -14,10 +14,6 @@ class FailureInjector {
   /// value at simulated time `at` (kernel-timer driven).
   static void schedule_overheat(Node& node, hw::Cycles at,
                                 double temperature_c = 96.0);
-  static void schedule_fan_failure(Node& node, hw::Cycles at);
-
-  /// Hard-kill a node at time `at` (unpredicted failure).
-  static void schedule_crash(Node& node, hw::Cycles at);
 
   /// Degrade the link between two nodes.
   static void set_link_loss(Fabric& fabric, Node& a, Node& b,

@@ -386,15 +386,15 @@ void ClusterSoak::on_resolved(NodeRt& rt, const core::SupervisedRequest& r) {
 }
 
 void ClusterSoak::run_wave() {
-#if MERCURY_OBS_ENABLED
   // The wave is the root of one causal tree: allocate its identity up
   // front so every per-node message span (and, transitively, every commit
   // and crew-phase span on every node) links beneath it.
   obs::SpanContext wave_ctx;
+#if MERCURY_OBS_ENABLED
   wave_ctx.trace_id = obs::next_span_id();
   wave_ctx.span_id = obs::next_span_id();
-  const hw::Cycles wave_begin = fabric_.now();
 #endif
+  const hw::Cycles wave_begin = fabric_.now();
   // Fleet-wide alternation: whatever mode node 0 settled in, the wave
   // drives every node toward the other one.
   const core::ExecMode target =
@@ -412,9 +412,9 @@ void ClusterSoak::run_wave() {
 #if MERCURY_OBS_ENABLED
     obs::TraceNodeScope node_scope(rt->node->trace_node());
     obs::SpanContextScope wave_scope(wave_ctx);
-    obs::TraceSpan msg(rt->node->machine().cpu(0), obs::TraceCat::kCluster,
-                       "fabric.msg.switch");
 #endif
+    const obs::Interval msg(rt->node->machine().cpu(0),
+                            obs::IntervalKind::kFabricSwitchMsg);
     // submit can resolve synchronously (quarantine fast-fail) and a retry
     // can arm its backoff here — keep those pauses on this node's ledger.
     obs::PauseLedgerScope pause_scope(rt->node->pauses());
@@ -433,18 +433,8 @@ void ClusterSoak::run_wave() {
       params_.wave_budget);
   if (!ok) all_resolved_ok_ = false;
   ++waves_run_;
-
-#if MERCURY_OBS_ENABLED
-  obs::TraceEvent wave_ev;
-  wave_ev.name = "cluster.wave";
-  wave_ev.cat = obs::TraceCat::kCluster;
-  wave_ev.cpu = 0;
-  wave_ev.begin = wave_begin;
-  wave_ev.end = fabric_.now();
-  wave_ev.trace_id = wave_ctx.trace_id;
-  wave_ev.span_id = wave_ctx.span_id;
-  obs::trace_buffer().record(wave_ev);
-#endif
+  obs::record_interval(obs::IntervalKind::kClusterWave, 0, wave_begin,
+                       fabric_.now(), 0, 0, nullptr, &wave_ctx);
 }
 
 void ClusterSoak::dwell() {

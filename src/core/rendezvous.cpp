@@ -97,11 +97,9 @@ void Rendezvous::park_tree() {
 
 void Rendezvous::park() {
   MERC_CHECK_MSG(!parked_, "rendezvous parked twice");
-  MERC_SPAN(cp_, kRendezvous,
-            protocol_ == RendezvousProtocol::kTree
-                ? "rendezvous.tree"
-                : "rendezvous.ipi_shared_var");
-  MERC_FLIGHT(cp_, kPhaseBegin, "rendezvous.park", machine_.num_cpus());
+  const obs::Interval park(cp_, obs::IntervalKind::kRendezvousPark,
+                           machine_.num_cpus(),
+                           static_cast<std::uint64_t>(protocol_));
   fault_point(FaultSite::kRendezvous, &cp_);
   stats_.cpus = machine_.num_cpus();
   stats_.entry_time = cp_.now();
@@ -127,8 +125,6 @@ void Rendezvous::park() {
   for (std::size_t i = 0; i < machine_.num_cpus(); ++i)
     parked_at_[i] = machine_.cpu(i).now();
   parked_ = true;
-  MERC_FLIGHT(cp_, kPhaseEnd, "rendezvous.park", machine_.num_cpus(),
-              park_cycles_);
 }
 
 RendezvousStats Rendezvous::release() {
@@ -138,11 +134,10 @@ RendezvousStats Rendezvous::release() {
   if (m.num_cpus() == 1) {
     stats_.completion_time = cp_.now();
     // The sole CPU's unavailability is the whole park-to-release window
-    // (it is the CP and the worker at once). Plain arithmetic, both builds.
+    // (it is the CP and the worker at once).
     stats_.max_pause_cycles = stats_.completion_time - parked_at_[cp_.id()];
-    MERC_PAUSE(kRendezvousParked, static_cast<std::uint32_t>(cp_.id()),
-               parked_at_[cp_.id()], stats_.completion_time,
-               "rendezvous.release");
+    obs::record_interval(obs::IntervalKind::kRendezvousParked, cp_.id(),
+                         parked_at_[cp_.id()], stats_.completion_time);
     return stats_;
   }
 
@@ -171,22 +166,21 @@ RendezvousStats Rendezvous::release() {
     m.cpu(i).advance_to(released_at);
   stats_.completion_time = released_at;
 
-  // Per-CPU unavailability: parked clock to barrier exit. The max is kept
-  // unconditionally (plain arithmetic — the obs-off build computes the same
-  // value, which the cycle-identity probe prints); the per-interval ledger
-  // records are obs-gated. Crew shard windows nest inside these by design.
+  // Per-CPU unavailability: parked clock to barrier exit, one stop per
+  // CPU. Crew shard windows nest inside these by design.
   stats_.max_pause_cycles = 0;
   for (std::size_t i = 0; i < m.num_cpus(); ++i) {
     const hw::Cycles paused = released_at - parked_at_[i];
     stats_.max_pause_cycles = std::max(stats_.max_pause_cycles, paused);
-    MERC_PAUSE(kRendezvousParked, static_cast<std::uint32_t>(i),
-               parked_at_[i], released_at, "rendezvous.release");
+    obs::record_interval(obs::IntervalKind::kRendezvousParked,
+                         static_cast<std::uint32_t>(i), parked_at_[i],
+                         released_at);
   }
 
   MERC_COUNT("rendezvous.runs");
   MERC_GAUGE_SET("rendezvous.cpus", stats_.cpus);
   MERC_HIST("rendezvous.cycles", coordination_cycles());
-  MERC_FLIGHT(cp_, kPhaseEnd, "rendezvous.release", stats_.cpus,
+  MERC_FLIGHT(cp_, kMarker, "rendezvous.release", stats_.cpus,
               release_cycles_);
   return stats_;
 }

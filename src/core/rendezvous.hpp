@@ -30,9 +30,7 @@ struct RendezvousStats {
   hw::Cycles entry_time = 0;       // CP clock when the rendezvous began
   hw::Cycles completion_time = 0;  // all CPUs parked & released
   /// Longest per-CPU unavailability window in this episode: release time
-  /// minus the earliest parked clock. Computed with plain arithmetic on
-  /// both obs-on and obs-off builds (the cycle-identity probe prints it),
-  /// so the pause ledger merely *observes* it.
+  /// minus the earliest parked clock (the cycle-identity probe prints it).
   hw::Cycles max_pause_cycles = 0;
   hw::Cycles latency() const { return completion_time - entry_time; }
 };

@@ -42,7 +42,7 @@ void fix_saved_contexts_range(hw::Cpu& cpu,
 FixupStats fix_all_saved_contexts(hw::Cpu& cpu, kernel::Kernel& k,
                                   hw::Ring target) {
   FixupStats stats;
-  MERC_SPAN(cpu, kFixup, "fixup.walk_tasks");
+  const obs::Interval walk(cpu, obs::IntervalKind::kFixupWalkTasks);
   std::vector<kernel::Task*> tasks;
   k.for_each_task([&](kernel::Task& t) { tasks.push_back(&t); });
   fix_saved_contexts_range(cpu, tasks, target, stats);

@@ -54,80 +54,71 @@ CrewPhaseStats SwitchCrew::run_phase(const char* name, std::size_t items,
   // coordination: there is no descriptor to publish, no contended queue
   // line to grab from, and nobody to join.
   const bool alone = workers() == 0;
-  if (!alone) {
-    // CP publishes the work descriptor; parked members cannot start before
-    // the publish store reaches them (they were spinning, so advancing
-    // their clocks to the publish point costs nothing real).
-    cp.charge(kShardPublish);
-    for (hw::Cpu* m : members_) m->advance_to(cp.now());
-  }
-
   const std::size_t nshards =
       alone ? 1 : std::min(items, members_.size() * kShardsPerMember);
-  MERC_FLIGHT(cp, kCrewPublish, name, items, nshards, members_.size());
   const std::size_t per = items / nshards;
   const std::size_t extra = items % nshards;
-
-#if MERCURY_OBS_ENABLED
-  obs::Hist& shard_hist =
-      obs::registry().histogram(std::string(name) + ".shard_cycles");
-  obs::Hist& worker_hist =
-      obs::registry().histogram(std::string(name) + ".worker_cycles");
-  obs::Hist& phase_hist =
-      obs::registry().histogram(std::string(name) + ".phase_cycles");
-#endif
   std::vector<hw::Cycles> member_busy(members_.size(), 0);
-
-  // Earliest-finisher dispatch: each shard goes to the member whose clock
-  // is lowest — the deterministic equivalent of an idle worker stealing the
-  // next range off the shared queue.
-  std::size_t begin = 0;
   const FaultInjected* faulted = nullptr;
   FaultInjected fault{};
-  for (std::size_t s = 0; s < nshards && faulted == nullptr; ++s) {
-    const std::size_t len = per + (s < extra ? 1 : 0);
-    const std::size_t end = begin + len;
-    std::size_t who = 0;
-    for (std::size_t m = 1; m < members_.size(); ++m)
-      if (members_[m]->now() < members_[who]->now()) who = m;
-    hw::Cpu& worker = *members_[who];
-    if (!alone) worker.charge(kShardGrab);
-    const hw::Cycles t0 = worker.now();
-    try {
-      body(worker, begin, end);
-    } catch (const FaultInjected& f) {
-      // Abort flag: no further shards are handed out; completed shards
-      // stay applied (the engine's rollback unwinds them).
-      fault = f;
-      faulted = &fault;
+  {
+    // The phase interval runs from the publish to the join on the CP. It
+    // closes before a shard's fault is rethrown, so a faulted phase counts
+    // as ended, like the shards it ran.
+    const obs::Interval phase(cp, obs::IntervalKind::kCrewPhase, items,
+                              nshards, name);
+    if (!alone) {
+      // CP publishes the work descriptor; parked members cannot start
+      // before the publish store reaches them (they were spinning, so
+      // advancing their clocks to the publish point costs nothing real).
+      cp.charge(kShardPublish);
+      for (hw::Cpu* m : members_) m->advance_to(cp.now());
     }
-    const hw::Cycles ran = worker.now() - t0;
-    member_busy[who] += ran;
-    stats.busy += ran;
-    ++stats.shards;
-#if MERCURY_OBS_ENABLED
-    shard_hist.record(ran);
-    // One grab event per shard on the *worker's* ring: the black box keeps
-    // who ran which range and for how long.
-    MERC_FLIGHT(worker, kCrewGrab, name, begin, end, ran);
-    // The shard window is unavailability with a finer-grained cause than
-    // the enclosing rendezvous-parked interval it nests inside.
-    MERC_PAUSE(kCrewShardWork, static_cast<std::uint32_t>(worker.id()), t0,
-               worker.now(), name);
-#endif
-    begin = end;
-  }
 
-  if (!alone) join();
+    // Earliest-finisher dispatch: each shard goes to the member whose clock
+    // is lowest — the deterministic equivalent of an idle worker stealing
+    // the next range off the shared queue.
+    std::size_t begin = 0;
+    for (std::size_t s = 0; s < nshards && faulted == nullptr; ++s) {
+      const std::size_t len = per + (s < extra ? 1 : 0);
+      const std::size_t end = begin + len;
+      std::size_t who = 0;
+      for (std::size_t m = 1; m < members_.size(); ++m)
+        if (members_[m]->now() < members_[who]->now()) who = m;
+      hw::Cpu& worker = *members_[who];
+      if (!alone) worker.charge(kShardGrab);
+      const hw::Cycles t0 = worker.now();
+      try {
+        body(worker, begin, end);
+      } catch (const FaultInjected& f) {
+        // Abort flag: no further shards are handed out; completed shards
+        // stay applied (the engine's rollback unwinds them).
+        fault = f;
+        faulted = &fault;
+      }
+      const hw::Cycles ran = worker.now() - t0;
+      member_busy[who] += ran;
+      stats.busy += ran;
+      ++stats.shards;
+      // One shard interval on the *worker's* CPU, with its range: a stop
+      // with a finer-grained cause than the rendezvous-parked interval it
+      // nests inside.
+      obs::record_interval(obs::IntervalKind::kCrewShard, worker.id(), t0,
+                           worker.now(), begin, end, name);
+      begin = end;
+    }
+
+    if (!alone) join();
+  }
   stats.span = cp.now() - phase_start;
   busy_total_ += stats.busy;
   span_total_ += stats.span;
   ++phases_;
 #if MERCURY_OBS_ENABLED
+  obs::Hist& worker_hist =
+      obs::registry().histogram(std::string(name) + ".worker_cycles");
   for (const hw::Cycles b : member_busy) worker_hist.record(b);
-  phase_hist.record(stats.span);
   MERC_COUNT_N("switch.crew.shards", stats.shards);
-  MERC_FLIGHT(cp, kCrewJoin, name, stats.shards, stats.busy, stats.span);
 #endif
   if (faulted != nullptr) throw fault;
   return stats;

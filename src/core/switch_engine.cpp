@@ -93,12 +93,6 @@ SwitchEngine::SwitchEngine(kernel::Kernel& k, vmm::Hypervisor& hv,
   // Black box: a failed MERC_CHECK anywhere in the simulator should leave a
   // postmortem bundle behind once a switch engine exists. Idempotent.
   obs::install_assert_postmortem_hook();
-  slo_.set_budget("switch.attach.total_cycles", config_.slo.attach_total);
-  slo_.set_budget("switch.detach.total_cycles", config_.slo.detach_total);
-  slo_.set_budget("switch.rendezvous_cycles", config_.slo.rendezvous);
-  slo_.set_budget("switch.transfer_cycles", config_.slo.transfer);
-  slo_.set_budget("switch.fixup_cycles", config_.slo.fixup);
-  slo_.set_budget("switch.max_pause_cycles", config_.slo.max_pause);
   register_obs_instruments();
 }
 
@@ -149,8 +143,6 @@ void SwitchEngine::register_obs_instruments() {
          [](const SwitchStats& s) { return s.last_dirty_frames; });
   expose("vmm.page_info.last_frames_retained",
          [](const SwitchStats& s) { return s.last_frames_retained; });
-  obs_callbacks_.add("switch.slo.breach_count", obs_label_,
-                     [this] { return static_cast<double>(slo_.breaches()); });
 #endif
 }
 
@@ -283,15 +275,15 @@ void SwitchEngine::commit(hw::Cpu& cpu, ExecMode target) {
   // orphan root, so one switch wave reads as one tree in the Chrome export.
   obs::SpanContextScope request_scope(
       pending_ctx_.valid() ? pending_ctx_ : obs::current_span_context());
-  const char* commit_name = mode_ == ExecMode::kNative ? "switch.attach"
-                            : target == ExecMode::kNative ? "switch.detach"
-                                                          : "switch.rerole";
-  obs::TraceSpan commit_span(cpu, obs::TraceCat::kSwitch, commit_name);
-  MERC_FLIGHT(cpu, kPhaseBegin, commit_name,
-              static_cast<std::uint64_t>(mode_),
-              static_cast<std::uint64_t>(target));
-  MERC_PROF_SCOPE("switch.commit", &cpu);
 #endif
+  const obs::IntervalKind commit_kind =
+      mode_ == ExecMode::kNative   ? obs::IntervalKind::kSwitchAttach
+      : target == ExecMode::kNative ? obs::IntervalKind::kSwitchDetach
+                                    : obs::IntervalKind::kSwitchRerole;
+  obs::Interval commit_interval(cpu, commit_kind,
+                                static_cast<std::uint64_t>(mode_),
+                                static_cast<std::uint64_t>(target));
+  MERC_PROF_SCOPE("switch.commit", &cpu);
 
   const ExecMode from = mode_;
   const hw::Cycles t0 = cpu.now();
@@ -336,20 +328,17 @@ void SwitchEngine::commit(hw::Cpu& cpu, ExecMode target) {
     // every rollback into a crash, which is not the failure model (§8
     // assumes the recovery path itself is sound).
     committed = false;
+    commit_interval.mark_unwound();
     FaultInjector::PauseGuard storm_pause;
     rollback(cpu, from, target, fault);
     dump_rollback_postmortem(from, target, fault);
   }
   const hw::Cycles elapsed = cpu.now() - t0;
-#if MERCURY_OBS_ENABLED
-  MERC_FLIGHT(cpu, kPhaseEnd, commit_name, static_cast<std::uint64_t>(target),
-              elapsed);
   if (committed) {
-    MERC_FLIGHT(cpu, kSwitchCommit, commit_name,
+    MERC_FLIGHT(cpu, kSwitchCommit, obs::interval_kind_info(commit_kind).name,
                 static_cast<std::uint64_t>(from),
                 static_cast<std::uint64_t>(target), elapsed);
   }
-#endif
   if (!committed) {
     // Stay in `from`; the caller sees the request resolve without a mode
     // change and may re-request.
@@ -357,7 +346,6 @@ void SwitchEngine::commit(hw::Cpu& cpu, ExecMode target) {
     stats_.last_attach_cycles = elapsed;
     ++stats_.attaches;
     MERC_COUNT("switch.attaches");
-    MERC_HIST("switch.attach.total_cycles", elapsed);
     MERC_HIST("switch.attach.defer_cycles", stats_.last_defer_wait_cycles);
     MERC_HIST("switch.attach.rendezvous_cycles", rendezvous_cycles);
     MERC_HIST("switch.attach.transfer_cycles",
@@ -365,12 +353,10 @@ void SwitchEngine::commit(hw::Cpu& cpu, ExecMode target) {
                   stats_.last_transfer.protection_cycles +
                   stats_.last_transfer.binding_cycles);
     MERC_HIST("switch.attach.fixup_cycles", stats_.last_transfer.fixup_cycles);
-    observe_slo(cpu, /*attach=*/true, elapsed, rendezvous_cycles);
   } else if (mode_ == ExecMode::kNative) {
     stats_.last_detach_cycles = elapsed;
     ++stats_.detaches;
     MERC_COUNT("switch.detaches");
-    MERC_HIST("switch.detach.total_cycles", elapsed);
     MERC_HIST("switch.detach.defer_cycles", stats_.last_defer_wait_cycles);
     MERC_HIST("switch.detach.rendezvous_cycles", rendezvous_cycles);
     MERC_HIST("switch.detach.transfer_cycles",
@@ -378,12 +364,10 @@ void SwitchEngine::commit(hw::Cpu& cpu, ExecMode target) {
                   stats_.last_transfer.protection_cycles +
                   stats_.last_transfer.binding_cycles);
     MERC_HIST("switch.detach.fixup_cycles", stats_.last_transfer.fixup_cycles);
-    observe_slo(cpu, /*attach=*/false, elapsed, rendezvous_cycles);
   } else {
     // partial <-> full re-roles are neither attaches nor detaches.
     ++stats_.reroles;
     MERC_COUNT("switch.reroles");
-    MERC_HIST("switch.rerole.total_cycles", elapsed);
   }
   pending_ = false;
 
@@ -421,25 +405,6 @@ void SwitchEngine::cancel() {
               static_cast<std::uint64_t>(pending_target_));
 }
 
-void SwitchEngine::observe_slo(hw::Cpu& cpu, bool attach, hw::Cycles total,
-                               hw::Cycles rendezvous_cycles) {
-  const TransferStats& tr = stats_.last_transfer;
-  slo_.observe(attach ? "switch.attach.total_cycles"
-                      : "switch.detach.total_cycles",
-               total, cpu.id(), cpu.now());
-  slo_.observe("switch.rendezvous_cycles", rendezvous_cycles, cpu.id(),
-               cpu.now());
-  slo_.observe("switch.transfer_cycles",
-               tr.page_info_cycles + tr.protection_cycles + tr.binding_cycles,
-               cpu.id(), cpu.now());
-  slo_.observe("switch.fixup_cycles", tr.fixup_cycles, cpu.id(), cpu.now());
-  // The per-CPU unavailability budget: the whole park-to-release window,
-  // shard work included. Breach evidence lands in the flight ring like
-  // every other phase.
-  slo_.observe("switch.max_pause_cycles", stats_.last_max_pause_cycles,
-               cpu.id(), cpu.now());
-}
-
 void SwitchEngine::dump_rollback_postmortem(ExecMode from, ExecMode target,
                                             const FaultInjected& fault) {
   obs::PostmortemContext ctx;
@@ -468,15 +433,11 @@ void SwitchEngine::dump_rollback_postmortem(ExecMode from, ExecMode target,
   ctx.extra.emplace_back("fault.injected_total", fault_injector().injected());
   ctx.extra.emplace_back("pause.last_max_cycles",
                          stats_.last_max_pause_cycles);
-#if MERCURY_OBS_ENABLED
-  {
-    const obs::PauseLedger& pl = obs::pause_ledger();
-    ctx.extra.emplace_back("pause.intervals", pl.intervals());
-    ctx.extra.emplace_back("pause.unattributed", pl.unattributed());
-    ctx.extra.emplace_back("pause.worst_cycles",
-                           pl.worst().valid ? pl.worst().span() : 0);
-  }
-#endif
+  const obs::PauseLedger& pl = obs::pause_ledger();
+  ctx.extra.emplace_back("pause.intervals", pl.intervals());
+  ctx.extra.emplace_back("pause.unattributed", pl.unattributed());
+  ctx.extra.emplace_back("pause.worst_cycles",
+                         pl.worst().valid ? pl.worst().span() : 0);
   obs::write_postmortem(ctx);
 }
 
@@ -550,7 +511,7 @@ std::optional<WarmSet> SwitchEngine::warm_dirty_set() {
   if (fallback != nullptr) {
     ++stats_.warm_fallbacks;
     MERC_COUNT("switch.attach.warm_fallbacks");
-    MERC_FLIGHT(kernel_.machine().cpu(0), kPhaseBegin,
+    MERC_FLIGHT(kernel_.machine().cpu(0), kMarker,
                 "switch.attach.warm_fallback", dirty_tracker_->dirty_count());
     util::log_info("mercury", "warm re-attach falling back to cold rebuild (",
                    fallback, ")");
@@ -582,7 +543,7 @@ void SwitchEngine::note_warm_attach(hw::Cpu& cpu, std::size_t dirty_frames) {
                  static_cast<double>(dirty_frames));
   MERC_GAUGE_SET("vmm.page_info.frames_retained",
                  static_cast<double>(stats_.last_frames_retained));
-  MERC_FLIGHT(cpu, kPhaseBegin, "switch.attach.warm", dirty_frames,
+  MERC_FLIGHT(cpu, kMarker, "switch.attach.warm", dirty_frames,
               stats_.last_frames_retained);
 }
 
@@ -603,7 +564,7 @@ void SwitchEngine::attach(hw::Cpu& cpu, SwitchCrew& crew, ExecMode target) {
 
   hw::Cycles t0 = cpu.now();
   {
-    MERC_SPAN(cpu, kTransfer, "transfer.page_info_rebuild");
+    const obs::Interval phase(cpu, obs::IntervalKind::kPageInfoRebuild);
     const vmm::DomainId dom = hv_.begin_adopt(kernel_);
     if (warm) {
       // Warm re-attach, sharded: only the dirty set is reconstructed; the
@@ -689,7 +650,7 @@ void SwitchEngine::attach(hw::Cpu& cpu, SwitchCrew& crew, ExecMode target) {
 
   if (config_.eager_selector_fixup) {
     t0 = cpu.now();
-    MERC_SPAN(cpu, kFixup, "transfer.eager_fixup");
+    const obs::Interval phase(cpu, obs::IntervalKind::kEagerFixup);
     std::vector<kernel::Task*> tasks;
     kernel_.for_each_task([&](kernel::Task& t) { tasks.push_back(&t); });
     const std::span<kernel::Task* const> all_tasks(tasks);
@@ -707,21 +668,17 @@ void SwitchEngine::attach(hw::Cpu& cpu, SwitchCrew& crew, ExecMode target) {
   t0 = cpu.now();
   {
     fault_point(FaultSite::kTransferBindings, &cpu);
-    MERC_SPAN(cpu, kTransfer, "transfer.rebind_traps");
+    const obs::Interval phase(cpu, obs::IntervalKind::kRebindTraps);
     vo.state_transfer_in(cpu, kernel_);  // CP-only: one IDT/GDT rebind
   }
   transfer.binding_cycles = cpu.now() - t0;
-  MERC_HIST("transfer.page_info_cycles", transfer.page_info_cycles);
-  MERC_HIST("transfer.binding_cycles", transfer.binding_cycles);
-  if (config_.eager_selector_fixup)
-    MERC_HIST("transfer.fixup_cycles", transfer.fixup_cycles);
   stats_.last_transfer = transfer;
 
   if (target == ExecMode::kFullVirtual) {
     hv_.blk_backend().connect_frontend(vo.dom());
     hv_.net_backend().connect_frontend(vo.dom());
   }
-  MERC_SPAN(cpu, kSwitch, "switch.reload_hw_state");
+  const obs::Interval reload(cpu, obs::IntervalKind::kReloadHwState);
   reload_all_cpus(vo);
   kernel_.set_ops(vo);
   mode_ = target;
@@ -748,7 +705,7 @@ void SwitchEngine::detach(hw::Cpu& cpu, SwitchCrew& crew) {
 
   hw::Cycles t0 = cpu.now();
   {
-    MERC_SPAN(cpu, kTransfer, "transfer.unprotect_tables");
+    const obs::Interval phase(cpu, obs::IntervalKind::kUnprotectTables);
     hv_.begin_release(vo.dom());
     const std::vector<hw::Pfn> frames = hv_.protected_frames_snapshot();
     const std::span<const hw::Pfn> all(frames);
@@ -764,7 +721,7 @@ void SwitchEngine::detach(hw::Cpu& cpu, SwitchCrew& crew) {
 
   if (config_.eager_selector_fixup) {
     t0 = cpu.now();
-    MERC_SPAN(cpu, kFixup, "transfer.eager_fixup");
+    const obs::Interval phase(cpu, obs::IntervalKind::kEagerFixup);
     std::vector<kernel::Task*> tasks;
     kernel_.for_each_task([&](kernel::Task& t) { tasks.push_back(&t); });
     const std::span<kernel::Task* const> all_tasks(tasks);
@@ -782,15 +739,11 @@ void SwitchEngine::detach(hw::Cpu& cpu, SwitchCrew& crew) {
   t0 = cpu.now();
   {
     fault_point(FaultSite::kTransferBindings, &cpu);
-    MERC_SPAN(cpu, kTransfer, "transfer.rebind_traps");
+    const obs::Interval phase(cpu, obs::IntervalKind::kRebindTraps);
     // Interrupt bindings return to the kernel: it becomes the trap owner.
     kernel_.machine().install_trap_sink(&kernel_);
   }
   transfer.binding_cycles = cpu.now() - t0;
-  MERC_HIST("transfer.protection_cycles", transfer.protection_cycles);
-  MERC_HIST("transfer.binding_cycles", transfer.binding_cycles);
-  if (config_.eager_selector_fixup)
-    MERC_HIST("transfer.fixup_cycles", transfer.fixup_cycles);
   stats_.last_transfer = transfer;
 
   if (config_.eager_page_tracking) {
@@ -798,7 +751,7 @@ void SwitchEngine::detach(hw::Cpu& cpu, SwitchCrew& crew) {
     // it stays authoritative across the detach (§5.1.2 alternative 1).
     hv_.page_info().set_valid(true);
   }
-  MERC_SPAN(cpu, kSwitch, "switch.reload_hw_state");
+  const obs::Interval reload(cpu, obs::IntervalKind::kReloadHwState);
   reload_all_cpus(native_vo_);
   kernel_.set_ops(native_vo_);
   mode_ = ExecMode::kNative;
@@ -808,8 +761,10 @@ void SwitchEngine::rollback(hw::Cpu& cpu, ExecMode from, ExecMode target,
                             const FaultInjected& fault) {
   ++stats_.rollbacks;
   MERC_COUNT("switch.rollbacks");
-  [[maybe_unused]] const hw::Cycles unwind_begin = cpu.now();
-  MERC_SPAN(cpu, kFault, "switch.rollback");
+  // The whole unwind runs serially on the CP with the machine unavailable
+  // to guest work: a rollback-unwind stop of its own, so rollback storms
+  // show up in the pause tail, not just the mean.
+  const obs::Interval unwind(cpu, obs::IntervalKind::kSwitchRollback);
   MERC_PROF_SCOPE("switch.rollback", &cpu);
   MERC_FLIGHT(cpu, kSwitchRollback, "switch.rollback",
               static_cast<std::uint64_t>(from),
@@ -896,11 +851,6 @@ void SwitchEngine::rollback(hw::Cpu& cpu, ExecMode from, ExecMode target,
     // partial <-> full re-role: the only reachable site (the rendezvous)
     // precedes any mutation — nothing to unwind.
   }
-  // The whole unwind runs serially on the CP with the machine unavailable
-  // to guest work; ledger it under its own cause so rollback storms show up
-  // in the tail, not just the mean.
-  MERC_PAUSE(kRollbackUnwind, static_cast<std::uint32_t>(cpu.id()),
-             unwind_begin, cpu.now(), fault_site_name(fault.site));
 }
 
 bool SwitchEngine::switch_now(ExecMode target, hw::Cycles budget) {

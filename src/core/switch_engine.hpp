@@ -24,7 +24,6 @@
 #include "core/virtual_vo.hpp"
 #include "kernel/kernel.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "vmm/hypervisor.hpp"
 
@@ -56,23 +55,6 @@ enum class SwitchOutcome : std::uint8_t {
 
 const char* switch_outcome_name(SwitchOutcome o);
 
-/// Per-phase cycle budgets for the switch-SLO watchdog (0 = unlimited).
-/// After every committed switch the engine reports the phase actuals to an
-/// obs::SloWatchdog; each breach bumps `switch.slo.breaches`, lands in the
-/// flight recorder, and is logged — a live regression alarm for the paper's
-/// "a switch is cheap" promise.
-struct SwitchSloBudgets {
-  hw::Cycles attach_total = 0;
-  hw::Cycles detach_total = 0;
-  hw::Cycles rendezvous = 0;  // §5.4 barrier, either direction
-  hw::Cycles transfer = 0;    // bulk state-transfer phases, either direction
-  hw::Cycles fixup = 0;       // eager selector fixup, either direction
-  /// Worst per-CPU unavailability window of one commit (rendezvous park to
-  /// release, the pause ledger's headline number). The budget ROADMAP
-  /// item 5's deadline-aware switch mode will enforce.
-  hw::Cycles max_pause = 0;
-};
-
 struct SwitchConfig {
   bool eager_page_tracking = false;  // §5.1.2 alternative 1
   bool eager_selector_fixup = false; // walk tasks at switch time vs resume stub
@@ -100,8 +82,6 @@ struct SwitchConfig {
   /// Dirty-set bound before the warm path falls back to a full rebuild
   /// (0 = total_frames / 8; see DirtyFrameTracker).
   std::size_t warm_dirty_capacity = 0;
-  /// Switch-SLO cycle budgets; breaches are flagged, never enforced.
-  SwitchSloBudgets slo{};
 };
 
 /// Cycles of the state-transfer phases of the last attach or detach
@@ -215,9 +195,6 @@ class SwitchEngine {
   /// The registry label ("engine=<n>") this engine's stats appear under.
   const std::string& obs_label() const { return obs_label_; }
 
-  /// The watchdog holding this engine's SLO budgets and breach count.
-  const obs::SloWatchdog& slo() const { return slo_; }
-
  private:
   void try_commit(hw::Cpu& cpu);
   void commit(hw::Cpu& cpu, ExecMode target);
@@ -247,9 +224,6 @@ class SwitchEngine {
   /// fault, returning the machine to `from` (paper §8: dependable switch).
   void rollback(hw::Cpu& cpu, ExecMode from, ExecMode target,
                 const FaultInjected& fault);
-  /// Feed the phase actuals of a committed attach/detach to the watchdog.
-  void observe_slo(hw::Cpu& cpu, bool attach, hw::Cycles total,
-                   hw::Cycles rendezvous_cycles);
   /// Capture a mercury.postmortem.v1 bundle for a rolled-back switch.
   void dump_rollback_postmortem(ExecMode from, ExecMode target,
                                 const FaultInjected& fault);
@@ -274,7 +248,6 @@ class SwitchEngine {
   /// flag gates recording, so a disarmed tracker costs one predictable
   /// branch per store). The destructor deregisters it.
   std::unique_ptr<DirtyFrameTracker> dirty_tracker_;
-  obs::SloWatchdog slo_;
   std::string obs_label_;
   obs::CallbackGuard obs_callbacks_;  // unregisters when the engine dies
 };

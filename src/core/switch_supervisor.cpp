@@ -278,14 +278,11 @@ void SwitchSupervisor::arm_retry(SupervisedRequest& req) {
   req.total_backoff_cycles += delay;
   stats_.total_backoff_cycles += delay;
   MERC_COUNT("switch.supervisor.backoffs");
-  MERC_HIST("switch.supervisor.backoff_cycles", delay);
-  MERC_FLIGHT(kernel_.machine().cpu(0), kSupervisorBackoff,
-              "supervisor.backoff", req.id, req.attempts, delay);
   // The backoff window holds the requested transition (not the machine) on
   // CPU 0's clock: the guest keeps running, but the caller's switch is
   // unavailable for `delay` — the ledger's only non-stop-the-world cause.
-  MERC_PAUSE(kSupervisorRetryBackoff, 0, now(), now() + delay,
-             "supervisor.backoff");
+  obs::record_interval(obs::IntervalKind::kSupervisorBackoff, 0, now(),
+                       now() + delay, req.id, req.attempts);
   std::weak_ptr<SwitchSupervisor*> weak = self_;
   kernel_.add_timer(
       now() + delay, [weak, id = req.id, attempt = req.attempts] {

@@ -14,21 +14,17 @@ const char* flight_type_name(FlightType t) {
     case FlightType::kSwitchCommit: return "switch.commit";
     case FlightType::kSwitchRollback: return "switch.rollback";
     case FlightType::kRefcountRetry: return "refcount.retry";
-    case FlightType::kCrewPublish: return "crew.publish";
-    case FlightType::kCrewGrab: return "crew.grab";
-    case FlightType::kCrewJoin: return "crew.join";
     case FlightType::kShardRange: return "shard.range";
     case FlightType::kFaultHit: return "fault.hit";
     case FlightType::kRollbackStep: return "rollback.step";
     case FlightType::kInvariantVerdict: return "invariant.verdict";
-    case FlightType::kSloBreach: return "slo.breach";
     case FlightType::kAssertFail: return "assert.fail";
     case FlightType::kSwitchCancel: return "switch.cancel";
     case FlightType::kSupervisorAttempt: return "supervisor.attempt";
-    case FlightType::kSupervisorBackoff: return "supervisor.backoff";
     case FlightType::kSupervisorResolve: return "supervisor.resolve";
     case FlightType::kHealthTransition: return "supervisor.health";
     case FlightType::kPauseWorst: return "pause.worst";
+    case FlightType::kMarker: return "marker";
   }
   return "?";
 }

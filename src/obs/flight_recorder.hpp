@@ -1,10 +1,12 @@
 // Black-box flight recorder (dependability pillar: make every rollback,
 // crash, and invariant failure diagnosable after the fact).
 //
-// A fixed-capacity, per-CPU ring of *typed, argument-carrying* events: phase
-// begin/end with item counts, refcount-retry with the observed count, crew
-// shard publish/grab/join with shard bounds and worker id, fault-injection
-// hits, rollback steps, invariant verdicts, SLO breaches. Unlike the Chrome
+// A fixed-capacity, per-CPU ring of *typed, argument-carrying* events: the
+// begin and end of every interval (obs/interval.hpp writes them; a crew
+// shard's begin carries its range, an end its elapsed cycles and whether it
+// unwound), plus point events — switch requests and commits, refcount
+// retries, fault-injection hits, rollback steps, invariant verdicts,
+// supervisor attempts and resolutions, markers. Unlike the Chrome
 // trace ring (obs/trace.hpp), every event carries up to three integer
 // arguments and a *global* sequence number, so cross-CPU causality survives
 // export: merging the per-CPU rings by `seq` reconstructs exactly the order
@@ -12,8 +14,8 @@
 //
 // Recording is a ring-slot store plus a counter increment — no allocation
 // after the first event on a CPU, no simulated cost (instrumentation never
-// cpu.charge()s). The MERC_FLIGHT macro in obs/obs.hpp compiles away under
-// MERCURY_OBS=OFF exactly like MERC_SPAN.
+// cpu.charge()s). The MERC_FLIGHT macro in obs/obs.hpp, and the interval
+// stream's records, compile away under MERCURY_OBS=OFF.
 #pragma once
 
 #include <cstdint>
@@ -25,27 +27,25 @@
 namespace mercury::obs {
 
 enum class FlightType : std::uint8_t {
-  kPhaseBegin,        // arg0 = item count (frames, tables, tasks)
-  kPhaseEnd,          // arg0 = item count, arg1 = elapsed cycles
+  kPhaseBegin,        // interval begin: arg0 = IntervalKind, arg1/arg2 =
+                      //   kind-specific (item count, shard range, modes)
+  kPhaseEnd,          // interval end: arg0 = IntervalKind, arg1 = elapsed
+                      //   cycles, arg2 = 1 when it unwound
   kSwitchRequest,     // arg0 = from mode, arg1 = target mode
   kSwitchCommit,      // arg0 = from mode, arg1 = target mode, arg2 = cycles
   kSwitchRollback,    // arg0 = from mode, arg1 = target mode
   kRefcountRetry,     // arg0 = observed active_refs, arg1 = total deferrals
-  kCrewPublish,       // arg0 = items, arg1 = shard count, arg2 = crew size
-  kCrewGrab,          // arg0 = shard begin, arg1 = shard end, arg2 = cycles
-  kCrewJoin,          // arg0 = shards run, arg1 = busy cycles, arg2 = span
   kShardRange,        // arg0 = count, arg1 = first pfn, arg2 = last pfn
   kFaultHit,          // arg0 = site, arg1 = kind, arg2 = visit count
   kRollbackStep,      // arg0 = step ordinal
   kInvariantVerdict,  // arg0 = violation count
-  kSloBreach,         // arg0 = actual cycles, arg1 = budget cycles
   kAssertFail,        // arg0 = source line
   kSwitchCancel,      // arg0 = current mode, arg1 = abandoned target mode
   kSupervisorAttempt, // arg0 = request id, arg1 = attempt #, arg2 = target
-  kSupervisorBackoff, // arg0 = request id, arg1 = attempt #, arg2 = delay cy
   kSupervisorResolve, // arg0 = request id, arg1 = terminal state, arg2 = attempts
   kHealthTransition,  // arg0 = from health, arg1 = to health, arg2 = fail streak
   kPauseWorst,        // arg0 = pause cause, arg1 = begin cycle, arg2 = span
+  kMarker,            // a named point inside a phase; args marker-specific
 };
 
 const char* flight_type_name(FlightType t);

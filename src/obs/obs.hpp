@@ -1,12 +1,22 @@
-// Telemetry umbrella: instrumentation macros for the hot paths
-// (telemetry pillar 3).
+// Telemetry umbrella: the instrumentation hooks of the hot paths.
 //
-// Every hook compiles away completely when the MERCURY_OBS CMake option is
-// OFF (MERCURY_OBS_ENABLED=0): no registry lookups, no ring writes, no
-// cpu.now() samples — mirroring Mercury's "pay only when attached"
-// philosophy. The obs library itself still builds in both configurations so
-// benches and tests that *read* telemetry keep linking (they simply see
-// empty registries).
+// Hooks:
+//   - obs::Interval and obs::record_interval (obs/interval.hpp): every timed
+//     interval, emitted once and fanned out to the flight ring, the Chrome
+//     trace, the pause ledger and the phase histograms;
+//   - MERC_FLIGHT: point events on the flight ring (requests, commits,
+//     cancels, fault hits, rollback steps, verdicts, markers);
+//   - MERC_COUNT / MERC_GAUGE_SET / MERC_HIST: registry instruments;
+//   - MERC_INSTANT: a zero-duration trace marker;
+//   - MERC_PROF_SCOPE: an engine-profiler scope.
+//
+// With the MERCURY_OBS CMake option OFF (MERCURY_OBS_ENABLED=0) the macros
+// compile away completely, and so do the interval stream's flight, trace
+// and histogram views: no registry lookups, no ring writes. What stays is
+// what results are read from: the interval stream's pairing and the pause
+// ledger, which arc downtime comes from, so an obs-off build reports the
+// same downtime. The obs library itself builds in both configurations, so
+// benches and tests that *read* telemetry keep linking.
 //
 // Macro cost when enabled: the registry lookup happens once per call site
 // (function-local static reference); the steady-state update is an inlined
@@ -17,6 +27,7 @@
 #include <chrono>
 
 #include "obs/flight_recorder.hpp"
+#include "obs/interval.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pause_ledger.hpp"
 #include "obs/profiler.hpp"
@@ -30,54 +41,17 @@
 
 namespace mercury::obs {
 
-/// RAII span over simulated cycles on one CPU (see trace.hpp). Each span
-/// allocates itself a SpanContext — joining the ambient trace when one is
-/// active, rooting a fresh trace otherwise — and installs that context as
-/// ambient for its scope, so nested spans and instants become its causal
-/// children in the Chrome export.
-class TraceSpan {
- public:
-  TraceSpan(hw::Cpu& cpu, TraceCat cat, const char* name)
-      : cpu_(&cpu), cat_(cat), name_(name), begin_(cpu.now()),
-        parent_(current_span_context()) {
-    ctx_.trace_id = parent_.valid() ? parent_.trace_id : next_span_id();
-    ctx_.span_id = next_span_id();
-    ctx_.parent_id = parent_.span_id;
-    set_span_context(ctx_);
-  }
-  ~TraceSpan() {
-    set_span_context(parent_);
-    TraceEvent ev{name_, cat_, cpu_->id(), begin_, cpu_->now()};
-    ev.trace_id = ctx_.trace_id;
-    ev.span_id = ctx_.span_id;
-    ev.parent_id = ctx_.parent_id;
-    trace_buffer().record(ev);
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  /// Capture this span's identity to re-join its trace after an
-  /// asynchronous hop (supervisor request, cross-node message).
-  const SpanContext& context() const { return ctx_; }
-
- private:
-  hw::Cpu* cpu_;
-  TraceCat cat_;
-  const char* name_;
-  hw::Cycles begin_;
-  SpanContext parent_;
-  SpanContext ctx_;
-};
-
 /// RAII engine-profiler scope (see profiler.hpp): charges `bucket` with the
-/// wall-clock nanoseconds and simulated cycles spent inside the scope.
-/// Reads host *and* sim clocks only while the profiler is enabled; never
-/// charges simulated time itself.
+/// wall-clock nanoseconds and simulated cycles spent inside the scope, and
+/// with its self time (the wall time no nested scope took). Reads host
+/// *and* sim clocks only while the profiler is enabled; never charges
+/// simulated time itself.
 class ProfScope {
  public:
   ProfScope(ProfBucket* bucket, const hw::Cpu* cpu)
       : bucket_(profiler().enabled() ? bucket : nullptr), cpu_(cpu) {
     if (bucket_) {
+      profiler().enter();
       wall_begin_ = std::chrono::steady_clock::now();
       sim_begin_ = cpu_ ? cpu_->now() : 0;
     }
@@ -89,7 +63,7 @@ class ProfScope {
         std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
     const std::uint64_t sim =
         cpu_ ? static_cast<std::uint64_t>(cpu_->now() - sim_begin_) : 0;
-    profiler().record(*bucket_, wall_ns, sim);
+    profiler().record(*bucket_, wall_ns, profiler().exit(wall_ns), sim);
   }
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
@@ -134,11 +108,6 @@ class ProfScope {
         static_cast<std::uint64_t>(v_));                                \
   } while (0)
 
-/// Scoped trace span over cpu_'s simulated clock for the rest of the block.
-#define MERC_SPAN(cpu_, cat_, name_)                                    \
-  ::mercury::obs::TraceSpan MERC_OBS_CONCAT(merc_obs_span_, __LINE__)(  \
-      cpu_, ::mercury::obs::TraceCat::cat_, name_)
-
 /// Zero-duration marker event at cpu_'s current simulated time.
 #define MERC_INSTANT(cpu_, cat_, name_)                                  \
   ::mercury::obs::trace_buffer().record_instant(                         \
@@ -151,24 +120,6 @@ class ProfScope {
   ::mercury::obs::flight_recorder().record(                              \
       (cpu_).id(), ::mercury::obs::FlightType::type_, name_,             \
       (cpu_).now() __VA_OPT__(, ) __VA_ARGS__)
-
-/// Record one closed per-CPU unavailability interval on the ambient pause
-/// ledger: MERC_PAUSE(kRendezvousParked, cpu_id, begin, end, "site").
-/// cause_ is a bare PauseCause enumerator; cycles are simulated clocks the
-/// site already computed — the ledger never charges simulated time.
-#define MERC_PAUSE(cause_, cpu_id_, begin_, end_, detail_)               \
-  ::mercury::obs::pause_ledger().record(                                 \
-      ::mercury::obs::PauseCause::cause_, (cpu_id_), (begin_), (end_),   \
-      (detail_))
-
-/// Open / close an unavailability interval across separated call sites
-/// (hypercall enter/exit). Unpaired halves count as unattributed, which
-/// the soak gate holds at zero.
-#define MERC_PAUSE_BEGIN(cause_, cpu_id_, begin_, detail_)               \
-  ::mercury::obs::pause_ledger().begin_interval(                         \
-      ::mercury::obs::PauseCause::cause_, (cpu_id_), (begin_), (detail_))
-#define MERC_PAUSE_END(cpu_id_, end_)                                    \
-  ::mercury::obs::pause_ledger().end_interval((cpu_id_), (end_))
 
 /// Engine-profiler scope: charge the named bucket with wall-clock ns and
 /// simulated cycles spent in the rest of the block. cpu_ptr_ may be null
@@ -186,12 +137,8 @@ class ProfScope {
 #define MERC_COUNT_N(name_, n_) ((void)0)
 #define MERC_GAUGE_SET(name_, v_) ((void)0)
 #define MERC_HIST(name_, v_) ((void)0)
-#define MERC_SPAN(cpu_, cat_, name_) ((void)0)
 #define MERC_INSTANT(cpu_, cat_, name_) ((void)0)
 #define MERC_FLIGHT(...) ((void)0)
-#define MERC_PAUSE(cause_, cpu_id_, begin_, end_, detail_) ((void)0)
-#define MERC_PAUSE_BEGIN(cause_, cpu_id_, begin_, detail_) ((void)0)
-#define MERC_PAUSE_END(cpu_id_, end_) ((void)0)
 #define MERC_PROF_SCOPE(name_, cpu_ptr_) ((void)0)
 
 #endif  // MERCURY_OBS_ENABLED

@@ -1,7 +1,6 @@
 #include "obs/pause_ledger.hpp"
 
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 
 namespace mercury::obs {
 
@@ -47,6 +46,7 @@ void PauseLedger::note_worst(PauseCause cause, std::uint32_t cpu,
   worst_.begin = begin;
   worst_.end = end;
   worst_.detail = detail;
+#if MERCURY_OBS_ENABLED
   // Capture the seq the pause.worst event will get, then emit it: the
   // artifact's worst.flight_seq points at a real ring entry, so a report
   // can cut the black-box tail around the worst interval.
@@ -54,6 +54,7 @@ void PauseLedger::note_worst(PauseCause cause, std::uint32_t cpu,
   flight_recorder().record(cpu, FlightType::kPauseWorst,
                            pause_cause_name(cause), end,
                            static_cast<std::uint64_t>(cause), begin, span);
+#endif
 }
 
 void PauseLedger::record(PauseCause cause, std::uint32_t cpu, hw::Cycles begin,
@@ -73,27 +74,6 @@ void PauseLedger::record(PauseCause cause, std::uint32_t cpu, hw::Cycles begin,
   cpu_totals_[cpu] += span;
   ++intervals_;
   note_worst(cause, cpu, begin, end, detail);
-}
-
-void PauseLedger::begin_interval(PauseCause cause, std::uint32_t cpu,
-                                 hw::Cycles begin, const char* detail) {
-  if (cpu >= open_.size()) open_.resize(cpu + 1);
-  OpenSlot& slot = open_[cpu];
-  if (slot.open) ++unattributed_;  // the earlier begin lost its end
-  slot.open = true;
-  slot.cause = cause;
-  slot.begin = begin;
-  slot.detail = detail;
-}
-
-void PauseLedger::end_interval(std::uint32_t cpu, hw::Cycles end) {
-  if (cpu >= open_.size() || !open_[cpu].open) {
-    ++unattributed_;  // end without a begin
-    return;
-  }
-  OpenSlot& slot = open_[cpu];
-  slot.open = false;
-  record(slot.cause, cpu, slot.begin, end, slot.detail);
 }
 
 std::uint64_t PauseLedger::quantile(PauseCause c, double q) const {
@@ -130,7 +110,6 @@ void PauseLedger::merge(const PauseLedger& other) {
 void PauseLedger::clear() {
   for (CauseSlot& slot : causes_) slot = CauseSlot{};
   cpu_totals_.clear();
-  open_.clear();
   intervals_ = 0;
   unattributed_ = 0;
   // worst_ survives: the run's worst interval outlives per-cell clears.

@@ -15,10 +15,11 @@
 // raw spans across causes, which is exactly what a deadline bound cares
 // about.
 //
-// Recording is host-side arithmetic plus histogram bumps — it never
-// cpu.charge()s, and the MERC_PAUSE* macros in obs/obs.hpp compile away
-// entirely under MERCURY_OBS=OFF (the cycle-identity tier diffs a pause
-// probe line across both builds to prove it).
+// The ledger is a view of the interval stream (obs/interval.hpp): every
+// interval whose kind names a pause cause lands here, in both builds —
+// dependability arcs read their downtime from it, so it must not depend on
+// MERCURY_OBS. Recording is host-side arithmetic plus histogram bumps; it
+// never cpu.charge()s.
 #pragma once
 
 #include <cstdint>
@@ -72,36 +73,23 @@ class PauseLedger {
   void record(PauseCause cause, std::uint32_t cpu, hw::Cycles begin,
               hw::Cycles end, const char* detail = "");
 
-  /// Open-interval pairing for enter/exit shaped sites (hypercalls). A
-  /// begin over a still-open slot, or an end without a begin, counts the
-  /// orphaned half as unattributed — the soak gate holds this at zero, so
-  /// pairing bugs fail CI instead of silently losing intervals.
-  void begin_interval(PauseCause cause, std::uint32_t cpu, hw::Cycles begin,
-                      const char* detail = "");
-  void end_interval(std::uint32_t cpu, hw::Cycles end);
-
   std::uint64_t intervals() const { return intervals_; }
+  /// Intervals recorded with no valid cause. Pairing is checked by the
+  /// interval stream, which fails a MERC_CHECK on an unpaired half, so
+  /// only a bad cause reaches this count; the soak gate holds it at zero.
   std::uint64_t unattributed() const { return unattributed_; }
   std::uint64_t count(PauseCause c) const { return per_cause(c).count; }
   hw::Cycles total(PauseCause c) const { return per_cause(c).total; }
   /// Log2-bucketed quantile, except q >= 1.0 returns the *exact* recorded
   /// max (RunningStats, not a bucket bound) — worst-case must not round.
   std::uint64_t quantile(PauseCause c, double q) const;
-  const util::Histogram& histogram(PauseCause c) const {
-    return per_cause(c).hist;
-  }
-  const util::RunningStats& stats(PauseCause c) const {
-    return per_cause(c).moments;
-  }
   /// Total recorded unavailability on `cpu` (0 for CPUs never paused).
   hw::Cycles cpu_total(std::uint32_t cpu) const;
-  std::size_t cpus_seen() const { return cpu_totals_.size(); }
   const PauseWorst& worst() const { return worst_; }
 
-  /// Fold another ledger's closed intervals in (histograms, moments, CPU
-  /// totals, unattributed count, worst-case). Open begin_interval slots are
-  /// the other ledger's business and are not transferred. Bench sweeps merge
-  /// per-cell ledgers into a run ledger; soak merges per-node into fleet.
+  /// Fold another ledger's intervals in (histograms, moments, CPU totals,
+  /// unattributed count, worst-case). Bench sweeps merge per-cell ledgers
+  /// into a run ledger; soak merges per-node into fleet.
   void merge(const PauseLedger& other);
 
   /// Drop the distributions but keep the worst-case (a bench clearing
@@ -120,12 +108,6 @@ class PauseLedger {
     std::uint64_t count = 0;
     hw::Cycles total = 0;
   };
-  struct OpenSlot {
-    bool open = false;
-    PauseCause cause = PauseCause::kRendezvousParked;
-    hw::Cycles begin = 0;
-    const char* detail = "";
-  };
 
   const CauseSlot& per_cause(PauseCause c) const;
   void note_worst(PauseCause cause, std::uint32_t cpu, hw::Cycles begin,
@@ -133,13 +115,12 @@ class PauseLedger {
 
   std::vector<CauseSlot> causes_;       // indexed by PauseCause
   std::vector<hw::Cycles> cpu_totals_;  // indexed by cpu id, grown on demand
-  std::vector<OpenSlot> open_;          // indexed by cpu id, grown on demand
   std::uint64_t intervals_ = 0;
   std::uint64_t unattributed_ = 0;
   PauseWorst worst_;
 };
 
-/// The ambient ledger MERC_PAUSE* records into: the innermost active
+/// The ambient ledger the interval stream records into: the innermost active
 /// PauseLedgerScope's ledger, or the process-global default. First use of
 /// the global registers `obs.pause.intervals` / `obs.pause.unattributed` /
 /// `obs.pause.worst_cycles` callback gauges so every --metrics-json

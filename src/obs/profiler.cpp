@@ -25,6 +25,7 @@ void EngineProfiler::reset() {
   for (auto& b : buckets_) {
     b->count = 0;
     b->wall_ns = 0;
+    b->self_ns = 0;
     b->sim_cycles = 0;
   }
 }
@@ -38,7 +39,7 @@ std::string profile_json(const EngineProfiler& prof) {
   const std::vector<ProfBucket> buckets = prof.snapshot();
   std::uint64_t wall_total = 0, events_total = 0;
   for (const ProfBucket& b : buckets) {
-    wall_total += b.wall_ns;
+    wall_total += b.self_ns;
     events_total += b.count;
   }
   std::string out = "{\"schema\":\"mercury.profile.v1\",\"enabled\":";
@@ -58,11 +59,13 @@ std::string profile_json(const EngineProfiler& prof) {
     append_json_number(out, static_cast<double>(b.count));
     out += ",\"wall_ns\":";
     append_json_number(out, static_cast<double>(b.wall_ns));
+    out += ",\"self_ns\":";
+    append_json_number(out, static_cast<double>(b.self_ns));
     out += ",\"sim_cycles\":";
     append_json_number(out, static_cast<double>(b.sim_cycles));
     out += ",\"wall_fraction\":";
     append_json_number(
-        out, wall_total ? static_cast<double>(b.wall_ns) /
+        out, wall_total ? static_cast<double>(b.self_ns) /
                               static_cast<double>(wall_total)
                         : 0.0);
     out += '}';

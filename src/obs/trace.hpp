@@ -1,7 +1,8 @@
 // Span-based tracer (telemetry pillar 2).
 //
 // Fixed-capacity per-CPU ring buffers of trace events over simulated
-// hw::Cycles, recorded by scoped RAII TraceSpans. The buffer exports Chrome
+// hw::Cycles. Spans come from the interval stream (obs/interval.hpp): each
+// closed interval becomes one complete event. The buffer exports Chrome
 // `trace_event` JSON (chrome://tracing / Perfetto "Open trace file"): one
 // process per cluster node, one track per simulated CPU, ts/dur in
 // simulated microseconds.
@@ -13,8 +14,8 @@
 //
 // Causal tracing: every span carries a SpanContext (trace-id / span-id /
 // parent-span-id). The simulator is a single-threaded discrete-event
-// machine, so the *ambient* context is one global slot: a TraceSpan makes
-// itself the ambient context for its scope, and anything recorded inside —
+// machine, so the *ambient* context is one global slot: an open interval
+// is the ambient context for its scope, and anything recorded inside —
 // nested spans, instants, a cross-node switch request — links to it. The
 // cluster fabric installs a TraceNodeScope around each node's stepper so
 // events are attributed to the node (the Chrome pid) they ran on, and the
@@ -181,13 +182,5 @@ std::string chrome_trace_json(const TraceBuffer& buf = trace_buffer());
 /// Write chrome_trace_json() to `path`; false on I/O failure.
 bool write_chrome_trace(const std::string& path,
                         const TraceBuffer& buf = trace_buffer());
-
-/// RAII span over simulated time: samples cpu.now() at construction and
-/// destruction and records a complete event. Constructing spans inside
-/// spans yields properly nested Chrome trace stacks, and each span installs
-/// itself as the ambient SpanContext so the nesting is also causal.
-/// Implemented inline in obs/obs.hpp (needs hw::Cpu); prefer the MERC_SPAN
-/// macro, which compiles away when MERCURY_OBS_ENABLED=0.
-class TraceSpan;
 
 }  // namespace mercury::obs

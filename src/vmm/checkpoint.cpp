@@ -38,11 +38,12 @@ Snapshot Checkpointer::take(hw::Cpu& cpu, Hypervisor& hv, DomainId dom) {
       ++resident;
   snap.data.reserve(resident * hw::kPageSize);
   snap.slot.assign(snap.frame_count, Snapshot::kZeroPage);
-  const hw::Cycles t0 = cpu.now();
-  MERC_FLIGHT(cpu, kPhaseBegin, "checkpoint.capture",
-              static_cast<std::uint64_t>(d.frame_count()));
-  // A fault here throws away the partial snapshot (it is caller-local); the
-  // domain's memory was only read, so retry is trivially safe.
+  // The capture is a checkpoint-copy stop. A fault here throws away the
+  // partial snapshot (it is caller-local) and unwinds the interval at the
+  // fault's clock; the domain's memory was only read, so retry is
+  // trivially safe.
+  const obs::Interval capture(cpu, obs::IntervalKind::kCheckpointCapture,
+                              snap.frame_count);
   hv.probed_runs(
       cpu, HvFaultPoint::kCheckpointCapture, snap.frame_count,
       [&](std::size_t first, std::size_t n) {
@@ -57,9 +58,6 @@ Snapshot Checkpointer::take(hw::Cpu& cpu, Hypervisor& hv, DomainId dom) {
         }
       });
   for (std::size_t v = 0; v < d.num_vcpus(); ++v) snap.vcpus.push_back(d.vcpu(v));
-  MERC_PAUSE(kCheckpointCopy, cpu.id(), t0, cpu.now(), "checkpoint-capture");
-  MERC_FLIGHT(cpu, kPhaseEnd, "checkpoint.capture",
-              static_cast<std::uint64_t>(d.frame_count()), cpu.now() - t0);
   return snap;
 }
 
@@ -69,14 +67,14 @@ void Checkpointer::restore(hw::Cpu& cpu, Hypervisor& hv, const Snapshot& snap) {
                      d.frame_count() == snap.frame_count,
                  "snapshot does not match the domain's memory layout");
   hw::PhysicalMemory& mem = hv.machine().memory();
-  const hw::Cycles t0 = cpu.now();
-  MERC_FLIGHT(cpu, kPhaseBegin, "restore.apply",
-              static_cast<std::uint64_t>(snap.frame_count));
-  // A fault here leaves the domain half-restored. Restore is a full-image
+  // The write-back is a checkpoint-copy stop. A fault here unwinds the
+  // interval at the fault's clock and leaves the domain half-restored. Restore is a full-image
   // rewrite, hence idempotent: the supervising arc retries (re-running this
   // loop from frame 0) or rolls back to an undo snapshot — it never leaves
   // the machine in this state. A zero page is stored as a clear, so backing
   // the domain never wrote stays unmaterialized.
+  const obs::Interval apply(cpu, obs::IntervalKind::kRestoreApply,
+                            snap.frame_count);
   hv.probed_runs(cpu, HvFaultPoint::kRestoreApply, snap.frame_count,
                  [&](std::size_t first, std::size_t n) {
                    cpu.charge(n * hw::costs::kPageCopy);
@@ -91,9 +89,6 @@ void Checkpointer::restore(hw::Cpu& cpu, Hypervisor& hv, const Snapshot& snap) {
     hv.machine().cpu(c).tlb().flush_global();
     cpu.charge(hw::costs::kTlbFlushAll);
   }
-  MERC_PAUSE(kCheckpointCopy, cpu.id(), t0, cpu.now(), "restore-apply");
-  MERC_FLIGHT(cpu, kPhaseEnd, "restore.apply",
-              static_cast<std::uint64_t>(snap.frame_count), cpu.now() - t0);
 }
 
 bool Checkpointer::matches(Hypervisor& hv, const Snapshot& snap) {

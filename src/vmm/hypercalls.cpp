@@ -12,29 +12,35 @@ namespace mercury::vmm {
 
 using kernel::Kernel;
 
-void Hypervisor::hypercall_enter(hw::Cpu& cpu) {
-  MERC_CHECK_MSG(state_ == State::kActive, "hypercall into inactive VMM");
-  ++stats_.hypercalls;
-  // The guest is unavailable from the ring crossing until hypercall_exit
-  // returns it to ring 1; the open interval is closed there. The enter/exit
-  // pairing is per-CPU, and an unpaired half counts as unattributed (gated
-  // to zero in soak).
-  MERC_PAUSE_BEGIN(kHypercallEmulation, static_cast<std::uint32_t>(cpu.id()),
-                   cpu.now(), "vmm.hypercall");
-  cpu.charge(pv::costs::kHypercallEntry);
-  cpu.set_cpl(hw::Ring::kRing0);
-}
+/// One hypercall's ring crossings: entry on construction, exit on
+/// destruction. The guest is unavailable from the crossing in until the
+/// return to ring 1, one hypercall interval around both.
+class Hypervisor::HypercallFrame {
+ public:
+  HypercallFrame(Hypervisor& hv, hw::Cpu& cpu)
+      : hv_(hv), cpu_(cpu), interval_(cpu, obs::IntervalKind::kHypercall) {
+    MERC_CHECK_MSG(hv_.state_ == State::kActive, "hypercall into inactive VMM");
+    ++hv_.stats_.hypercalls;
+    cpu_.charge(pv::costs::kHypercallEntry);
+    cpu_.set_cpl(hw::Ring::kRing0);
+  }
+  ~HypercallFrame() {
+    cpu_.charge(pv::costs::kHypercallExit);
+    // Return to the guest kernel's ring (hypercalls come from kernel mode).
+    cpu_.set_cpl(hw::Ring::kRing1);
+  }
+  HypercallFrame(const HypercallFrame&) = delete;
+  HypercallFrame& operator=(const HypercallFrame&) = delete;
 
-void Hypervisor::hypercall_exit(hw::Cpu& cpu) {
-  cpu.charge(pv::costs::kHypercallExit);
-  // Return to the guest kernel's ring (hypercalls come from kernel mode).
-  cpu.set_cpl(hw::Ring::kRing1);
-  MERC_PAUSE_END(static_cast<std::uint32_t>(cpu.id()), cpu.now());
-}
+ private:
+  Hypervisor& hv_;
+  hw::Cpu& cpu_;
+  const obs::Interval interval_;  // closes after the exit crossing
+};
 
 void Hypervisor::hc_mmu_update(hw::Cpu& cpu, DomainId dom,
                                std::span<const pv::PteUpdate> updates) {
-  hypercall_enter(cpu);
+  const HypercallFrame frame(*this, cpu);
   MERC_COUNT("vmm.hypercall.mmu_update");
   Domain& d = domain(dom);
   for (const auto& u : updates) {
@@ -50,7 +56,6 @@ void Hypervisor::hc_mmu_update(hw::Cpu& cpu, DomainId dom,
     if (d.log_dirty() && u.value.present() && u.value.writable())
       d.mark_dirty(u.value.pfn());
   }
-  hypercall_exit(cpu);
 }
 
 void Hypervisor::hc_pte_write_emulate(hw::Cpu& cpu, DomainId dom,
@@ -63,10 +68,9 @@ void Hypervisor::hc_pte_write_emulate(hw::Cpu& cpu, DomainId dom,
   ++stats_.hypercalls;
   ++stats_.emulated_pte_writes;
   MERC_COUNT("vmm.hypercall.pte_write_emulate");
-  // This path skips hypercall_enter/exit (it is a trap, not a call), so it
-  // opens and closes its own unavailability interval.
-  MERC_PAUSE_BEGIN(kHypercallEmulation, static_cast<std::uint32_t>(cpu.id()),
-                   cpu.now(), "vmm.pte_write_emulate");
+  // A trap, not a call: no hypercall frame, but an unavailability
+  // interval of its own from the trap to the return.
+  const obs::Interval interval(cpu, obs::IntervalKind::kPteWriteEmulate);
   cpu.charge(hw::costs::kTrapEntry + pv::costs::kVmmTrapDispatch +
              pv::costs::kPteEmulateDecode);
   cpu.set_cpl(hw::Ring::kRing0);
@@ -84,18 +88,16 @@ void Hypervisor::hc_pte_write_emulate(hw::Cpu& cpu, DomainId dom,
   }
   cpu.charge(hw::costs::kTrapReturn + pv::costs::kPteEmulateReturn);
   cpu.set_cpl(hw::Ring::kRing1);
-  MERC_PAUSE_END(static_cast<std::uint32_t>(cpu.id()), cpu.now());
 }
 
 void Hypervisor::hc_pin_table(hw::Cpu& cpu, DomainId dom, hw::Pfn table,
                               pv::PtLevel level) {
-  hypercall_enter(cpu);
+  const HypercallFrame frame(*this, cpu);
   MERC_COUNT("vmm.hypercall.pin_table");
   Domain& d = domain(dom);
   PageInfo& pi = page_info_.at(table);
   if (pi.owner != dom) {
     crash_domain(dom, "pin of a foreign frame");
-    hypercall_exit(cpu);
     return;
   }
   cpu.charge(pv::costs::kPinBase);
@@ -116,21 +118,18 @@ void Hypervisor::hc_pin_table(hw::Cpu& cpu, DomainId dom, hw::Pfn table,
     pi.pinned = false;
     pi.type_count -= 1;
     if (Kernel* k = d.guest()) set_frame_writable(cpu, *k, table, true);
-    hypercall_exit(cpu);
     return;
   }
   cpu.charge(pv::costs::kPinPerPresentPte * present);
-  hypercall_exit(cpu);
 }
 
 void Hypervisor::hc_unpin_table(hw::Cpu& cpu, DomainId dom, hw::Pfn table) {
-  hypercall_enter(cpu);
+  const HypercallFrame frame(*this, cpu);
   MERC_COUNT("vmm.hypercall.unpin_table");
   Domain& d = domain(dom);
   PageInfo& pi = page_info_.at(table);
   if (pi.owner != dom || !pi.pinned) {
     crash_domain(dom, "unpin of a frame that is not a pinned table");
-    hypercall_exit(cpu);
     return;
   }
   cpu.charge(pv::costs::kUnpinBase);
@@ -149,17 +148,15 @@ void Hypervisor::hc_unpin_table(hw::Cpu& cpu, DomainId dom, hw::Pfn table) {
     pi.type = PageType::kWritable;
     if (Kernel* k = d.guest()) set_frame_writable(cpu, *k, table, true);
   }
-  hypercall_exit(cpu);
 }
 
 void Hypervisor::hc_write_cr3(hw::Cpu& cpu, DomainId dom, hw::Pfn root) {
-  hypercall_enter(cpu);
+  const HypercallFrame frame(*this, cpu);
   MERC_COUNT("vmm.hypercall.write_cr3");
   Domain& d = domain(dom);
   const PageInfo& pi = page_info_.at(root);
   if (pi.owner != dom || pi.type != PageType::kL2 || !pi.pinned) {
     crash_domain(dom, "cr3 load of an unpinned/non-L2 frame");
-    hypercall_exit(cpu);
     return;
   }
   ++stats_.cr3_switches;
@@ -169,54 +166,48 @@ void Hypervisor::hc_write_cr3(hw::Cpu& cpu, DomainId dom, hw::Pfn root) {
   at_ring0(cpu, [&] { cpu.write_cr3(root); });
   VcpuContext& vc = d.vcpu(cpu.id() % d.num_vcpus());
   vc.cr3 = root;
-  hypercall_exit(cpu);
 }
 
 void Hypervisor::hc_set_trap_table(hw::Cpu& cpu, DomainId dom,
                                    hw::TableToken guest_idt) {
-  hypercall_enter(cpu);
+  const HypercallFrame frame(*this, cpu);
   MERC_COUNT("vmm.hypercall.set_trap_table");
   Domain& d = domain(dom);
   for (std::size_t v = 0; v < d.num_vcpus(); ++v) d.vcpu(v).guest_idt = guest_idt;
   // The hardware IDT stays the hypervisor's own.
   at_ring0(cpu, [&] { cpu.load_idt(idt_token_); });
-  hypercall_exit(cpu);
 }
 
 void Hypervisor::hc_load_guest_gdt(hw::Cpu& cpu, DomainId dom,
                                    hw::TableToken guest_gdt) {
-  hypercall_enter(cpu);
+  const HypercallFrame frame(*this, cpu);
   MERC_COUNT("vmm.hypercall.load_guest_gdt");
   Domain& d = domain(dom);
   for (std::size_t v = 0; v < d.num_vcpus(); ++v) d.vcpu(v).guest_gdt = guest_gdt;
   at_ring0(cpu, [&] { cpu.load_gdt(gdt_token_); });
-  hypercall_exit(cpu);
 }
 
 void Hypervisor::hc_stack_switch(hw::Cpu& cpu, DomainId dom) {
-  hypercall_enter(cpu);
+  const HypercallFrame frame(*this, cpu);
   MERC_COUNT("vmm.hypercall.stack_switch");
   (void)domain(dom);
   cpu.charge(hw::costs::kPrivRegWrite * 2);  // TSS esp0/ss0 update
-  hypercall_exit(cpu);
 }
 
 void Hypervisor::hc_flush_tlb(hw::Cpu& cpu, DomainId dom) {
-  hypercall_enter(cpu);
+  const HypercallFrame frame(*this, cpu);
   MERC_COUNT("vmm.hypercall.flush_tlb");
   (void)domain(dom);
   cpu.charge(hw::costs::kTlbFlushAll);
   cpu.tlb().flush_all();
-  hypercall_exit(cpu);
 }
 
 void Hypervisor::hc_flush_tlb_page(hw::Cpu& cpu, DomainId dom, hw::VirtAddr va) {
-  hypercall_enter(cpu);
+  const HypercallFrame frame(*this, cpu);
   MERC_COUNT("vmm.hypercall.flush_tlb_page");
   (void)domain(dom);
   cpu.charge(hw::costs::kTlbFlushPage);
   cpu.tlb().flush_page(hw::vpn_of(va));
-  hypercall_exit(cpu);
 }
 
 void Hypervisor::hc_set_virq_mask(hw::Cpu& cpu, DomainId dom, bool enabled) {
@@ -231,11 +222,10 @@ void Hypervisor::hc_set_virq_mask(hw::Cpu& cpu, DomainId dom, bool enabled) {
 
 void Hypervisor::hc_send_ipi(hw::Cpu& cpu, DomainId dom, std::uint32_t dst,
                              std::uint8_t vector, std::uint32_t payload) {
-  hypercall_enter(cpu);
+  const HypercallFrame frame(*this, cpu);
   MERC_COUNT("vmm.hypercall.send_ipi");
   (void)domain(dom);
   machine_.interrupts().send_ipi(cpu, dst, vector, payload);
-  hypercall_exit(cpu);
 }
 
 }  // namespace mercury::vmm

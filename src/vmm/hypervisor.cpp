@@ -396,7 +396,7 @@ void Hypervisor::finish_release(bool retain_page_info) {
 void Hypervisor::rebuild_page_info(hw::Cpu& cpu, Domain& d) {
   Kernel* k = d.guest();
   MERC_CHECK(k != nullptr);
-  MERC_SPAN(cpu, kVmm, "vmm.rebuild_page_info");
+  const obs::Interval phase(cpu, obs::IntervalKind::kVmmRebuildPageInfo);
   // Hypervisor's own frames, then every frame the kernel was ever granted:
   // reset to plain writable RAM. This linear pass over ~all of memory is the
   // paper's dominant attach cost.
@@ -407,7 +407,7 @@ void Hypervisor::rebuild_page_info(hw::Cpu& cpu, Domain& d) {
 }
 
 void Hypervisor::type_and_protect_tables(hw::Cpu& cpu, Domain& d, Kernel& k) {
-  MERC_SPAN(cpu, kVmm, "vmm.type_and_protect");
+  const obs::Interval phase(cpu, obs::IntervalKind::kVmmTypeAndProtect);
   // Pass 1: discover every page-table frame, set its type, and revoke its
   // writable direct-map mapping. Protection must precede validation so the
   // "no writable mapping of a PT frame" rule holds when pass 2 checks it.
@@ -463,14 +463,14 @@ void Hypervisor::rewrite_direct_map_pte(Kernel& k, hw::Pfn pfn, bool writable) {
 }
 
 void Hypervisor::tlb_shootdown_all(hw::Cpu& cpu) {
-  [[maybe_unused]] const hw::Cycles begin = cpu.now();
-  cpu.charge(pv::costs::kTlbBatchShootdown);
+  {
+    // The batch boundary stalls the issuing CPU for the whole shootdown
+    // window (the remote flushes are free on this model — their cost is
+    // folded into the batch charge), so the stop lands on the issuer.
+    const obs::Interval stall(cpu, obs::IntervalKind::kTlbShootdown);
+    cpu.charge(pv::costs::kTlbBatchShootdown);
+  }
   MERC_COUNT("vmm.tlb_batch_shootdowns");
-  // The batch boundary stalls the issuing CPU for the whole shootdown
-  // window (the remote flushes are free on this model — their cost is
-  // folded into the batch charge), so the pause lands on the issuer.
-  MERC_PAUSE(kTlbShootdown, static_cast<std::uint32_t>(cpu.id()), begin,
-             cpu.now(), "vmm.tlb_shootdown_all");
   for (std::size_t c = 0; c < machine_.num_cpus(); ++c)
     machine_.cpu(c).tlb().flush_all();
 }
@@ -478,7 +478,7 @@ void Hypervisor::tlb_shootdown_all(hw::Cpu& cpu) {
 DomainId Hypervisor::adopt_running_os(hw::Cpu& cpu, Kernel& k,
                                       bool trust_page_info) {
   const DomainId id = begin_adopt(k);
-  MERC_SPAN(cpu, kVmm, "vmm.adopt_running_os");
+  const obs::Interval phase(cpu, obs::IntervalKind::kVmmAdoptRunningOs);
   Domain& d = domain(id);
   if (!trust_page_info) {
     rebuild_page_info(cpu, d);
@@ -495,7 +495,7 @@ DomainId Hypervisor::adopt_running_os(hw::Cpu& cpu, Kernel& k,
 void Hypervisor::rollback_adopt(hw::Cpu& cpu, Kernel& k, bool keep_page_info) {
   ++stats_.adopt_rollbacks;
   MERC_COUNT("vmm.adopt_rollbacks");
-  MERC_SPAN(cpu, kFault, "vmm.rollback_adopt");
+  const obs::Interval phase(cpu, obs::IntervalKind::kVmmRollbackAdopt);
   // Restore writability of everything the aborted adopt protected. The
   // per-frame probe must not re-fire here (the injector is single-shot);
   // set_frame_writable re-derives the direct-map PTE, so a frame protected
@@ -517,7 +517,7 @@ void Hypervisor::reprotect_os(hw::Cpu& cpu, DomainId id, Kernel& k) {
   MERC_CHECK_MSG(state_ == State::kActive, "reprotect while not active");
   ++stats_.reprotects;
   MERC_COUNT("vmm.reprotects");
-  MERC_SPAN(cpu, kFault, "vmm.reprotect_os");
+  const obs::Interval phase(cpu, obs::IntervalKind::kVmmReprotectOs);
   // A detach fault left some page tables writable; re-running the protect
   // pass re-discovers every table, re-protects the unwound ones (already
   // protected frames are flipped to the same value), and re-validates.

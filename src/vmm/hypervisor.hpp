@@ -296,8 +296,7 @@ class Hypervisor : public hw::TrapSink {
   /// in protected_frames_ (uncharged: the callers charge the flip).
   void rewrite_direct_map_pte(kernel::Kernel& k, hw::Pfn pfn, bool writable);
 
-  void hypercall_enter(hw::Cpu& cpu);
-  void hypercall_exit(hw::Cpu& cpu);
+  class HypercallFrame;
   /// Run `fn` at ring 0 (the hypercall has trapped into the hypervisor).
   template <typename Fn>
   void at_ring0(hw::Cpu& cpu, Fn&& fn) {

@@ -65,50 +65,53 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
   DomainId new_dom = kDomInvalid;
   hw::Cycles down0 = 0;
   try {
-    // Round 0: full copy with log-dirty armed.
-    MERC_FLIGHT(scpu, kPhaseBegin, "migrate.precopy",
-                static_cast<std::uint64_t>(stats.pages_total));
-    d.set_log_dirty(true);
-    send(d.frame_count(),
-         [&](std::size_t i) { return old_base + static_cast<hw::Pfn>(i); });
-    stats.rounds = 1;
+    {
+      // Pre-copy. Round 0: full copy with log-dirty armed.
+      const obs::Interval precopy(scpu, obs::IntervalKind::kMigratePrecopy,
+                                  stats.pages_total);
+      d.set_log_dirty(true);
+      send(d.frame_count(),
+           [&](std::size_t i) { return old_base + static_cast<hw::Pfn>(i); });
+      stats.rounds = 1;
 
-    // Iterative pre-copy: let the guest run, harvest what it dirtied, resend.
-    while (stats.rounds < config.max_rounds) {
-      guest->run_for(config.guest_run_per_round);
-      // Page-table-visible dirty bits (hardware-set) join the log-dirty set.
-      guest->for_each_task([&](kernel::Task& t) {
-        if (!t.aspace) return;
-        std::vector<hw::Pfn> dirty_pfns;
-        t.aspace->collect_and_clear_dirty(scpu, &dirty_pfns);
-        for (const hw::Pfn pfn : dirty_pfns) d.mark_dirty(pfn);
-      });
-      // Content-dirty frames (direct-map stores that never touch a PTE dirty
-      // bit) come from the caller's tracker, when wired.
-      if (config.harvest_content_dirty) {
-        std::vector<hw::Pfn> content;
-        config.harvest_content_dirty(content);
-        for (const hw::Pfn pfn : content)
-          if (d.owns_frame(pfn)) d.mark_dirty(pfn);
+      // Iterative pre-copy: let the guest run, harvest what it dirtied,
+      // resend.
+      while (stats.rounds < config.max_rounds) {
+        guest->run_for(config.guest_run_per_round);
+        // Page-table-visible dirty bits (hardware-set) join the log-dirty
+        // set.
+        guest->for_each_task([&](kernel::Task& t) {
+          if (!t.aspace) return;
+          std::vector<hw::Pfn> dirty_pfns;
+          t.aspace->collect_and_clear_dirty(scpu, &dirty_pfns);
+          for (const hw::Pfn pfn : dirty_pfns) d.mark_dirty(pfn);
+        });
+        // Content-dirty frames (direct-map stores that never touch a PTE
+        // dirty bit) come from the caller's tracker, when wired.
+        if (config.harvest_content_dirty) {
+          std::vector<hw::Pfn> content;
+          config.harvest_content_dirty(content);
+          for (const hw::Pfn pfn : content)
+            if (d.owns_frame(pfn)) d.mark_dirty(pfn);
+        }
+        // Converged, or out of round budget? Leave the outstanding set in
+        // the bitmap: the stop-and-copy below ships it inside the freeze.
+        // (Harvesting before this test would clear pages that were then
+        // never sent; pre-sending the final round of a non-convergent guest
+        // would understate its real stop-and-copy cost.)
+        if (d.dirty_count() <= config.stop_threshold_pages) break;
+        if (stats.rounds + 1 >= config.max_rounds) break;
+        send_dirty(d.harvest_dirty());
+        ++stats.rounds;
       }
-      // Converged, or out of round budget? Leave the outstanding set in
-      // the bitmap: the stop-and-copy below ships it inside the freeze.
-      // (Harvesting before this test would clear pages that were then
-      // never sent; pre-sending the final round of a non-convergent guest
-      // would understate its real stop-and-copy cost.)
-      if (d.dirty_count() <= config.stop_threshold_pages) break;
-      if (stats.rounds + 1 >= config.max_rounds) break;
-      send_dirty(d.harvest_dirty());
-      ++stats.rounds;
     }
-    MERC_FLIGHT(scpu, kPhaseEnd, "migrate.precopy",
-                static_cast<std::uint64_t>(stats.pages_sent),
-                scpu.now() - t0);
 
-    // Stop-and-copy: the guest is frozen from here (downtime).
+    // Stop-and-copy: the guest is frozen from here (downtime) to the end of
+    // the target's admission, one migrate-stop-copy stop on the source CPU
+    // that drives the copy.
     down0 = scpu.now();
-    MERC_FLIGHT(scpu, kPhaseBegin, "migrate.stopcopy",
-                static_cast<std::uint64_t>(d.dirty_count()));
+    const obs::Interval stopcopy(scpu, obs::IntervalKind::kMigrateStopCopy,
+                                 d.dirty_count());
     send_dirty(d.harvest_dirty());
     // Vcpu state + device model handover.
     scpu.charge(20 * hw::kCyclesPerMicrosecond);
@@ -167,7 +170,8 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
     d.harvest_dirty();  // drop the bitmap so a retry starts clean
     for (std::size_t i = 0; i < d.frame_count(); ++i)
       dst_m.frames().free(new_base + static_cast<hw::Pfn>(i));
-    MERC_FLIGHT(scpu, kPhaseEnd, "migrate.abort",
+    // The open phase already closed as unwound at the fault.
+    MERC_FLIGHT(scpu, kMarker, "migrate.abort",
                 static_cast<std::uint64_t>(stats.pages_sent),
                 scpu.now() - t0);
     util::log_warn("migrate", "aborted mid-stream after ", stats.pages_sent,
@@ -179,12 +183,6 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
   stats.downtime_cycles = scpu.now() - down0;
   stats.total_cycles = scpu.now() - t0;
   stats.success = true;
-  // The stop-and-copy freeze is the service's unavailability window; the
-  // ledger attributes it to the source CPU that drove the copy.
-  MERC_PAUSE(kMigrateStopCopy, scpu.id(), down0, scpu.now(), "stop-and-copy");
-  MERC_FLIGHT(scpu, kPhaseEnd, "migrate.stopcopy",
-              static_cast<std::uint64_t>(stats.pages_sent),
-              stats.downtime_cycles);
 
   // Source side: the frames are returned and the domain record removed.
   // The departing guest's split-driver frontends detach from the source's

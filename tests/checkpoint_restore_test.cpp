@@ -17,8 +17,9 @@
 // Also here: the restore-path fault rows (a fault mid-write-back must
 // leave a retryable state, never a poisoned one) and the CYCLE_IDENTITY
 // probe for the depend services — scripts/run_tiers.sh obsoff diffs those
-// lines between MERCURY_OBS=ON and OFF builds, so the MERC_PAUSE /
-// MERC_FLIGHT hooks in checkpoint.cpp and migrate.cpp must stay weightless.
+// lines between MERCURY_OBS=ON and OFF builds, so the interval and flight
+// hooks in checkpoint.cpp and migrate.cpp must stay weightless, and the
+// arcs' ledger-derived downtime must not depend on the build.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -396,10 +397,10 @@ TEST(CheckpointRestore, MigrateArcRoundTripsAndReconnectsFrontends) {
 // Obs-off guard probe (scripts/run_tiers.sh obsoff). Prints the simulated
 // cost of the three dependability arcs; the obsoff tier runs this test in a
 // MERCURY_OBS=ON and a MERCURY_OBS=OFF build and diffs the CYCLE_IDENTITY
-// lines. The MERC_PAUSE/MERC_FLIGHT hooks in checkpoint.cpp and migrate.cpp
-// must never charge simulated cycles, so every figure here — all derived
-// from CPU clocks, never from the (obs-gated) pause ledger — must be
-// byte-identical across the two builds.
+// lines. The interval and flight hooks in checkpoint.cpp and migrate.cpp
+// must never charge simulated cycles, and the pause ledger the update and
+// checkpoint arcs read their downtime from is built in both flavours, so
+// every figure here must be byte-identical across the two builds.
 TEST(CheckpointRestore, CycleIdentityProbe) {
   cluster::DependConfig cfg;
   cfg.supervisor.seed = 0xDE9E17DAull;  // fixed: the probe must not vary
@@ -414,9 +415,9 @@ TEST(CheckpointRestore, CycleIdentityProbe) {
     ASSERT_TRUE(a.success);
     std::printf("CYCLE_IDENTITY depend.update window=%" PRIu64
                 " attach=%" PRIu64 " service=%" PRIu64 " detach=%" PRIu64
-                "\n",
+                " downtime=%" PRIu64 "\n",
                 a.window_cycles, a.attach_cycles, a.service_cycles,
-                a.detach_cycles);
+                a.detach_cycles, a.downtime_cycles);
   }
   {
     cluster::Fabric f;
@@ -426,9 +427,9 @@ TEST(CheckpointRestore, CycleIdentityProbe) {
     ASSERT_TRUE(a.success);
     std::printf("CYCLE_IDENTITY depend.ckpt window=%" PRIu64
                 " attach=%" PRIu64 " service=%" PRIu64 " detach=%" PRIu64
-                "\n",
+                " downtime=%" PRIu64 "\n",
                 a.window_cycles, a.attach_cycles, a.service_cycles,
-                a.detach_cycles);
+                a.detach_cycles, a.downtime_cycles);
   }
   {
     cluster::Fabric f;
@@ -438,9 +439,7 @@ TEST(CheckpointRestore, CycleIdentityProbe) {
     spawn_dirtier(src);
     const cluster::ArcReport a = cluster::migrate_arc(src, dst, cfg);
     ASSERT_TRUE(a.success);
-    // downtime here is MigrationStats' stop-and-copy freeze — CPU-clocked,
-    // so it belongs on the identity record (unlike the ledger-derived
-    // downtime of the other two arcs, which is zero when obs is off).
+    // downtime here is MigrationStats' stop-and-copy freeze, CPU-clocked.
     std::printf("CYCLE_IDENTITY depend.migrate window=%" PRIu64
                 " service=%" PRIu64 " downtime=%" PRIu64 " pages=%" PRIu64
                 "\n",

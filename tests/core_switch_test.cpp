@@ -639,9 +639,9 @@ TEST(SwitchEngine, CallbackGaugesUnregisterWithEngine) {
 // Obs-off guard probe (scripts/run_tiers.sh obsoff). Prints the simulated
 // attach/detach cost of two fixed scenarios; the obsoff tier runs this test
 // in a MERCURY_OBS=ON and a MERCURY_OBS=OFF build and diffs the
-// CYCLE_IDENTITY lines. Instrumentation (MERC_SPAN, MERC_FLIGHT, the SLO
-// watchdog, postmortem capture) must never charge simulated cycles, so the
-// numbers must be byte-identical across the two builds.
+// CYCLE_IDENTITY lines. Instrumentation (the interval stream, MERC_FLIGHT,
+// postmortem capture) must never charge simulated cycles, so the numbers
+// must be byte-identical across the two builds.
 TEST(SwitchEngine, CycleIdentityProbe) {
   {
     MercuryBox box({}, /*mem_mb=*/128);
@@ -653,9 +653,9 @@ TEST(SwitchEngine, CycleIdentityProbe) {
     ASSERT_GT(st.last_detach_cycles, 0u);
     std::printf("CYCLE_IDENTITY up attach=%" PRIu64 " detach=%" PRIu64 "\n",
                 st.last_attach_cycles, st.last_detach_cycles);
-    // The pause ledger's rendezvous bookkeeping (parked_at_, max_pause) is
-    // computed unconditionally; only the ledger record itself is obs-gated,
-    // so the max-pause figure must also be build-flavour-invariant.
+    // The rendezvous bookkeeping (parked_at_, max_pause) and the pause
+    // ledger are built in both flavours, so the max-pause figure must also
+    // be build-flavour-invariant.
     std::printf("CYCLE_IDENTITY up.pause max=%" PRIu64 "\n",
                 st.last_max_pause_cycles);
   }

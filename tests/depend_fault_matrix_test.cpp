@@ -18,7 +18,9 @@
 //
 // The deep-trigger rows at the end call the three per-frame services
 // directly and check that their bulk copy loops fault exactly where the
-// per-frame loop would.
+// per-frame loop would, and that the faulted phase is still recorded: the
+// flight ring closes it as unwound at the fault, and a capture or restore
+// leaves its checkpoint-copy stop in the pause ledger.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +34,7 @@
 #include "hw/costs.hpp"
 #include "kernel/syscalls.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/obs.hpp"
 #include "obs/postmortem.hpp"
 #include "pv/costs.hpp"
 #include "tests/recording_sink.hpp"
@@ -372,6 +375,27 @@ void expect_exact_fault(FaultSite site, const DeepRow& row, hw::Cycles t0,
 #endif
 }
 
+/// The flight ring closed the newest `kind` interval as unwound at
+/// `at_fault`, having opened it at `begin`.
+void expect_unwound_phase(obs::IntervalKind kind, hw::Cycles begin,
+                          hw::Cycles at_fault, const std::string& ctx) {
+#if MERCURY_OBS_ENABLED
+  const std::vector<obs::FlightEvent> events = obs::flight_recorder().events();
+  const auto end = std::find_if(
+      events.rbegin(), events.rend(), [&](const obs::FlightEvent& e) {
+        return e.type == obs::FlightType::kPhaseEnd &&
+               e.arg0 == static_cast<std::uint64_t>(kind);
+      });
+  const char* name = obs::interval_kind_info(kind).name;
+  ASSERT_NE(end, events.rend()) << ctx << ": " << name << " never closed";
+  EXPECT_EQ(end->arg2, 1u) << ctx << ": " << name << " not closed as unwound";
+  EXPECT_EQ(end->at, at_fault) << ctx << ": " << name << " end clock";
+  EXPECT_EQ(end->arg1, at_fault - begin) << ctx << ": " << name << " span";
+#else
+  (void)kind, (void)begin, (void)at_fault, (void)ctx;
+#endif
+}
+
 /// `count` consecutive frames from `first`.
 std::vector<hw::Pfn> frame_range(hw::Pfn first, std::size_t count) {
   std::vector<hw::Pfn> out(count);
@@ -417,11 +441,21 @@ TEST(DependFaultMatrix, DeepTriggerInsideCaptureRun) {
     RecordingSink sink(s.mem);
     arm_deep(FaultSite::kCheckpointCapture, row);
     const hw::Cycles t0 = s.cpu.now();
-    EXPECT_THROW(vmm::Checkpointer::take(s.cpu, s.hv, s.dom()), FaultInjected)
-        << ctx;
+    obs::PauseLedger ledger;
+    {
+      const obs::PauseLedgerScope scope(ledger);
+      EXPECT_THROW(vmm::Checkpointer::take(s.cpu, s.hv, s.dom()),
+                   FaultInjected)
+          << ctx;
+    }
     core::fault_injector().disarm();
     expect_exact_fault(FaultSite::kCheckpointCapture, row, t0, s.cpu.now(),
                        hw::costs::kPageCopy, ctx);
+    expect_unwound_phase(obs::IntervalKind::kCheckpointCapture, t0,
+                         s.cpu.now(), ctx);
+    EXPECT_EQ(ledger.count(obs::PauseCause::kCheckpointCopy), 1u) << ctx;
+    EXPECT_EQ(ledger.total(obs::PauseCause::kCheckpointCopy), s.cpu.now() - t0)
+        << ctx << ": the capture's stop runs to the fault";
     EXPECT_TRUE(sink.noted.empty()) << ctx << ": a capture stores nothing";
     const vmm::Snapshot retry = vmm::Checkpointer::take(s.cpu, s.hv, s.dom());
     EXPECT_TRUE(vmm::Checkpointer::matches(s.hv, retry)) << ctx;
@@ -454,11 +488,21 @@ TEST(DependFaultMatrix, DeepTriggerInsideRestoreRun) {
     RecordingSink sink(s.mem);
     arm_deep(FaultSite::kRestoreApply, row);
     const hw::Cycles t0 = s.cpu.now();
-    EXPECT_THROW(vmm::Checkpointer::restore(s.cpu, s.hv, snap), FaultInjected)
-        << ctx;
+    obs::PauseLedger ledger;
+    {
+      const obs::PauseLedgerScope scope(ledger);
+      EXPECT_THROW(vmm::Checkpointer::restore(s.cpu, s.hv, snap),
+                   FaultInjected)
+          << ctx;
+    }
     core::fault_injector().disarm();
     expect_exact_fault(FaultSite::kRestoreApply, row, t0, s.cpu.now(),
                        hw::costs::kPageCopy, ctx);
+    expect_unwound_phase(obs::IntervalKind::kRestoreApply, t0, s.cpu.now(),
+                         ctx);
+    EXPECT_EQ(ledger.count(obs::PauseCause::kCheckpointCopy), 1u) << ctx;
+    EXPECT_EQ(ledger.total(obs::PauseCause::kCheckpointCopy), s.cpu.now() - t0)
+        << ctx << ": the restore's stop runs to the fault";
     EXPECT_EQ(sink.noted, frame_range(snap.first_frame, reached))
         << ctx << ": frames restored before the fault";
     std::size_t wrong = 0;
@@ -515,6 +559,8 @@ TEST(DependFaultMatrix, DeepTriggerInsideMigrateStreamRun) {
     core::fault_injector().disarm();
     expect_exact_fault(FaultSite::kMigrateStream, row, t0, scpu.now(),
                        per_page, ctx);
+    expect_unwound_phase(obs::IntervalKind::kMigratePrecopy, t0, scpu.now(),
+                         ctx);
     const std::size_t sent = row.trigger - 1;
     ASSERT_FALSE(sink.noted.empty()) << ctx;
     EXPECT_EQ(sink.noted, frame_range(sink.noted.front(), sent))

@@ -1,9 +1,14 @@
-// Telemetry layer: registry semantics, trace ring buffer, span nesting over
-// simulated time, and well-formedness of the JSON exports.
+// Telemetry layer: registry semantics, trace ring buffer, the interval
+// stream (span nesting over simulated time, pairing, unwound ends), the
+// profiler's self time, and well-formedness of the JSON exports.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <unistd.h>
@@ -13,7 +18,6 @@
 #include "obs/pause_ledger.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/profiler.hpp"
-#include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "tests/json_checker.hpp"
 #include "util/stats.hpp"
@@ -199,27 +203,35 @@ TEST(SpanContext, SpansChainParentChildAndRestoreAmbient) {
   buf.set_enabled(true);
   buf.clear();
   EXPECT_FALSE(obs::current_span_context().valid());
-  obs::SpanContext outer_ctx, inner_ctx;
+  obs::SpanContext outer_ctx, inner_ctx, between_ctx;
   {
-    obs::TraceSpan outer(cpu, obs::TraceCat::kSwitch, "ctx_outer");
-    outer_ctx = outer.context();
-    EXPECT_TRUE(outer_ctx.valid());
-    // A root span starts its own trace.
-    EXPECT_EQ(outer_ctx.parent_id, 0u);
+    const obs::Interval outer(cpu, obs::IntervalKind::kReloadHwState, 0, 0,
+                              "ctx_outer");
+    outer_ctx = obs::current_span_context();
     cpu.charge(100);
     {
-      obs::TraceSpan inner(cpu, obs::TraceCat::kTransfer, "ctx_inner");
-      inner_ctx = inner.context();
-      // Child: same trace, parent = the enclosing span.
-      EXPECT_EQ(inner_ctx.trace_id, outer_ctx.trace_id);
-      EXPECT_EQ(inner_ctx.parent_id, outer_ctx.span_id);
-      EXPECT_NE(inner_ctx.span_id, outer_ctx.span_id);
+      const obs::Interval inner(cpu, obs::IntervalKind::kFixupWalkTasks, 0, 0,
+                                "ctx_inner");
+      inner_ctx = obs::current_span_context();
       cpu.charge(100);
     }
-    // Inner scope gone: the ambient context is the outer span again.
-    EXPECT_EQ(obs::current_span_context().span_id, outer_ctx.span_id);
+    between_ctx = obs::current_span_context();
   }
   EXPECT_FALSE(obs::current_span_context().valid());
+#if !MERCURY_OBS_ENABLED
+  // Causal ids and spans are a telemetry view: compiled away.
+  EXPECT_FALSE(outer_ctx.valid());
+  EXPECT_TRUE(buf.events().empty());
+#else
+  EXPECT_TRUE(outer_ctx.valid());
+  // A root span starts its own trace.
+  EXPECT_EQ(outer_ctx.parent_id, 0u);
+  // Child: same trace, parent = the enclosing span.
+  EXPECT_EQ(inner_ctx.trace_id, outer_ctx.trace_id);
+  EXPECT_EQ(inner_ctx.parent_id, outer_ctx.span_id);
+  EXPECT_NE(inner_ctx.span_id, outer_ctx.span_id);
+  // Inner scope gone: the ambient context is the outer span again.
+  EXPECT_EQ(between_ctx.span_id, outer_ctx.span_id);
 
   // The recorded events carry the ids, and the Chrome export exposes them.
   const auto evs = buf.events();
@@ -237,6 +249,7 @@ TEST(SpanContext, SpansChainParentChildAndRestoreAmbient) {
   EXPECT_TRUE(JsonChecker(json).ok()) << json.substr(0, 400);
   EXPECT_NE(json.find("\"trace\""), std::string::npos);
   EXPECT_NE(json.find("\"parent\""), std::string::npos);
+#endif
   buf.clear();
 }
 
@@ -250,12 +263,14 @@ TEST(SpanContext, InstantEventsInheritAmbientContext) {
   buf.set_enabled(true);
   buf.clear();
   {
-    obs::TraceSpan span(cpu, obs::TraceCat::kSwitch, "ctx_span");
+    const obs::Interval span(cpu, obs::IntervalKind::kReloadHwState, 0, 0,
+                             "ctx_span");
+    const obs::SpanContext ctx = obs::current_span_context();
     buf.record_instant(0, obs::TraceCat::kOther, "ctx_mark", cpu.now());
     const auto evs = buf.events();
     ASSERT_EQ(evs.size(), 1u);  // the span is still open
-    EXPECT_EQ(evs[0].trace_id, span.context().trace_id);
-    EXPECT_EQ(evs[0].parent_id, span.context().span_id);
+    EXPECT_EQ(evs[0].trace_id, ctx.trace_id);
+    EXPECT_EQ(evs[0].parent_id, ctx.span_id);
   }
   buf.clear();
 }
@@ -291,14 +306,20 @@ TEST(TraceSpan, NestedSpansNestOverSimulatedTime) {
   buf.set_enabled(true);
   buf.clear();
   {
-    obs::TraceSpan outer(cpu, obs::TraceCat::kSwitch, "outer");
+    const obs::Interval outer(cpu, obs::IntervalKind::kReloadHwState, 0, 0,
+                              "outer");
     cpu.charge(1000);
     {
-      obs::TraceSpan inner(cpu, obs::TraceCat::kTransfer, "inner");
+      const obs::Interval inner(cpu, obs::IntervalKind::kFixupWalkTasks, 0, 0,
+                                "inner");
       cpu.charge(500);
     }
     cpu.charge(250);
   }
+#if !MERCURY_OBS_ENABLED
+  EXPECT_TRUE(buf.events().empty());  // the trace view compiled away
+  return;
+#endif
   const auto evs = buf.events();
   ASSERT_EQ(evs.size(), 2u);
   const obs::TraceEvent* outer = &evs[0];
@@ -377,7 +398,7 @@ TEST(FlightRecorder, OverwritesOldestAndCountsDrops) {
 TEST(FlightRecorder, TailReturnsNewestAcrossCpus) {
   obs::FlightRecorder rec(8);
   for (std::uint64_t i = 0; i < 6; ++i)
-    rec.record(i % 2, obs::FlightType::kCrewGrab, "g", 10 * i, i);
+    rec.record(i % 2, obs::FlightType::kShardRange, "g", 10 * i, i);
   const auto tail = rec.tail(3);
   ASSERT_EQ(tail.size(), 3u);
   EXPECT_EQ(tail[0].arg0, 3u);
@@ -439,11 +460,11 @@ TEST(FlightRecorder, DisabledRecordsNothing) {
 TEST(FlightRecorder, EventsJsonIsWellFormed) {
   obs::FlightRecorder rec(8);
   rec.record(2, obs::FlightType::kFaultHit, "vmm.adopt_protect", 4500, 4, 0, 1);
-  rec.record(0, obs::FlightType::kSloBreach, "switch.attach", 9000, 88, 11);
+  rec.record(0, obs::FlightType::kMarker, "switch.attach.warm", 9000, 88, 11);
   const std::string json = obs::flight_events_json(rec.events());
   EXPECT_TRUE(JsonChecker(json).ok()) << json.substr(0, 400);
   EXPECT_NE(json.find("\"fault.hit\""), std::string::npos);
-  EXPECT_NE(json.find("\"slo.breach\""), std::string::npos);
+  EXPECT_NE(json.find("\"marker\""), std::string::npos);
   EXPECT_NE(json.find("vmm.adopt_protect"), std::string::npos);
   EXPECT_NE(json.find("[88,11,0]"), std::string::npos);
 }
@@ -457,7 +478,7 @@ TEST(FlightMacro, RecordsIffObsEnabled) {
   obs::FlightRecorder& rec = obs::flight_recorder();
   rec.clear();
   const hw::Cycles before_clock = cpu.now();
-  MERC_FLIGHT(cpu, kPhaseBegin, "test.flight.macro", 42);
+  MERC_FLIGHT(cpu, kMarker, "test.flight.macro", 42);
 #if MERCURY_OBS_ENABLED
   const auto evs = rec.events();
   ASSERT_EQ(evs.size(), 1u);
@@ -540,6 +561,45 @@ TEST(EngineProfiler, EnabledAttributesWallAndSimTime) {
   prof.reset();
 }
 
+TEST(EngineProfiler, NestedScopesReportSelfTimeAndFractionsSumToOne) {
+  obs::EngineProfiler& prof = obs::profiler();
+  prof.reset();
+  prof.set_enabled(true);
+  obs::ProfBucket* parent = prof.bucket("test.prof.parent");
+  obs::ProfBucket* child = prof.bucket("test.prof.child");
+  const auto spin = [](std::chrono::microseconds d) {
+    const auto until = std::chrono::steady_clock::now() + d;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  {
+    const obs::ProfScope outer(parent, nullptr);
+    spin(std::chrono::microseconds(200));
+    {
+      const obs::ProfScope inner(child, nullptr);
+      spin(std::chrono::microseconds(300));
+    }
+  }
+  prof.set_enabled(false);
+  // Inclusive time nests; self time is what no nested scope took.
+  EXPECT_GT(child->wall_ns, 0u);
+  EXPECT_EQ(child->self_ns, child->wall_ns);
+  EXPECT_GT(parent->wall_ns, child->wall_ns);
+  EXPECT_EQ(parent->self_ns, parent->wall_ns - child->wall_ns);
+
+  // wall_fraction divides self time by the profiled total: the shares add
+  // up to one instead of double-counting the nested child.
+  const std::string json = obs::profile_json();
+  double sum = 0.0;
+  const std::string key = "\"wall_fraction\":";
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + 1))
+    sum += std::stod(json.substr(at + key.size()));
+  EXPECT_NEAR(sum, 1.0, 1e-5);  // six significant digits each
+  EXPECT_NE(json.find("\"self_ns\""), std::string::npos);
+  prof.reset();
+}
+
 // --- time-series sampler -----------------------------------------------------
 
 TEST(TimeSeriesSampler, SamplesOnDemandAndSerializes) {
@@ -577,31 +637,6 @@ TEST(TimeSeriesSampler, RingDropsOldestPastCapacity) {
   EXPECT_DOUBLE_EQ(pts.back().v, 9.0);
   EXPECT_EQ(sampler.dropped(), 6u);
   EXPECT_EQ(sampler.samples_taken(), 10u);
-}
-
-// --- SLO watchdog ------------------------------------------------------------
-
-TEST(SloWatchdog, FlagsOnlyBudgetExceedances) {
-  obs::SloWatchdog dog;
-  dog.set_budget("test.slo.phase", 1000);
-  EXPECT_EQ(dog.budget("test.slo.phase"), 1000u);
-  EXPECT_FALSE(dog.observe("test.slo.phase", 1000, 0, 5000));  // at budget: ok
-  EXPECT_EQ(dog.breaches(), 0u);
-  EXPECT_TRUE(dog.observe("test.slo.phase", 1001, 0, 6000));
-  EXPECT_EQ(dog.breaches(), 1u);
-  // Unlimited (0) and unknown phases never breach.
-  dog.set_budget("test.slo.unlimited", 0);
-  EXPECT_FALSE(dog.observe("test.slo.unlimited", 1u << 30, 0, 7000));
-  EXPECT_FALSE(dog.observe("test.slo.never_declared", 1u << 30, 0, 8000));
-  EXPECT_EQ(dog.breaches(), 1u);
-}
-
-TEST(SloWatchdog, RedeclaringABudgetReplacesIt) {
-  obs::SloWatchdog dog;
-  dog.set_budget("test.slo.phase2", 100);
-  dog.set_budget("test.slo.phase2", 10000);
-  EXPECT_EQ(dog.budget("test.slo.phase2"), 10000u);
-  EXPECT_FALSE(dog.observe("test.slo.phase2", 500, 0, 0));
 }
 
 // --- postmortem bundles ------------------------------------------------------
@@ -767,26 +802,6 @@ TEST(PauseLedger, WorstTracksLargestSpanAcrossCauses) {
   EXPECT_EQ(pl.worst().span(), 3000u);
 }
 
-TEST(PauseLedger, BeginEndPairingAndOrphansAreUnattributed) {
-  obs::PauseLedger pl;
-  pl.begin_interval(obs::PauseCause::kHypercallEmulation, 0, 100);
-  pl.end_interval(0, 400);
-  EXPECT_EQ(pl.intervals(), 1u);
-  EXPECT_EQ(pl.count(obs::PauseCause::kHypercallEmulation), 1u);
-  EXPECT_EQ(pl.total(obs::PauseCause::kHypercallEmulation), 300u);
-  EXPECT_EQ(pl.unattributed(), 0u);
-  // An end with no begin is an orphaned half.
-  pl.end_interval(3, 500);
-  EXPECT_EQ(pl.unattributed(), 1u);
-  // A begin over a still-open slot orphans the earlier begin.
-  pl.begin_interval(obs::PauseCause::kHypercallEmulation, 1, 100);
-  pl.begin_interval(obs::PauseCause::kHypercallEmulation, 1, 200);
-  EXPECT_EQ(pl.unattributed(), 2u);
-  pl.end_interval(1, 300);  // pairs with the re-opened slot
-  EXPECT_EQ(pl.intervals(), 2u);
-  EXPECT_EQ(pl.unattributed(), 2u);
-}
-
 TEST(PauseLedger, InvertedIntervalClampsToZeroSpan) {
   obs::PauseLedger pl;
   pl.record(obs::PauseCause::kRendezvousParked, 0, 900, 100);
@@ -800,7 +815,7 @@ TEST(PauseLedger, MergeFoldsCountsCpuTotalsAndWorst) {
   a.record(obs::PauseCause::kRendezvousParked, 0, 0, 1000);
   b.record(obs::PauseCause::kRendezvousParked, 0, 0, 7000);
   b.record(obs::PauseCause::kTlbShootdown, 3, 0, 50);
-  b.end_interval(1, 5);  // one unattributed half stays b's
+  b.record(obs::PauseCause::kCauseCount, 1, 0, 5);  // unattributed, b's
   a.merge(b);
   EXPECT_EQ(a.intervals(), 3u);
   EXPECT_EQ(a.count(obs::PauseCause::kRendezvousParked), 2u);
@@ -819,16 +834,65 @@ TEST(PauseLedger, ScopeInstallsAndRestoresAmbientLedger) {
   {
     obs::PauseLedgerScope scope(local);
     EXPECT_EQ(&obs::pause_ledger(), &local);
-    MERC_PAUSE(kRendezvousParked, 0, 100, 300, "scoped");
+    obs::record_interval(obs::IntervalKind::kRendezvousParked, 0, 100, 300);
   }
   EXPECT_NE(&obs::pause_ledger(), &local);
   EXPECT_EQ(obs::pause_ledger().intervals(), global_before);
-#if MERCURY_OBS_ENABLED
+  // The ledger is a result, kept in both builds.
   EXPECT_EQ(local.intervals(), 1u);
   EXPECT_EQ(local.total(obs::PauseCause::kRendezvousParked), 200u);
-#else
-  EXPECT_EQ(local.intervals(), 0u);  // the macro compiled away
-#endif
+}
+
+// --- interval stream: pairing ------------------------------------------------
+
+// Pairing is structural: an unpaired half fails a MERC_CHECK inside the
+// stream's noexcept close, so the process dies, and the assert hook's
+// postmortem names the interval and the CPU.
+TEST(IntervalStreamDeathTest, UnpairedHalvesFailACheckNamingIntervalAndCpu) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("interval-pairing-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  obs::set_postmortem_dir(dir.string());
+  obs::install_assert_postmortem_hook();
+
+  // A paired begin and end is one hypercall-emulation stop.
+  obs::PauseLedger pl;
+  {
+    obs::PauseLedgerScope scope(pl);
+    obs::open_interval(obs::IntervalKind::kHypercall, 0, 100);
+    obs::close_interval(obs::IntervalKind::kHypercall, 0, 400, false);
+  }
+  EXPECT_EQ(pl.count(obs::PauseCause::kHypercallEmulation), 1u);
+  EXPECT_EQ(pl.total(obs::PauseCause::kHypercallEmulation), 300u);
+
+  // An end with no begin.
+  EXPECT_DEATH(
+      obs::close_interval(obs::IntervalKind::kHypercall, 3, 500, false),
+      "interval end with no open begin: vmm\\.hypercall on cpu 3");
+  // A begin still open when the interval around it ends.
+  EXPECT_DEATH(
+      {
+        obs::open_interval(obs::IntervalKind::kPteWriteEmulate, 1, 100);
+        obs::open_interval(obs::IntervalKind::kHypercall, 1, 200);
+        obs::close_interval(obs::IntervalKind::kPteWriteEmulate, 1, 300,
+                            false);
+      },
+      "interval begin still open when its scope ends: vmm\\.hypercall on "
+      "cpu 1");
+  obs::set_postmortem_dir("");
+
+  // Each dying child left a postmortem naming the interval and the CPU.
+  std::string bundles;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path());
+    std::stringstream content;
+    content << in.rdbuf();
+    bundles += content.str();
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_NE(bundles.find("vmm.hypercall on cpu 3"), std::string::npos);
+  EXPECT_NE(bundles.find("vmm.hypercall on cpu 1"), std::string::npos);
 }
 
 TEST(PauseLedger, JsonCarriesAllCausesAndWorst) {
