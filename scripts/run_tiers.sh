@@ -34,7 +34,8 @@
 #   tsan   - the switch-path tests under ThreadSanitizer (build-tsan/):
 #            rendezvous, crews, engine, supervisor, and the soak — the
 #            code that would race first if a threaded driver ever lands
-#   all    - tier1, tier2, stress, obsoff, then all three sanitizer suites
+#   all    - every tier above: tier1, tier2 + soak, stress, soak, profile,
+#            depend, obsoff, then all three sanitizer suites
 #
 # Seeded tests print MERCURY_TEST_SEED=<n> on start; export that variable to
 # replay a failure exactly (see TESTING.md).
@@ -113,12 +114,14 @@ run_obsoff() {
   configure_and_build build
   configure_and_build build-obsoff -DMERCURY_OBS=OFF
   run_label build-obsoff tier1
-  # The switch path, and the dependability services (checkpoint/restore/
+  # The switch path, the dependability services (checkpoint/restore/
   # migrate carry interval and flight hooks that must stay weightless, and
-  # the update and checkpoint arcs read their downtime from the ledger).
+  # the update and checkpoint arcs read their downtime from the ledger), and
+  # the two-kernel netperf run on the shared stepper.
   local lines
   lines="$(check_cycle_identity core_switch_test
-           check_cycle_identity checkpoint_restore_test)"
+           check_cycle_identity checkpoint_restore_test
+           check_cycle_identity kernel_net_test)"
   if ! diff <(echo "$lines") "$CYCLE_GOLDEN" >&2; then
     echo "run_tiers: FAIL: CYCLE_IDENTITY lines differ from $CYCLE_GOLDEN" >&2
     exit 1
@@ -244,6 +247,9 @@ case "$mode" in
     run_label build tier1
     run_label build "tier2|soak"
     run_stress
+    run_soak
+    run_profile
+    run_depend
     run_obsoff
     run_sanitizer address
     run_sanitizer undefined

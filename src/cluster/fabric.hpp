@@ -1,4 +1,4 @@
-// The cluster fabric: nodes + links + a conservative multi-kernel stepper.
+// The cluster fabric: nodes, links, and the fleet's run on the one stepper.
 #pragma once
 
 #include <functional>
@@ -23,20 +23,15 @@ class Fabric {
   hw::Link& connect(Node& a, Node& b, hw::Link::Params params = {});
   hw::Link* link_between(Node& a, Node& b);
 
-  /// Step every non-failed node's active kernel conservatively (earliest
-  /// clock first, idle advancement clamped by the global horizon) until
-  /// pred() holds or the budget is exhausted.
+  /// Step every non-failed node's active kernel on the one stepper
+  /// (kernel/stepper.hpp), each step under its NodeScope, until pred()
+  /// holds or the budget is exhausted.
   bool co_step(const std::function<bool()>& pred, hw::Cycles budget);
 
   /// Latest clock across the cluster (the fabric's wall time).
   hw::Cycles now() const;
 
  private:
-  /// Step one node's active kernel with observability attribution: a
-  /// TraceNodeScope so everything it records lands under its Chrome pid,
-  /// and a ProfScope charging its fabric-dispatch bucket.
-  static bool step_node(Node& n);
-
   std::vector<std::unique_ptr<Node>> nodes_;
   std::map<std::pair<Node*, Node*>, std::unique_ptr<hw::Link>> links_;
 };

@@ -7,6 +7,7 @@
 #include "core/mercury.hpp"
 #include "hw/machine.hpp"
 #include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "obs/pause_ledger.hpp"
 #include "obs/profiler.hpp"
 
@@ -51,9 +52,9 @@ class Node {
   /// (created lazily; stable for the node's lifetime).
   obs::ProfBucket* prof_bucket();
 
-  /// This node's unavailability ledger. Fabric::step_node installs it as
-  /// the ambient pause ledger while this node runs, so fleet soaks get
-  /// per-node pause attribution instead of one blended ledger.
+  /// This node's unavailability ledger. A NodeScope installs it as the
+  /// ambient pause ledger while this node runs, so fleet soaks get per-node
+  /// pause attribution instead of one blended ledger.
   obs::PauseLedger& pauses() { return pauses_; }
   const obs::PauseLedger& pauses() const { return pauses_; }
 
@@ -73,6 +74,32 @@ class Node {
   obs::ProfBucket* prof_bucket_ = nullptr;
   obs::PauseLedger pauses_;
   bool failed_ = false;
+};
+
+/// A node's attribution for whatever runs inside the scope: trace records
+/// land under its Chrome pid and host time in its profiler bucket (both
+/// compiled away with telemetry off), pause intervals in its ledger.
+/// Fabric::co_step opens one around every step of a node, ClusterSoak
+/// around each node's dwell.
+class NodeScope {
+ public:
+  explicit NodeScope(Node& n)
+      :
+#if MERCURY_OBS_ENABLED
+        trace_(n.trace_node()),
+        prof_(n.prof_bucket(), &n.machine().cpu(0)),
+#endif
+        pauses_(n.pauses()) {
+  }
+  NodeScope(const NodeScope&) = delete;
+  NodeScope& operator=(const NodeScope&) = delete;
+
+ private:
+#if MERCURY_OBS_ENABLED
+  obs::TraceNodeScope trace_;
+  obs::ProfScope prof_;
+#endif
+  obs::PauseLedgerScope pauses_;
 };
 
 }  // namespace mercury::cluster

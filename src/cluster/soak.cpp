@@ -86,6 +86,26 @@ bool write_soak_report(const SoakReport& r, const std::string& path) {
   return static_cast<bool>(out);
 }
 
+namespace {
+
+// A committed switch is a service interruption as long as its transfer
+// window, booked as [resolved_at - window, resolved_at]. A request that
+// found the machine already in its target made no attempt: the engine's
+// last window belongs to an earlier switch, so it books nothing.
+void book_commit(AvailabilityTracker& tracker, const core::SwitchStats& es,
+                 const core::SupervisedRequest& r) {
+  if (r.attempts == 0) return;
+  const bool detach = r.target == core::ExecMode::kNative;
+  const hw::Cycles window =
+      detach ? es.last_detach_cycles : es.last_attach_cycles;
+  if (window == 0 || r.resolved_at <= window) return;
+  tracker.service_down(r.resolved_at - window,
+                       detach ? "switch.detach" : "switch.attach");
+  tracker.service_up(r.resolved_at);
+}
+
+}  // namespace
+
 SoakDriver::SoakDriver(core::SwitchSupervisor& supervisor, SoakParams p)
     : sup_(supervisor),
       kernel_(supervisor.engine().kernel()),
@@ -148,21 +168,7 @@ void SoakDriver::on_resolved(const core::SupervisedRequest& r) {
   ++resolved_;
   if (r.state == core::RequestState::kCommitted) {
     ++committed_;
-    // A committed switch is a service interruption as long as the actual
-    // transfer (the machine was rendezvoused and not running the workload).
-    if (r.attempts > 0) {
-      const core::SwitchStats& es = sup_.engine().stats();
-      const hw::Cycles window = r.target == core::ExecMode::kNative
-                                    ? es.last_detach_cycles
-                                    : es.last_attach_cycles;
-      if (window > 0 && r.resolved_at > window) {
-        tracker_.service_down(r.resolved_at - window,
-                              r.target == core::ExecMode::kNative
-                                  ? "switch.detach"
-                                  : "switch.attach");
-        tracker_.service_up(r.resolved_at);
-      }
-    }
+    book_commit(tracker_, sup_.engine().stats(), r);
   }
   if (params_.check_invariants) {
     ++invariant_checks_;
@@ -356,29 +362,7 @@ void ClusterSoak::on_resolved(NodeRt& rt, const core::SupervisedRequest& r) {
   if (r.state == core::RequestState::kCommitted) {
     ++rt.committed;
     rt.node->metrics().counter("node.switch.committed").inc();
-    // Same accounting as SoakDriver: a committed switch is a short service
-    // interruption covering the actual transfer window. The window is
-    // measured on whichever CPU handled the commit, while resolved_at is
-    // stamped on CPU 0 — per-CPU clocks skew between rendezvous points, so
-    // back-projecting the raw window can reach behind the previous
-    // interruption's end. Clamp: downtime intervals must not overlap or the
-    // sum exceeds the observation span.
-    const core::SwitchStats& es = rt.supervisor->engine().stats();
-    const hw::Cycles window = r.target == core::ExecMode::kNative
-                                  ? es.last_detach_cycles
-                                  : es.last_attach_cycles;
-    if (window > 0 && r.resolved_at > window) {
-      hw::Cycles down_at = r.resolved_at - window;
-      if (!rt.tracker.interruptions().empty())
-        down_at = std::max(down_at, rt.tracker.interruptions().back().ended);
-      if (down_at < r.resolved_at) {
-        rt.tracker.service_down(down_at,
-                                r.target == core::ExecMode::kNative
-                                    ? "switch.detach"
-                                    : "switch.attach");
-        rt.tracker.service_up(r.resolved_at);
-      }
-    }
+    book_commit(rt.tracker, rt.supervisor->engine().stats(), r);
   } else {
     ++rt.failed;
     rt.node->metrics().counter("node.switch.failed").inc();
@@ -441,22 +425,13 @@ void ClusterSoak::dwell() {
   const hw::Cycles gap = hw::us_to_cycles(params_.wave_interval_ms * 1000.0);
   if (gap == 0) return;
   // No cross-node messages are in flight between waves, so the nodes are
-  // causally independent here: step each kernel on its own (co_step's
-  // conservative clamping is built for message waves, not long idle gaps).
-  // A one-shot timer marks the target — an idle kernel with no timers
-  // never advances its clock.
+  // causally independent here: each one runs on its own clock, under the
+  // attribution its wave steps use (supervisor backoff timers fire
+  // mid-dwell).
   for (auto& rt : nodes_) {
     if (rt->node->failed()) continue;
-    kernel::Kernel& k = rt->node->active();
-    // The dwell steps this kernel directly (not via step_node), so scope
-    // the node's ledger here too: supervisor backoff timers fire mid-dwell.
-    obs::PauseLedgerScope pause_scope(rt->node->pauses());
-    // shared_ptr, not a stack flag: if the budget trips first, the queued
-    // timer outlives this frame.
-    auto fired = std::make_shared<bool>(false);
-    k.add_timer(k.machine().cpu(0).now() + gap, [fired] { *fired = true; });
-    if (!k.run_until([fired] { return *fired; }, gap * 2))
-      all_resolved_ok_ = false;
+    const NodeScope scope(*rt->node);
+    rt->node->active().run_for(gap);
   }
 }
 

@@ -60,7 +60,6 @@ class DirtyFrameTracker final : public hw::DirtySink {
   bool armed() const { return armed_; }
   bool overflowed() const { return overflowed_; }
   std::size_t dirty_count() const { return dirty_count_; }
-  std::size_t content_count() const { return content_count_; }
   std::size_t capacity() const { return capacity_; }
 
   /// hw::DirtySink — called from PhysicalMemory stores and MMU A/D

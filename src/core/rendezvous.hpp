@@ -53,11 +53,10 @@ class Rendezvous {
   /// time (max over the crew's clocks plus the release handshake).
   RendezvousStats release();
 
+  hw::Cycles release_cycles() const { return release_cycles_; }
   /// Coordination cost excluding any work done while parked: the park
   /// handshake plus the release handshake. Equal to latency() when nothing
   /// ran between park() and release().
-  hw::Cycles park_cycles() const { return park_cycles_; }
-  hw::Cycles release_cycles() const { return release_cycles_; }
   hw::Cycles coordination_cycles() const {
     return park_cycles_ + release_cycles_;
   }

@@ -62,7 +62,6 @@ bool Cpu::halt() {
 }
 
 void Cpu::raise_trap(const TrapInfo& info) {
-  ++traps_;
   charge(costs::kTrapEntry);
   MERC_CHECK_MSG(trap_sink_ != nullptr,
                  "trap with no sink installed on cpu " << id_ << ": " << info.detail);

@@ -95,7 +95,6 @@ class Cpu {
   TrapSink* trap_sink() const { return trap_sink_; }
   /// Hardware-raised trap (privilege violation, page fault from the MMU).
   void raise_trap(const TrapInfo& info);
-  std::uint64_t trap_count() const { return traps_; }
 
   /// A trap handler may patch the privilege level that the trap will return
   /// to (the paper's §5.1.3: a mode switch rewrites the privilege level in
@@ -119,7 +118,6 @@ class Cpu {
   bool halted_ = false;
   TrapSink* trap_sink_ = nullptr;
   Ring trap_return_cpl_ = Ring::kRing0;
-  std::uint64_t traps_ = 0;
   Tlb tlb_;
 };
 

@@ -77,7 +77,6 @@ std::optional<Packet> Nic::poll(Cycles now) {
   if (it == rx_queue_.end() || it->arrival > now) return std::nullopt;
   Packet out = std::move(it->pkt);
   rx_queue_.erase(it);
-  ++rx_;
   return out;
 }
 

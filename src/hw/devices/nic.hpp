@@ -53,7 +53,6 @@ class Link {
   void set_drop_probability(double p) { params_.drop_probability = p; }
   /// Sever / restore the link (failure injection).
   void set_up(bool up) { up_ = up; }
-  bool is_up() const { return up_; }
 
   std::uint64_t packets_carried() const { return carried_; }
   std::uint64_t packets_dropped() const { return dropped_; }
@@ -103,7 +102,6 @@ class Nic {
 
   Cycles rx_overhead() const { return params_.rx_overhead; }
   std::uint64_t tx_count() const { return tx_; }
-  std::uint64_t rx_count() const { return rx_; }
 
  private:
   struct Queued {
@@ -119,7 +117,6 @@ class Nic {
   std::uint32_t irq_cpu_ = 0;
   std::uint8_t irq_vector_ = kVecNic;
   std::uint64_t tx_ = 0;
-  std::uint64_t rx_ = 0;
 };
 
 }  // namespace mercury::hw

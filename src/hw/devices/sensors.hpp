@@ -24,7 +24,6 @@ class HealthSensors {
 
   void inject_overheat(double temperature_c) { readings_.temperature_c = temperature_c; }
   void inject_fan_failure() { readings_.fan_rpm = 0.0; }
-  void inject_power_glitch() { readings_.power_ok = false; }
   void clear_anomalies() { readings_ = SensorReadings{}; }
 
   /// Threshold predicate matching common failure-prediction policies.

@@ -49,13 +49,6 @@ std::optional<PendingInterrupt> InterruptController::next_pending(const Cpu& cpu
   return out;
 }
 
-bool InterruptController::has_pending(const Cpu& cpu) const {
-  const auto& q = pending_[cpu.id()];
-  return std::any_of(q.begin(), q.end(), [&](const PendingInterrupt& p) {
-    return p.available_at <= cpu.now();
-  });
-}
-
 std::optional<Cycles> InterruptController::earliest_arrival(std::uint32_t cpu) const {
   MERC_CHECK(cpu < pending_.size());
   const auto& q = pending_[cpu];

@@ -53,8 +53,6 @@ class InterruptController {
   /// Returns nullopt when none is deliverable (masked ones stay queued).
   std::optional<PendingInterrupt> next_pending(const Cpu& cpu);
 
-  bool has_pending(const Cpu& cpu) const;
-
   /// Earliest arrival time of any queued interrupt for the CPU (for idle
   /// clock advancement), or nullopt when the queue is empty.
   std::optional<Cycles> earliest_arrival(std::uint32_t cpu) const;

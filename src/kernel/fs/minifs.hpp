@@ -53,7 +53,6 @@ class MiniFs {
 
   BlockCache& cache() { return cache_; }
   const FsStats& stats() const { return stats_; }
-  std::size_t file_count() const { return paths_.size(); }
 
  private:
   void charge_path(hw::Cpu& cpu, const std::string& path);

@@ -6,6 +6,7 @@
 #include "kernel/fs/minifs.hpp"
 #include "kernel/layout.hpp"
 #include "kernel/net/stack.hpp"
+#include "kernel/stepper.hpp"
 #include "kernel/syscalls.hpp"
 #include "obs/obs.hpp"
 #include "pv/costs.hpp"
@@ -183,13 +184,6 @@ void Kernel::enqueue(Task* t) {
 
 void Kernel::wake_all(WaitQueue& q) {
   while (Task* t = q.pop()) {
-    t->waiting_on = nullptr;
-    enqueue(t);
-  }
-}
-
-void Kernel::wake_one(WaitQueue& q) {
-  if (Task* t = q.pop()) {
     t->waiting_on = nullptr;
     enqueue(t);
   }
@@ -504,18 +498,18 @@ void Kernel::handle_interrupt(hw::Cpu& cpu, const hw::PendingInterrupt& irq) {
   cpu.charge(hw::costs::kTrapReturn);
 }
 
-void Kernel::idle_advance(hw::Cpu& cpu) {
+void Kernel::idle_advance(hw::Cpu& cpu, hw::Cycles horizon) {
   hw::Cycles next = machine_->timers().next_deadline(cpu.id());
   if (auto irq = machine_->interrupts().earliest_arrival(cpu.id()))
     next = std::min(next, *irq);
   if (!timers_.empty()) next = std::min(next, timers_.begin()->first);
   if (auto pkt = machine_->nic().earliest_arrival())
     next = std::min(next, *pkt);
-  if (idle_clamp_ != 0) next = std::min(next, idle_clamp_);
+  if (horizon != 0) next = std::min(next, horizon);
   cpu.advance_to(next);
 }
 
-bool Kernel::step() {
+bool Kernel::step(hw::Cycles horizon) {
   MERC_CHECK(booted_);
   hw::Cpu& cpu = pick_earliest_cpu();
 
@@ -556,51 +550,24 @@ bool Kernel::step() {
       !machine_->nic().earliest_arrival()) {
     return false;
   }
-  if (idle_clamp_ != 0 && cpu.now() >= idle_clamp_) return false;  // parked
   {
     MERC_PROF_SCOPE("kernel.step.idle", &cpu);
-    idle_advance(cpu);
-  }
-  return true;
-}
-
-bool Kernel::run_until_idle(hw::Cycles budget) {
-  const hw::Cycles start = earliest_cpu_time();
-  while (step()) {
-    if (budget != 0 && earliest_cpu_time() - start > budget) return false;
+    idle_advance(cpu, horizon);
   }
   return true;
 }
 
 bool Kernel::run_until(const std::function<bool()>& pred, hw::Cycles budget) {
-  const hw::Cycles start = earliest_cpu_time();
-  while (!pred()) {
-    if (!step()) {
-      // Fully idle but predicate unmet: give timers/interrupts a chance by
-      // advancing; if still nothing, fail.
-      if (pred()) return true;
-      return false;
-    }
-    if (budget != 0 && earliest_cpu_time() - start > budget) return false;
-  }
-  return true;
-}
-
-void Kernel::advance_all_cpus_to(hw::Cycles t) {
-  for (std::size_t i = 0; i < machine_->num_cpus(); ++i)
-    machine_->cpu(i).advance_to(t);
+  return step_until({this}, pred, budget);
 }
 
 void Kernel::run_for(hw::Cycles span) {
   const hw::Cycles end = earliest_cpu_time() + span;
-  while (earliest_cpu_time() < end) {
-    if (!step()) {
-      // Fully idle: jump the clocks forward.
-      for (std::size_t i = 0; i < machine_->num_cpus(); ++i)
-        machine_->cpu(i).advance_to(end);
-      break;
-    }
-  }
+  if (step_until({this}, [&] { return earliest_cpu_time() >= end; }, 0))
+    return;
+  // Fully idle: jump the clocks forward.
+  for (std::size_t i = 0; i < machine_->num_cpus(); ++i)
+    machine_->cpu(i).advance_to(end);
 }
 
 // --- traps -------------------------------------------------------------------

@@ -107,7 +107,6 @@ class Kernel : public hw::TrapSink {
   std::size_t runnable_tasks() const;
   void enqueue(Task* t);
   void wake_all(WaitQueue& q);
-  void wake_one(WaitQueue& q);
   void kill(Pid pid, int signal = 9);
   void for_each_task(const std::function<void(Task&)>& fn);
   /// Wake `pid` if it is currently parked on `q` (timeout timers use this);
@@ -123,25 +122,20 @@ class Kernel : public hw::TrapSink {
 
   // --- execution stepper ---
   /// One step on the earliest CPU: deliver an interrupt, run a timer
-  /// callback, or run one task slice. Returns false when fully idle (no
-  /// runnable task, no pending software timer).
-  bool step();
-  /// Run until fully idle or `budget` simulated cycles elapse on the
-  /// earliest CPU. Returns true if it went idle.
-  bool run_until_idle(hw::Cycles budget = 0);
-  /// Run until pred() holds; returns false on budget exhaustion.
+  /// callback, or run one task slice. An idle CPU advances to its next
+  /// wakeup source, but never past `horizon` (0 = unbounded). Returns false
+  /// when fully idle (no runnable task, timer, interrupt or packet). Only
+  /// the stepper (kernel/stepper.hpp) calls this.
+  bool step(hw::Cycles horizon);
+  /// Run until pred() holds; returns false on budget exhaustion, or when
+  /// the kernel is fully idle and pred() still fails.
   bool run_until(const std::function<bool()>& pred, hw::Cycles budget);
-  /// Run for a fixed span of simulated time.
+  /// Run for a fixed span of simulated time; a fully idle kernel jumps to
+  /// the end.
   void run_for(hw::Cycles span);
-  /// Never-backwards alignment of every CPU clock (cross-machine stepping).
-  void advance_all_cpus_to(hw::Cycles t);
-  /// Conservative co-simulation: bound how far an idle step may advance the
-  /// clock (set to peer time + link lookahead; 0 = unbounded).
-  void set_idle_clamp(hw::Cycles t) { idle_clamp_ = t; }
 
   // --- timers (software) ---
   void add_timer(hw::Cycles at, std::function<void()> fn);
-  std::size_t pending_timers() const { return timers_.size(); }
 
   // --- interrupts & traps ---
   void handle_interrupt(hw::Cpu& cpu, const hw::PendingInterrupt& irq);
@@ -216,7 +210,7 @@ class Kernel : public hw::TrapSink {
   Task* pick_task(hw::Cpu& cpu);
   void dispatch(hw::Cpu& cpu, Task& t);
   bool run_due_timer(hw::Cpu& cpu);
-  void idle_advance(hw::Cpu& cpu);
+  void idle_advance(hw::Cpu& cpu, hw::Cycles horizon);
   void deliver_timer_tick(hw::Cpu& cpu);
   bool fixup_saved_selectors(Task& t, hw::Cpu& cpu);
   void build_kernel_mappings();
@@ -255,7 +249,6 @@ class Kernel : public hw::TrapSink {
   std::unique_ptr<NetStack> net_;
 
   bool selector_fixup_ = true;
-  hw::Cycles idle_clamp_ = 0;
   hw::Cycles vo_path_tax_ = 0;
   util::Rng lock_rng_;
   KernelStats stats_;

@@ -19,9 +19,6 @@ inline constexpr std::size_t kVmmRegionBytes = 64ull << 20;
 inline constexpr hw::VirtAddr kernel_va_of(hw::PhysAddr pa) {
   return kKernelBase + static_cast<hw::VirtAddr>(pa);
 }
-inline constexpr hw::PhysAddr kernel_pa_of(hw::VirtAddr va) {
-  return va - kKernelBase;
-}
 
 inline constexpr bool is_user_va(hw::VirtAddr va) {
   return va >= kUserBase && va < kUserTop;
@@ -29,7 +26,6 @@ inline constexpr bool is_user_va(hw::VirtAddr va) {
 inline constexpr bool is_kernel_va(hw::VirtAddr va) {
   return va >= kKernelBase && va < kVmmBase;
 }
-inline constexpr bool is_vmm_va(hw::VirtAddr va) { return va >= kVmmBase; }
 
 // User-space region conventions used by the workloads.
 inline constexpr hw::VirtAddr kUserText = 0x0040'0000;

@@ -63,12 +63,6 @@ class TimeSeriesSampler {
 
   /// Points of series `i`, oldest first (unwraps the ring).
   std::vector<Point> points(std::size_t i) const;
-  const std::string& series_name(std::size_t i) const {
-    return series_[i].name;
-  }
-  const std::string& series_label(std::size_t i) const {
-    return series_[i].label;
-  }
 
   /// mercury.timeseries.v1 JSON. `interval_cycles` is metadata describing
   /// the nominal sampling period (0 = aperiodic/manual).

@@ -90,8 +90,8 @@ class SpanContextScope {
 std::uint32_t current_trace_node();
 void set_trace_node(std::uint32_t node);
 
-/// RAII node attribution, installed by Fabric::co_step around each node's
-/// kernel stepper.
+/// RAII node attribution, installed by cluster::NodeScope around whatever
+/// a fleet node runs.
 class TraceNodeScope {
  public:
   explicit TraceNodeScope(std::uint32_t node) : prev_(current_trace_node()) {

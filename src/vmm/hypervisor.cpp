@@ -116,11 +116,6 @@ void Hypervisor::set_guest_on_cpu(std::uint32_t cpu, Kernel* k, DomainId dom) {
 
 // --- validation ----------------------------------------------------------------
 
-bool Hypervisor::frame_is_pt(hw::Pfn pfn) const {
-  const PageInfo& pi = page_info_.at(pfn);
-  return pi.type == PageType::kL1 || pi.type == PageType::kL2;
-}
-
 const char* Hypervisor::pte_value_violation(const Domain& d,
                                             hw::Pte value) const {
   if (!value.present()) return nullptr;

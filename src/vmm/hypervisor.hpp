@@ -103,7 +103,6 @@ class Hypervisor : public hw::TrapSink {
   hw::Machine& machine() { return machine_; }
 
   hw::Pfn reserved_first() const { return reserved_first_; }
-  std::size_t reserved_frames() const { return reserved_count_; }
   /// PDEs every kernel must install to reserve the VMM's 64 MB (unified
   /// address-space layout, paper §3.2.2).
   const std::vector<std::pair<std::uint32_t, hw::Pte>>& vmm_pdes() const {
@@ -313,7 +312,6 @@ class Hypervisor : public hw::TrapSink {
   /// (must reference validated L1s / the hypervisor's reserved template).
   bool validate_update(Domain& d, hw::PhysAddr pte_addr, hw::Pte value,
                        std::string* why);
-  bool frame_is_pt(hw::Pfn pfn) const;
 
   hw::Machine& machine_;
   State state_ = State::kCold;

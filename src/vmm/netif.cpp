@@ -28,7 +28,6 @@ void NetBackend::disconnect_frontend() {
 
 void NetBackend::tx(hw::Cpu& cpu, hw::Packet pkt) {
   MERC_CHECK_MSG(connected(), "netfront tx with no backend connection");
-  ++tx_count_;
   // Frontend: grant the packet pages and queue.
   const std::size_t pages = 1 + pkt.payload_bytes / hw::kPageSize;
   const int ref = gnttab_.grant(frontend_, 0, driver_domain_, true);

@@ -39,7 +39,6 @@ class NetBackend {
   /// granted guest buffer. Returns nullopt when nothing is pending.
   std::optional<hw::Packet> rx_poll(hw::Cpu& cpu);
 
-  std::uint64_t packets_tx() const { return tx_count_; }
   std::uint64_t packets_rx() const { return rx_count_; }
 
  private:
@@ -51,7 +50,6 @@ class NetBackend {
   IoRing<NetTxRequest, NetTxResponse> tx_ring_;
   int tx_port_ = -1;
   int rx_port_ = -1;
-  std::uint64_t tx_count_ = 0;
   std::uint64_t rx_count_ = 0;
 };
 

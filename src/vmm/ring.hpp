@@ -21,7 +21,6 @@ class IoRing {
 
   bool full() const { return requests_.size() >= slots_; }
   bool has_request() const { return !requests_.empty(); }
-  bool has_response() const { return !responses_.empty(); }
   std::size_t slots() const { return slots_; }
 
   /// Frontend: enqueue a request. Returns false when the ring is full (the

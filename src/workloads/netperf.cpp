@@ -1,6 +1,7 @@
 #include "workloads/netperf.hpp"
 
 #include "kernel/net/stack.hpp"
+#include "kernel/stepper.hpp"
 #include "kernel/syscalls.hpp"
 #include "util/assert.hpp"
 
@@ -30,38 +31,6 @@ void PeerHost::connect_to(hw::Machine& other, hw::Link::Params params) {
   link_->attach(&other.nic(), &machine_->nic());
 }
 
-bool Netperf::co_step(Kernel& a, Kernel& b, const std::function<bool()>& pred,
-                      hw::Cycles budget) {
-  // Conservative co-simulation: the lagging kernel steps first, and its
-  // idle-clock advancement is clamped to the peer's time plus the link
-  // lookahead, so no event from the peer can land in its past.
-  constexpr hw::Cycles kLookahead = 20 * hw::kCyclesPerMicrosecond;
-  const hw::Cycles start =
-      std::min(a.earliest_cpu_time(), b.earliest_cpu_time());
-  while (!pred()) {
-    Kernel& next = a.earliest_cpu_time() <= b.earliest_cpu_time() ? a : b;
-    Kernel& other = &next == &a ? b : a;
-    next.set_idle_clamp(other.earliest_cpu_time() + kLookahead);
-    const bool progressed = next.step();
-    next.set_idle_clamp(0);
-    if (!progressed) {
-      // `next` is parked at the clamp (or fully idle): let the peer run.
-      if (!other.step()) {
-        if (pred()) return true;
-        // Both sides stuck: jump the earlier one past the clamp.
-        next.advance_all_cpus_to(other.earliest_cpu_time() + kLookahead);
-        if (!next.step()) return pred();
-      }
-    }
-    // Budget on the *furthest* clock: if one side is fully idle (frozen),
-    // the other side's progress must still bound the loop.
-    const hw::Cycles now =
-        std::max(a.earliest_cpu_time(), b.earliest_cpu_time());
-    if (now - start > budget) return false;
-  }
-  return true;
-}
-
 NetperfResult Netperf::run(Kernel& client, PeerHost& peer,
                            const NetperfParams& p) {
   NetperfResult result;
@@ -85,9 +54,10 @@ NetperfResult Netperf::run(Kernel& client, PeerHost& peer,
       done = true;
       co_return;
     });
-    MERC_CHECK_MSG(co_step(client, peer.kernel(), [&] { return done; },
+    MERC_CHECK_MSG(
+        kernel::step_until({&client, &peer.kernel()}, [&] { return done; },
                            60ull * 1000 * hw::kCyclesPerMillisecond),
-                   "ping did not finish");
+        "ping did not finish");
     result.ping_rtt_us = rtt_n > 0 ? rtt_sum / rtt_n : -1.0;
     result.pings_lost = lost;
   }
@@ -127,9 +97,9 @@ NetperfResult Netperf::run(Kernel& client, PeerHost& peer,
     });
 
     MERC_CHECK_MSG(
-        co_step(client, peer.kernel(),
-                [&] { return client_done && server_done; },
-                3000ull * 1000 * hw::kCyclesPerMillisecond),
+        kernel::step_until({&client, &peer.kernel()},
+                           [&] { return client_done && server_done; },
+                           3000ull * 1000 * hw::kCyclesPerMillisecond),
         "iperf did not finish");
     const double seconds = hw::cycles_to_us(t1 - t0) / 1e6;
     result.tcp_mbit_s =

@@ -2,8 +2,8 @@
 // between the system-under-test and a native peer across a gigabit link.
 //
 // Owns the peer machine (a plain native kernel: the in-kernel echo responder
-// answers pings; an iperf server task sinks TCP) and co-steps both kernels
-// on the shared simulated timeline.
+// answers pings; an iperf server task sinks TCP) and steps both kernels on
+// the shared simulated timeline (kernel/stepper.hpp).
 #pragma once
 
 #include <memory>
@@ -47,10 +47,6 @@ class Netperf {
  public:
   static NetperfResult run(kernel::Kernel& client, PeerHost& peer,
                            const NetperfParams& p = {});
-
-  /// Step both kernels (earliest local clock first) until pred() or budget.
-  static bool co_step(kernel::Kernel& a, kernel::Kernel& b,
-                      const std::function<bool()>& pred, hw::Cycles budget);
 };
 
 }  // namespace mercury::workloads

@@ -346,5 +346,20 @@ TEST(ClusterObs, FleetReportCarriesPerNodeSections) {
   EXPECT_NE(json.find("\"pause_worst_cause\""), std::string::npos);
 }
 
+// The default fleet (4 nodes x 8 waves) converges, and every node's
+// availability window covers about the same simulated time: a fully idle
+// node must not hold the stepper while another node runs ahead.
+TEST(ClusterObs, DefaultFleetConvergesWithEvenSpans) {
+  cluster::ClusterSoak soak{cluster::ClusterSoakParams{}};
+  ASSERT_TRUE(soak.run());
+
+  const cluster::SoakReport r = soak.report();
+  EXPECT_TRUE(r.converged);
+  ASSERT_EQ(r.nodes.size(), 4u);
+  const double n0 = static_cast<double>(r.nodes[0].span_cycles);
+  for (const auto& n : r.nodes)
+    EXPECT_NEAR(static_cast<double>(n.span_cycles), n0, 0.05 * n0) << n.name;
+}
+
 }  // namespace
 }  // namespace mercury::testing

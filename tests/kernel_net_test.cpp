@@ -1,6 +1,11 @@
 // Network stack: UDP, echo, TCP-lite handshake/flow control, timeouts,
 // two-kernel co-stepping.
+#include <cinttypes>
+#include <cstdio>
+
+#include "kernel/stepper.hpp"
 #include "tests/kernel_fixture.hpp"
+#include "workloads/configs.hpp"
 #include "workloads/netperf.hpp"
 
 namespace mercury::testing {
@@ -14,6 +19,13 @@ using workloads::PeerHost;
 class NetTest : public KernelFixture {
  protected:
   NetTest() : peer(0x0A0000FE) { peer.connect_to(*machine); }
+
+  /// Step the kernel under test and the peer host on one timeline.
+  template <class Pred>
+  bool step_both(Pred pred, hw::Cycles budget) {
+    return kernel::step_until({k.get(), &peer.kernel()}, pred, budget);
+  }
+
   PeerHost peer;
 };
 
@@ -24,8 +36,7 @@ TEST_F(NetTest, PingGetsEchoReply) {
     rtt = co_await s.ping(0x0A0000FE, 56, 50'000.0);
     done = true;
   });
-  EXPECT_TRUE(Netperf::co_step(*k, peer.kernel(), [&] { return done; },
-                               200 * hw::kCyclesPerMillisecond));
+  EXPECT_TRUE(step_both([&] { return done; }, 200 * hw::kCyclesPerMillisecond));
   EXPECT_GT(rtt, 0.0);
   EXPECT_LT(rtt, 500.0) << "RTT should be ~100us, not timer-quantized";
   EXPECT_GE(peer.kernel().net().stats().echoes_answered, 1u);
@@ -39,8 +50,7 @@ TEST_F(NetTest, PingTimesOutWhenLinkDown) {
     rtt = co_await s.ping(0x0A0000FE, 56, 3000.0);
     done = true;
   });
-  EXPECT_TRUE(Netperf::co_step(*k, peer.kernel(), [&] { return done; },
-                               200 * hw::kCyclesPerMillisecond));
+  EXPECT_TRUE(step_both([&] { return done; }, 200 * hw::kCyclesPerMillisecond));
   EXPECT_LT(rtt, 0.0) << "loss must be reported";
 }
 
@@ -63,8 +73,7 @@ TEST_F(NetTest, UdpRoundTrip) {
     got = r.ok;
     co_return;
   });
-  EXPECT_TRUE(Netperf::co_step(*k, peer.kernel(), [&] { return got; },
-                               400 * hw::kCyclesPerMillisecond));
+  EXPECT_TRUE(step_both([&] { return got; }, 400 * hw::kCyclesPerMillisecond));
   EXPECT_EQ(got_bytes, 1200u);
 }
 
@@ -76,8 +85,7 @@ TEST_F(NetTest, UdpToClosedPortIsDropped) {
     co_await s.sleep_us(2000.0);
     done = true;
   });
-  EXPECT_TRUE(Netperf::co_step(*k, peer.kernel(), [&] { return done; },
-                               100 * hw::kCyclesPerMillisecond));
+  EXPECT_TRUE(step_both([&] { return done; }, 100 * hw::kCyclesPerMillisecond));
   EXPECT_GE(peer.kernel().net().stats().dropped_no_socket, 1u);
 }
 
@@ -104,9 +112,8 @@ TEST_F(NetTest, TcpTransfersAllBytes) {
     client_done = true;
     co_return;
   });
-  EXPECT_TRUE(Netperf::co_step(*k, peer.kernel(),
-                               [&] { return server_done && client_done; },
-                               5000ull * hw::kCyclesPerMillisecond));
+  EXPECT_TRUE(step_both([&] { return server_done && client_done; },
+                        5000ull * hw::kCyclesPerMillisecond));
   EXPECT_EQ(received, kBytes);
   EXPECT_GT(k->net().stats().tcp_segments_tx, kBytes / 1448);
   EXPECT_GT(peer.kernel().net().stats().tcp_acks_tx, 0u);
@@ -130,11 +137,9 @@ TEST_F(NetTest, TcpWindowBoundsUnackedBytes) {
     co_await s.tcp_send(fd, 4 * 1024 * 1024);
     co_return;
   });
-  Netperf::co_step(*k, peer.kernel(), [&] { return established; },
-                   100 * hw::kCyclesPerMillisecond);
+  step_both([&] { return established; }, 100 * hw::kCyclesPerMillisecond);
   peer.link().set_up(false);  // no more ACKs
-  Netperf::co_step(*k, peer.kernel(), [] { return false; },
-                   50 * hw::kCyclesPerMillisecond);
+  step_both([] { return false; }, 50 * hw::kCyclesPerMillisecond);
   // Unacked in-flight bounded by window/segment (+slack for ACKs already
   // in flight when the link died).
   EXPECT_LE(k->net().stats().tcp_segments_tx, 2 * (64 * 1024 / 1448) + 8);
@@ -148,6 +153,34 @@ TEST_F(NetTest, IperfHarnessProducesWireLimitedNative) {
   EXPECT_LT(r.tcp_mbit_s, 1000.0);
   EXPECT_GT(r.ping_rtt_us, 10.0);
   EXPECT_EQ(r.pings_lost, 0);
+}
+
+// The two-kernel path's golden: ping RTT, iperf throughput and both final
+// clocks of a client/peer pair, for a native client and a split-I/O guest
+// client. scripts/run_tiers.sh obsoff diffs these lines against
+// tests/cycle_identity.golden, so a change to how the pair is stepped
+// cannot move a simulated cycle unnoticed.
+TEST(Netperf, CycleIdentityProbe) {
+  for (const workloads::SystemId id :
+       {workloads::SystemId::kNL, workloads::SystemId::kXU}) {
+    workloads::SutParams sp;
+    sp.machine_mem_kb = 256 * 1024;
+    sp.kernel_mem_kb = 96 * 1024;
+    sp.domu_mem_kb = 64 * 1024;
+    auto sut = workloads::Sut::create(id, sp);
+    PeerHost peer;
+    peer.connect_to(sut->machine());
+    workloads::NetperfParams p;
+    p.ping_count = 5;
+    p.iperf_bytes = 1024 * 1024;
+    const workloads::NetperfResult r = Netperf::run(sut->kernel(), peer, p);
+    ASSERT_EQ(r.pings_lost, 0);
+    std::printf("CYCLE_IDENTITY netperf %s rtt_us=%.17g mbit_s=%.17g"
+                " client=%" PRIu64 " peer=%" PRIu64 "\n",
+                sut->label(), r.ping_rtt_us, r.tcp_mbit_s,
+                sut->machine().max_cpu_time(),
+                peer.machine().max_cpu_time());
+  }
 }
 
 }  // namespace
