@@ -7,6 +7,7 @@ Run directly (`python3 scripts/test_check_bench_json.py`) or via ctest
 """
 
 import copy
+import json
 import os
 import sys
 import unittest
@@ -920,6 +921,106 @@ class BenchCompareTest(unittest.TestCase):
         self.assertIn("missing", regressions[0])
         self.assertIn(("bench.modeswitch.up.mem_kb=1024.attach_ms",
                        1.25, None, "MISSING"), rows)
+
+
+def perfbench_baseline():
+    return {
+        "schema": bench_compare.PERFBENCH_SCHEMA,
+        "workloads": {
+            "switch-churn": {
+                "seed": 1,
+                "simulated": {"attach_p50_us": 69.200333333333333,
+                              "availability": 0.99347647577092513,
+                              "app_sim_ms": 2270},
+                "host": {
+                    "parent": {"setup_s": 0.0056, "run_s": 0.19,
+                               "peak_rss_mb": 19.0},
+                    "change": {"setup_s": 0.0056, "run_s": 0.06,
+                               "peak_rss_mb": 19.1},
+                },
+            },
+        },
+    }
+
+
+def perfbench_output(workload="switch-churn", seed=1, correct=True,
+                     **values):
+    """perfbench/run.py's standard output: the workload line, metric lines,
+    then the result object on the last line."""
+    metrics = {"setup_s": 0.0056, "run_s": 0.06, "peak_rss_mb": 19.1,
+               "attach_p50_us": 69.200333333333333,
+               "availability": 0.99347647577092513, "app_sim_ms": 2270}
+    metrics.update(values)
+    result = {"correct": correct, "attempted": 7200,
+              "failed": 0 if correct else 1,
+              "metrics": {k: {"value": v, "unit": "x"}
+                          for k, v in metrics.items()}}
+    return (f"workload {workload}, seed {seed}, 120 iterations (0 traced) "
+            "in 5.0 s\nrun_s  0.06 s\nfail_rate 0/7200\n" +
+            json.dumps(result) + "\n")
+
+
+class BenchComparePerfbenchTest(unittest.TestCase):
+    def compare(self, text):
+        return bench_compare.compare_perfbench(
+            perfbench_baseline(), *bench_compare.perfbench_run(text))
+
+    def test_workload_and_seed_come_from_the_run(self):
+        workload, seed, result = bench_compare.perfbench_run(
+            perfbench_output(workload="depend-arcs", seed=11))
+        self.assertEqual((workload, seed), ("depend-arcs", 11))
+        self.assertIs(result["correct"], True)
+
+    def test_exact_match_passes(self):
+        failures, rows = self.compare(perfbench_output())
+        self.assertEqual(failures, [])
+        self.assertEqual(len(rows), 6)  # 3 simulated + 3 host
+
+    def test_moved_simulated_value_fails(self):
+        # One cycle more (1/3000 us) is a moved value.
+        moved = 69.200333333333333 + 1 / 3000
+        failures, rows = self.compare(perfbench_output(attach_p50_us=moved))
+        self.assertEqual(len(failures), 1)
+        self.assertIn("attach_p50_us", failures[0])
+        self.assertIn(("attach_p50_us", 69.200333333333333, moved, "MOVED"),
+                      rows)
+
+    def test_missing_simulated_value_fails(self):
+        text = perfbench_output()
+        result = json.loads(text.splitlines()[-1])
+        del result["metrics"]["app_sim_ms"]
+        failures, _ = self.compare(text.replace(text.splitlines()[-1],
+                                                json.dumps(result)))
+        self.assertEqual(failures, ["app_sim_ms: recorded, missing now"])
+
+    def test_other_seed_fails(self):
+        failures, _ = self.compare(perfbench_output(seed=7))
+        self.assertEqual(failures, ["seed 7: the recorded values are for "
+                                    "seed 1"])
+
+    def test_failed_run_fails_even_with_matching_values(self):
+        failures, _ = self.compare(perfbench_output(correct=False))
+        self.assertEqual(len(failures), 1)
+        self.assertIn("run not correct", failures[0])
+
+    def test_unrecorded_workload_fails(self):
+        failures, rows = self.compare(perfbench_output(workload="nope"))
+        self.assertEqual(failures, ["workload 'nope' is not recorded"])
+        self.assertEqual(rows, [])
+
+    def test_output_without_workload_line_is_rejected(self):
+        text = perfbench_output().split("\n", 1)[1]
+        with self.assertRaises(ValueError):
+            bench_compare.perfbench_run(text)
+
+    def test_host_drift_alone_passes(self):
+        # A CI runner is not the recording machine: 3x slower and twice the
+        # memory is reported, never failed.
+        failures, rows = self.compare(
+            perfbench_output(run_s=0.18, setup_s=0.02, peak_rss_mb=40.0))
+        self.assertEqual(failures, [])
+        self.assertIn(("run_s", 0.06, 0.18, "x3.00 of recorded (not gated)"),
+                      rows)
 
 
 class BlackboxReportTest(unittest.TestCase):

@@ -14,6 +14,35 @@ namespace mercury::vmm {
 
 using kernel::Kernel;
 
+namespace {
+
+/// The entry of a frame of plain RAM owned by `owner`, as a rebuild or a
+/// boot-time initialization leaves it.
+constexpr PageInfo plain_ram(DomainId owner) {
+  return PageInfo{owner, PageType::kWritable, 0, 1, false};
+}
+
+/// Whether `shard` is uniform plain RAM of `dom`: no L1 entry mapping one
+/// of its frames can violate, writable or not.
+bool plain_ram_shard(const PageInfoTable& t, std::size_t shard, DomainId dom) {
+  const PageInfo* v = t.uniform_value(shard);
+  return v != nullptr && v->owner == dom && v->type != PageType::kL1 &&
+         v->type != PageType::kL2;
+}
+
+/// Whether every entry is present and entry e maps frame `base` + e (one
+/// branch-free pass, so it vectorizes).
+bool maps_consecutive(const std::array<std::uint32_t, hw::kPtEntries>& entries,
+                      hw::Pfn base) {
+  std::uint32_t mismatch = 0;
+  for (std::uint32_t e = 0; e < hw::kPtEntries; ++e)
+    mismatch |= ((entries[e] >> hw::kPageShift) ^ (base + e)) |
+                (~entries[e] & hw::Pte::kPresent);
+  return mismatch == 0;
+}
+
+}  // namespace
+
 Hypervisor::Hypervisor(hw::Machine& machine)
     : machine_(machine),
       page_info_(machine.memory().total_frames()),
@@ -121,7 +150,7 @@ const char* Hypervisor::pte_value_violation(const Domain& d,
   if (!value.present()) return nullptr;
   const hw::Pfn target = value.pfn();
   if (target >= page_info_.size()) return "PTE targets nonexistent frame";
-  const PageInfo& pi = page_info_.at(target);
+  const PageInfo pi = page_info_.at(target);
   if (pi.owner == kDomHypervisor) return "PTE maps a hypervisor frame";
   if (pi.owner != d.id()) return "PTE maps a frame owned by another domain";
   if (value.writable() && (pi.type == PageType::kL1 || pi.type == PageType::kL2))
@@ -144,12 +173,28 @@ std::array<std::uint32_t, hw::kPtEntries> Hypervisor::read_table(
 bool Hypervisor::validate_l1(hw::Cpu& cpu, Domain& d, hw::Pfn table,
                              hw::Cycles per_pte, std::size_t* present_out) {
   const auto entries = read_table(table);
+  // Bulk check: a table whose entries are all present and map consecutive
+  // frames, all in uniform shards of plain RAM that `d` owns, has no entry
+  // pte_value_violation could reject, so it passes with the per-entry
+  // loop's count and charge.
+  const hw::Pfn base = hw::Pte{entries[0]}.pfn();
+  if (base + hw::kPtEntries <= page_info_.size() &&
+      plain_ram_shard(page_info_, page_info_.shard_of(base), d.id()) &&
+      plain_ram_shard(page_info_,
+                      page_info_.shard_of(base + hw::kPtEntries - 1), d.id()) &&
+      maps_consecutive(entries, base)) {
+    stats_.pte_validations += hw::kPtEntries;
+    cpu.charge(hw::kPtEntries * per_pte);
+    if (present_out) *present_out = hw::kPtEntries;
+    return true;
+  }
   std::size_t present = 0;
+  std::uint64_t validated = 0;
   for (std::uint32_t e = 0; e < hw::kPtEntries; ++e) {
     const hw::Pte pte{entries[e]};
     if (!pte.present()) continue;
     ++present;
-    ++stats_.pte_validations;
+    ++validated;
     const char* why = pte_value_violation(d, pte);
     if (why == nullptr) continue;
     if (heal_mode_) {
@@ -160,10 +205,12 @@ bool Hypervisor::validate_l1(hw::Cpu& cpu, Domain& d, hw::Pfn table,
       --present;
       continue;
     }
+    stats_.pte_validations += validated;
     cpu.charge((e + 1) * per_pte);
     crash_domain(d.id(), std::string("L1 validation: ") + why);
     return false;
   }
+  stats_.pte_validations += validated;
   cpu.charge(hw::kPtEntries * per_pte);
   if (present_out) *present_out = present;
   return true;
@@ -173,18 +220,19 @@ bool Hypervisor::validate_l2(hw::Cpu& cpu, Domain& d, hw::Pfn table,
                              hw::Cycles per_pte, std::size_t* present_out) {
   const auto entries = read_table(table);
   std::size_t present = 0;
+  const PageInfoTable& pit = page_info_;
   const std::uint32_t vmm_pde_start = hw::pde_index(kernel::kVmmBase);
   for (std::uint32_t e = 0; e < hw::kPtEntries; ++e) {
     const hw::Pte pde{entries[e]};
     if (!pde.present()) continue;
     ++present;
-    ++stats_.pte_validations;
     if (e >= vmm_pde_start) {
       // Reserved region: must match the hypervisor-published template.
       const auto it = std::find_if(
           vmm_pdes_.begin(), vmm_pdes_.end(),
           [&](const auto& p) { return p.first == e; });
       if (it == vmm_pdes_.end() || it->second.raw != pde.raw) {
+        stats_.pte_validations += present;
         cpu.charge((e + 1) * per_pte);
         crash_domain(d.id(), "L2 validation: tampered VMM reserved PDE");
         return false;
@@ -192,12 +240,14 @@ bool Hypervisor::validate_l2(hw::Cpu& cpu, Domain& d, hw::Pfn table,
       continue;
     }
     const hw::Pfn l1 = pde.pfn();
-    if (l1 >= page_info_.size() || page_info_.at(l1).type != PageType::kL1) {
+    if (l1 >= pit.size() || pit.at(l1).type != PageType::kL1) {
+      stats_.pte_validations += present;
       cpu.charge((e + 1) * per_pte);
       crash_domain(d.id(), "L2 validation: PDE references a non-L1 frame");
       return false;
     }
   }
+  stats_.pte_validations += present;
   cpu.charge(hw::kPtEntries * per_pte);
   if (present_out) *present_out = present;
   return true;
@@ -227,10 +277,7 @@ DomainId Hypervisor::begin_adopt(Kernel& k) {
 
 void Hypervisor::init_reserved_page_info() {
   page_info_.begin_rebuild_epoch();
-  for (std::size_t i = 0; i < reserved_count_; ++i) {
-    PageInfo& pi = page_info_.at(reserved_first_ + static_cast<hw::Pfn>(i));
-    pi = PageInfo{kDomHypervisor, PageType::kWritable, 0, 1, false};
-  }
+  page_info_.fill(reserved_first_, reserved_count_, plain_ram(kDomHypervisor));
   page_info_.reset_shard_counters();
 }
 
@@ -241,13 +288,9 @@ void Hypervisor::adopt_rebuild_shard(hw::Cpu& cpu, DomainId id,
     MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_rebuild_shard", frames.size(),
                 frames.front(), frames.back());
   probed_runs(cpu, site, frames.size(), [&](std::size_t first, std::size_t n) {
-    const auto run = frames.subspan(first, n);
     cpu.charge(n * pv::costs::kPerFrameInfoRebuild);
-    // The entry is built in the store (not copied from a named local): the
-    // copy of a padded struct compiles to a stalling store-load pair.
-    for (const hw::Pfn pfn : run)
-      page_info_.at(pfn) = PageInfo{id, PageType::kWritable, 0, 1, false};
-    page_info_.note_rebuilt(run);
+    page_info_.fill(frames.subspan(first, n), plain_ram(id),
+                    PageInfoTable::Note::kRebuilt);
   });
 }
 
@@ -260,14 +303,20 @@ void Hypervisor::adopt_dirty_rebuild_shard(hw::Cpu& cpu, DomainId id,
   probed_runs(cpu, site, frames.size(), [&](std::size_t first, std::size_t n) {
     const auto run = frames.subspan(first, n);
     cpu.charge(n * pv::costs::kPerFrameInfoRebuild);
-    for (const hw::Pfn pfn : run) {
-      const bool reserved =
-          pfn >= reserved_first_ &&
-          pfn < reserved_first_ + static_cast<hw::Pfn>(reserved_count_);
-      page_info_.at(pfn) = PageInfo{reserved ? kDomHypervisor : id,
-                                    PageType::kWritable, 0, 1, false};
+    const auto reserved = [&](hw::Pfn pfn) {
+      return pfn >= reserved_first_ &&
+             pfn < reserved_first_ + static_cast<hw::Pfn>(reserved_count_);
+    };
+    // One fill per stretch of frames on the same side of the reserved
+    // region's boundary.
+    for (std::size_t i = 0; i < run.size();) {
+      const bool r = reserved(run[i]);
+      std::size_t j = i + 1;
+      while (j < run.size() && reserved(run[j]) == r) ++j;
+      page_info_.fill(run.subspan(i, j - i), plain_ram(r ? kDomHypervisor : id),
+                      PageInfoTable::Note::kDirtyRebuilt);
+      i = j;
     }
-    page_info_.note_dirty_rebuilt(run);
   });
 }
 
@@ -528,10 +577,7 @@ void Hypervisor::bootstrap_activate() {
   MERC_CHECK_MSG(state_ == State::kDormant, "bootstrap_activate needs warm_up");
   page_info_.poison_retention();
   state_ = State::kActive;
-  for (std::size_t i = 0; i < reserved_count_; ++i) {
-    PageInfo& pi = page_info_.at(reserved_first_ + static_cast<hw::Pfn>(i));
-    pi = PageInfo{kDomHypervisor, PageType::kWritable, 0, 1, false};
-  }
+  page_info_.fill(reserved_first_, reserved_count_, plain_ram(kDomHypervisor));
   page_info_.set_valid(true);
   take_traps();
 }
@@ -541,10 +587,7 @@ void Hypervisor::init_domain_memory(Domain& d) {
   // domain construction is off every measured path). Rewrites ownership, so
   // any retained table is stale from here on.
   page_info_.poison_retention();
-  for (std::size_t i = 0; i < d.frame_count(); ++i) {
-    PageInfo& pi = page_info_.at(d.first_frame() + static_cast<hw::Pfn>(i));
-    pi = PageInfo{d.id(), PageType::kWritable, 0, 1, false};
-  }
+  page_info_.fill(d.first_frame(), d.frame_count(), plain_ram(d.id()));
 }
 
 bool Hypervisor::validate_update(Domain& d, hw::PhysAddr pte_addr, hw::Pte value,
@@ -554,7 +597,8 @@ bool Hypervisor::validate_update(Domain& d, hw::PhysAddr pte_addr, hw::Pte value
     if (why) *why = "table update outside physical memory";
     return false;
   }
-  const PageInfo& ci = page_info_.at(container);
+  const PageInfoTable& pit = page_info_;
+  const PageInfo ci = pit.at(container);
   if (ci.owner != d.id()) {
     if (why) *why = "table update in a frame not owned by the domain";
     return false;
@@ -573,8 +617,8 @@ bool Hypervisor::validate_update(Domain& d, hw::PhysAddr pte_addr, hw::Pte value
       return false;
     }
     const hw::Pfn l1 = value.pfn();
-    if (l1 >= page_info_.size() || page_info_.at(l1).type != PageType::kL1 ||
-        page_info_.at(l1).owner != d.id()) {
+    if (l1 >= pit.size() || pit.at(l1).type != PageType::kL1 ||
+        pit.at(l1).owner != d.id()) {
       if (why) *why = "PDE references a frame not validated as L1";
       return false;
     }

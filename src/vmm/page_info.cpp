@@ -1,5 +1,6 @@
 #include "vmm/page_info.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -19,6 +20,106 @@ const char* page_type_name(PageType t) {
 PageInfoTable::PageInfoTable(std::size_t total_frames)
     : info_(total_frames),
       shards_((total_frames + kFramesPerShard - 1) / kFramesPerShard) {}
+
+hw::Pfn PageInfoTable::shard_first(std::size_t shard) const {
+  return static_cast<hw::Pfn>(shard * kFramesPerShard);
+}
+
+hw::Pfn PageInfoTable::shard_end(std::size_t shard) const {
+  return static_cast<hw::Pfn>(
+      std::min((shard + 1) * kFramesPerShard, info_.size()));
+}
+
+const PageInfo* PageInfoTable::uniform_value(std::size_t shard) const {
+  MERC_CHECK_MSG(shard < shards_.size(), "shard out of range: " << shard);
+  const Shard& s = shards_[shard];
+  return s.uniform ? &s.value : nullptr;
+}
+
+void PageInfoTable::materialize(std::size_t shard) {
+  Shard& s = shards_[shard];
+  std::fill(info_.begin() + shard_first(shard), info_.begin() + shard_end(shard),
+            s.value);
+  s.uniform = false;
+  s.run_lo = s.run_hi = 0;
+}
+
+void PageInfoTable::fill_stretch(std::size_t shard, hw::Pfn lo, hw::Pfn hi,
+                                 const PageInfo& value) {
+  Shard& s = shards_[shard];
+  const hw::Pfn first = shard_first(shard);
+  const hw::Pfn end = shard_end(shard);
+  if (lo == first && hi == end) {
+    s.uniform = true;
+    s.value = value;
+    return;
+  }
+  if (s.uniform) {
+    if (s.value == value) return;
+    materialize(shard);
+  }
+  std::fill(info_.begin() + lo, info_.begin() + hi, value);
+  // Extend the fill run when this stretch touches or overlaps it with the
+  // same value: every frame of the union then holds `value`.
+  const auto rlo = static_cast<std::uint32_t>(lo - first);
+  const auto rhi = static_cast<std::uint32_t>(hi - first);
+  if (s.run_lo < s.run_hi && s.value == value && rlo <= s.run_hi &&
+      rhi >= s.run_lo) {
+    s.run_lo = std::min(s.run_lo, rlo);
+    s.run_hi = std::max(s.run_hi, rhi);
+  } else {
+    s.value = value;
+    s.run_lo = rlo;
+    s.run_hi = rhi;
+  }
+  if (s.run_lo == 0 && s.run_hi == end - first) s.uniform = true;
+}
+
+void PageInfoTable::fill(std::span<const hw::Pfn> frames, const PageInfo& value,
+                         Note note) {
+  for (std::size_t i = 0; i < frames.size();) {
+    const hw::Pfn lo = frames[i];
+    if (lo >= info_.size()) [[unlikely]] out_of_range(lo);
+    const std::size_t shard = shard_of(lo);
+    // The stretch: frames lo, lo+1, ... up to the shard's end.
+    const std::size_t limit =
+        std::min(frames.size(), i + (shard_end(shard) - lo));
+    // Whole blocks first: a branch-free compare of a block vectorizes, where
+    // the early-exit loop below cannot. An attach rebuilds ~230 000 frames
+    // in switch-churn, and the block pass cuts its run_s by about a quarter
+    // (ROADMAP item 7).
+    constexpr std::size_t kBlock = 64;
+    std::size_t j = i + 1;
+    while (j + kBlock <= limit) {
+      const hw::Pfn* block = frames.data() + j;
+      const hw::Pfn expect = static_cast<hw::Pfn>(lo + (j - i));
+      std::uint32_t mismatch = 0;
+      for (std::uint32_t k = 0; k < kBlock; ++k)
+        mismatch |= block[k] ^ (expect + k);
+      if (mismatch != 0) break;
+      j += kBlock;
+    }
+    while (j < limit && frames[j] == lo + (j - i)) ++j;
+    fill_stretch(shard, lo, static_cast<hw::Pfn>(lo + (j - i)), value);
+    Shard& s = shards_[shard];
+    if (note != Note::kNone) s.counters.rebuilt += j - i;
+    if (note == Note::kDirtyRebuilt) s.dirty_epoch = epoch_;
+    i = j;
+  }
+}
+
+void PageInfoTable::fill(hw::Pfn first, std::size_t count,
+                         const PageInfo& value) {
+  if (count == 0) return;
+  const std::size_t end = first + count;
+  if (end > info_.size()) [[unlikely]] out_of_range(static_cast<hw::Pfn>(end - 1));
+  for (hw::Pfn lo = first; lo < end;) {
+    const std::size_t shard = shard_of(lo);
+    const hw::Pfn hi = std::min(shard_end(shard), static_cast<hw::Pfn>(end));
+    fill_stretch(shard, lo, hi, value);
+    lo = hi;
+  }
+}
 
 const PageInfoTable::ShardCounters& PageInfoTable::shard_counters(
     std::size_t shard) const {
@@ -48,26 +149,15 @@ void PageInfoTable::out_of_range(hw::Pfn pfn) const {
   util::invariant_failure("pfn < info_.size()", __FILE__, __LINE__, msg.str());
 }
 
-void PageInfoTable::note_rebuilt(std::span<const hw::Pfn> frames) {
-  for_each_shard_stretch(
-      frames, [](hw::Pfn pfn) { return pfn; },
-      [](Shard& s, std::size_t n) { s.counters.rebuilt += n; });
-}
-
-void PageInfoTable::note_dirty_rebuilt(std::span<const hw::Pfn> frames) {
-  for_each_shard_stretch(
-      frames, [](hw::Pfn pfn) { return pfn; },
-      [this](Shard& s, std::size_t n) {
-        s.counters.rebuilt += n;
-        s.dirty_epoch = epoch_;
-      });
-}
-
 void PageInfoTable::note_typed(
     std::span<const std::pair<hw::Pfn, PageType>> tables) {
-  for_each_shard_stretch(
-      tables, [](const std::pair<hw::Pfn, PageType>& t) { return t.first; },
-      [](Shard& s, std::size_t n) { s.counters.typed += n; });
+  for (std::size_t i = 0; i < tables.size();) {
+    const std::size_t shard = shard_of(tables[i].first);
+    std::size_t j = i + 1;
+    while (j < tables.size() && shard_of(tables[j].first) == shard) ++j;
+    shards_[shard].counters.typed += j - i;
+    i = j;
+  }
 }
 
 void PageInfoTable::invalidate_all() {
@@ -85,29 +175,57 @@ std::size_t PageInfoTable::shards_carried_over() const {
   return n;
 }
 
+std::vector<PageInfo> PageInfoTable::snapshot() const {
+  std::vector<PageInfo> out = info_;
+  for (std::size_t shard = 0; shard < shards_.size(); ++shard)
+    if (shards_[shard].uniform)
+      std::fill(out.begin() + shard_first(shard), out.begin() + shard_end(shard),
+                shards_[shard].value);
+  return out;
+}
+
+namespace {
+
+/// The three structural rules, as one predicate cheap enough for the
+/// per-frame loop.
+bool consistent(const PageInfo& pi) {
+  const bool table = pi.type == PageType::kL1 || pi.type == PageType::kL2;
+  if (pi.pinned && (!table || pi.type_count == 0)) return false;
+  return pi.type == PageType::kNone || pi.owner != kDomInvalid;
+}
+
+/// Which rule `pi` (the entry of `pfn`) breaks, for a frame that is not
+/// consistent().
+std::string violation(std::size_t pfn, const PageInfo& pi) {
+  std::ostringstream err;
+  err << "pfn " << pfn;
+  if (pi.pinned && pi.type != PageType::kL1 && pi.type != PageType::kL2)
+    err << " pinned but typed " << page_type_name(pi.type);
+  else if (pi.pinned && pi.type_count == 0)
+    err << " pinned with zero type_count";
+  else
+    err << " typed " << page_type_name(pi.type) << " but unowned";
+  return err.str();
+}
+
+}  // namespace
+
 std::optional<std::string> PageInfoTable::check_invariants() const {
   if (valid_ && retained_)
     return "table claims to be both live (valid) and retained-stale";
   if (!valid_) return "table is invalid (VMM dormant)";
-  // The message is built only for the frame that fails a check.
-  for (std::size_t pfn = 0; pfn < info_.size(); ++pfn) {
-    const PageInfo& pi = info_[pfn];
-    if (pi.pinned && pi.type != PageType::kL1 && pi.type != PageType::kL2) {
-      std::ostringstream err;
-      err << "pfn " << pfn << " pinned but typed " << page_type_name(pi.type);
-      return err.str();
+  // A uniform shard is checked once, as its first frame; the message is
+  // built only for the frame that fails.
+  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
+    const Shard& s = shards_[shard];
+    if (s.uniform) {
+      if (!consistent(s.value)) return violation(shard_first(shard), s.value);
+      continue;
     }
-    if (pi.pinned && pi.type_count == 0) {
-      std::ostringstream err;
-      err << "pfn " << pfn << " pinned with zero type_count";
-      return err.str();
-    }
-    if (pi.type != PageType::kNone && pi.owner == kDomInvalid) {
-      std::ostringstream err;
-      err << "pfn " << pfn << " typed " << page_type_name(pi.type)
-          << " but unowned";
-      return err.str();
-    }
+    const hw::Pfn end = shard_end(shard);
+    for (hw::Pfn pfn = shard_first(shard); pfn < end; ++pfn)
+      if (!consistent(info_[pfn])) [[unlikely]]
+        return violation(pfn, info_[pfn]);
   }
   return std::nullopt;
 }

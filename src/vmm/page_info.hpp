@@ -44,29 +44,40 @@ class PageInfoTable {
  public:
   explicit PageInfoTable(std::size_t total_frames);
 
-  // Inline, with the failure report out of line so the check stays a
-  // compare and branch: the adopt and validate loops index once per frame.
+  /// A frame's entry, for writing. A uniform shard is materialized first
+  /// (its one PageInfo copied into every entry), so writes through the
+  /// reference land. The reference goes stale once a later fill() changes
+  /// the shard's state.
   PageInfo& at(hw::Pfn pfn) {
     if (pfn >= info_.size()) [[unlikely]] out_of_range(pfn);
+    Shard& s = shards_[shard_of(pfn)];
+    if (s.uniform) [[unlikely]] materialize(shard_of(pfn));
+    // The caller may write anything: the shard's fill run is broken.
+    s.run_lo = s.run_hi = 0;
     return info_[pfn];
   }
-  const PageInfo& at(hw::Pfn pfn) const {
+  /// A frame's entry, by value: a uniform shard answers from its one
+  /// PageInfo without reading the entries.
+  PageInfo at(hw::Pfn pfn) const {
     if (pfn >= info_.size()) [[unlikely]] out_of_range(pfn);
-    return info_[pfn];
+    const Shard& s = shards_[shard_of(pfn)];
+    return s.uniform ? s.value : info_[pfn];
   }
   std::size_t size() const { return info_.size(); }
 
-  // --- sharded internals (parallel switch pipeline) ---
+  // --- shards (parallel switch pipeline) ---
   //
   // The frame space is split into fixed-size shards, each with its own
-  // cache-line-padded accounting block. Crew workers rebuilding disjoint
-  // frame ranges during an attach therefore never write the same line: the
-  // per-frame PageInfo entries they touch are range-disjoint by
-  // construction (the crew hands out non-overlapping ranges), and the
-  // counters they bump live in their own shard's padded block. The padding
-  // is what makes the concurrent-rebuild story safe without a lock per
-  // update; the host-side simulator executes shards one at a time, so the
-  // shard blocks double as exact per-range telemetry.
+  // cache-line-padded block: counters, dirty stamp and state. A shard is
+  // *uniform* (one PageInfo stands for every frame and the per-frame
+  // entries are not read) or *materialized* (the entries hold the frames).
+  // Bulk writers go through fill(), which makes a whole-shard stretch
+  // uniform in O(1); the attach's rebuild of ~all of memory therefore
+  // costs one step per shard, not per frame, on the host. Crew workers
+  // rebuild disjoint frame ranges, so the entries they touch are disjoint;
+  // a shard the crew cuts in two has its block written by both workers.
+  // That is safe because the host-side simulator executes shards one at a
+  // time, which also makes the blocks exact per-range telemetry.
 
   /// Frames per shard (16 MB of physical memory at 4 KB pages).
   static constexpr std::size_t kFramesPerShard = 4096;
@@ -74,20 +85,37 @@ class PageInfoTable {
   std::size_t shard_count() const { return shards_.size(); }
   std::size_t shard_of(hw::Pfn pfn) const { return pfn / kFramesPerShard; }
 
+  /// The PageInfo standing for every frame of `shard` when it is uniform,
+  /// or nullptr when it is materialized. Stale after the shard's next write.
+  const PageInfo* uniform_value(std::size_t shard) const;
+
+  /// What a fill() books beside the entries: nothing (boot-time and
+  /// reserved-region initialization), a rebuild (each shard's `rebuilt`
+  /// counter), or a warm dirty-set rebuild (the counter, and the shard
+  /// stamped with the current rebuild epoch as revalidated-this-attach;
+  /// shards whose stamp lags the epoch carried every entry over from the
+  /// retained table untouched).
+  enum class Note : std::uint8_t { kNone, kRebuilt, kDirtyRebuilt };
+
+  /// Set every frame of `frames` to `value`, one stretch of consecutive
+  /// frames within a shard at a time. A stretch covering its whole shard
+  /// makes the shard uniform. A partial stretch writes the entries (a no-op
+  /// on a shard already uniform with `value`); adjacent or overlapping
+  /// partial stretches of one value that together cover the shard make it
+  /// uniform again, unless another write to the shard came in between.
+  void fill(std::span<const hw::Pfn> frames, const PageInfo& value,
+            Note note = Note::kNone);
+  /// The same for frames [first, first + count).
+  void fill(hw::Pfn first, std::size_t count, const PageInfo& value);
+
   /// Per-shard accounting bumped by the adopt/release paths.
   struct ShardCounters {
     std::uint64_t rebuilt = 0;  // frames reset by the adopt-time rebuild
     std::uint64_t typed = 0;    // page-table frames typed + protected
   };
   const ShardCounters& shard_counters(std::size_t shard) const;
-  // The note_* calls take a run of frames and bump each shard's counter once
-  // per stretch of consecutive frames that fall in it.
-  void note_rebuilt(std::span<const hw::Pfn> frames);
-  /// A warm (dirty-set) reconstruction touched these frames: count them as
-  /// rebuilt and stamp their shards with the current rebuild epoch, marking
-  /// each as revalidated-this-attach. Shards whose stamp lags the epoch
-  /// carried every entry over from the retained table untouched.
-  void note_dirty_rebuilt(std::span<const hw::Pfn> frames);
+  /// Bump each shard's `typed` counter once per stretch of consecutive
+  /// `tables` that fall in it.
   void note_typed(std::span<const std::pair<hw::Pfn, PageType>> tables);
   std::uint64_t rebuilt_total() const;
   std::uint64_t typed_total() const;
@@ -106,13 +134,15 @@ class PageInfoTable {
 
   // --- warm re-attach retention ---
   //
-  // invalidate_all() is O(1) and never wipes entry contents, so a detach
-  // can leave the table "stale but retained": invalid for enforcement, but
-  // a usable base for an incremental rebuild that revalidates only the
-  // frames dirtied while native. `retained` asserts that the entries still
-  // describe the machine as of the last detach; any ownership-level
-  // mutation while dormant (domain create/destroy, migration remaps)
-  // poisons the retention and forces the next attach down the cold path.
+  // invalidate_all() is O(1) and never wipes entry contents or shard
+  // states, so a detach can leave the table "stale but retained": invalid
+  // for enforcement, but a usable base for an incremental rebuild that
+  // revalidates only the frames dirtied while native (a retained uniform
+  // shard carries over as its one value). `retained` asserts that the
+  // entries still describe the machine as of the last detach; any
+  // ownership-level mutation while dormant (domain create/destroy,
+  // migration remaps) poisons the retention and forces the next attach
+  // down the cold path.
 
   bool retained() const { return retained_; }
   void set_retained(bool r) { retained_ = r; }
@@ -133,8 +163,9 @@ class PageInfoTable {
   /// description, or nullopt if consistent.
   std::optional<std::string> check_invariants() const;
 
-  /// Snapshot for equivalence tests (eager tracking vs rebuild).
-  std::vector<PageInfo> snapshot() const { return info_; }
+  /// Every frame's entry, uniform shards expanded (equivalence tests:
+  /// eager tracking vs rebuild, warm vs cold).
+  std::vector<PageInfo> snapshot() const;
 
  private:
   /// One cache line per shard: two workers bumping counters for different
@@ -142,24 +173,25 @@ class PageInfoTable {
   struct alignas(64) Shard {
     ShardCounters counters;
     std::uint64_t dirty_epoch = 0;  // last rebuild epoch that touched this shard
+    // Uniform: `value` stands for every frame. Materialized: the entries
+    // hold the frames, and the fill run — offsets [run_lo, run_hi) in the
+    // shard — was written with `value` by fill() stretches and nothing else.
+    PageInfo value;
+    std::uint32_t run_lo = 0;
+    std::uint32_t run_hi = 0;
+    bool uniform = true;
   };
 
   /// Report an at() past the end (MERC_CHECK failure: throws).
   [[noreturn]] void out_of_range(hw::Pfn pfn) const;
-
-  /// Call `bump(shard, count)` once per stretch of consecutive `items`
-  /// whose frames (`pfn_of(item)`) share a shard.
-  template <typename T, typename PfnOf, typename Bump>
-  void for_each_shard_stretch(std::span<const T> items, PfnOf pfn_of,
-                              Bump bump) {
-    for (std::size_t i = 0; i < items.size();) {
-      const std::size_t shard = shard_of(pfn_of(items[i]));
-      std::size_t j = i + 1;
-      while (j < items.size() && shard_of(pfn_of(items[j])) == shard) ++j;
-      bump(shards_[shard], j - i);
-      i = j;
-    }
-  }
+  /// First frame of `shard` and one past its last.
+  hw::Pfn shard_first(std::size_t shard) const;
+  hw::Pfn shard_end(std::size_t shard) const;
+  /// Copy a uniform shard's value into its entries; the run starts empty.
+  void materialize(std::size_t shard);
+  /// fill() of frames [lo, hi), all in `shard`.
+  void fill_stretch(std::size_t shard, hw::Pfn lo, hw::Pfn hi,
+                    const PageInfo& value);
 
   std::vector<PageInfo> info_;
   std::vector<Shard> shards_;

@@ -2,8 +2,12 @@
 // split-driver backends.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+
 #include "tests/kernel_fixture.hpp"
 #include "kernel/layout.hpp"
+#include "pv/costs.hpp"
 #include "vmm/hypervisor.hpp"
 #include "workloads/configs.hpp"
 
@@ -209,6 +213,129 @@ TEST_F(HvTest, HealModeRepairsInsteadOfCrashing) {
   EXPECT_GE(hv().stats().entries_healed, 1u);
   EXPECT_EQ(sut->machine().memory().read_u32(pte_addr), 0u);
   (void)good;
+}
+
+// A direct-map L1 of dom0 whose 1 024 entries are present and map
+// consecutive frames in uniform shards of dom0's plain RAM: the table
+// validate_l1 accepts in one bulk pass.
+std::optional<hw::Pfn> bulk_checkable_l1(Sut& sut) {
+  const vmm::PageInfoTable& pit = sut.hypervisor()->page_info();
+  const auto plain = [&](hw::Pfn pfn) {
+    const vmm::PageInfo* v = pit.uniform_value(pit.shard_of(pfn));
+    return v != nullptr && v->owner == 0 && v->type == PageType::kWritable;
+  };
+  for (const hw::Pfn l1 : sut.kernel().kernel_l1_frames()) {
+    const hw::Pte first{sut.machine().memory().read_u32(hw::addr_of(l1))};
+    bool ok = first.present() && plain(first.pfn()) &&
+              plain(first.pfn() + hw::kPtEntries - 1);
+    for (std::uint32_t e = 0; ok && e < hw::kPtEntries; ++e) {
+      const hw::Pte pte{sut.machine().memory().read_u32(hw::addr_of(l1) + e * 4)};
+      ok = pte.present() && pte.pfn() == first.pfn() + e;
+    }
+    if (ok) return l1;
+  }
+  return std::nullopt;
+}
+
+TEST_F(HvTest, BulkValidationRejectsWhatThePerEntryLoopRejects) {
+  // Each case plants one bad or missing entry in a bulk-checkable table and
+  // states the per-entry loop's verdict, in crash mode and in heal mode.
+  struct Case {
+    const char* name;
+    std::function<void(Sut&, hw::Pfn l1, std::uint32_t e)> plant;
+    const char* crash_reason;  // nullptr: the table stays valid
+  };
+  const Case cases[] = {
+      {"writable entry to a frame typed L1",
+       [](Sut& s, hw::Pfn l1, std::uint32_t e) {
+         const hw::Pte pte{s.machine().memory().read_u32(hw::addr_of(l1) + e * 4)};
+         ASSERT_TRUE(pte.writable());
+         s.hypervisor()->page_info().at(pte.pfn()).type = PageType::kL1;
+       },
+       "writable mapping of a page-table frame"},
+      {"entry to another domain's frame",
+       [](Sut& s, hw::Pfn l1, std::uint32_t e) {
+         vmm::Hypervisor& hv = *s.hypervisor();
+         hw::Pfn first = 0;
+         ASSERT_TRUE(s.machine().frames().alloc_contiguous(8, first));
+         const DomainId other = hv.create_domain("other", nullptr, first, 8,
+                                                 /*privileged=*/false, 1);
+         hv.init_domain_memory(hv.domain(other));
+         s.machine().memory().write_u32(hw::addr_of(l1) + e * 4,
+                                        hw::make_pte(first, true, false).raw);
+       },
+       "owned by another domain"},
+      {"entry cleared",
+       [](Sut& s, hw::Pfn l1, std::uint32_t e) {
+         s.machine().memory().write_u32(hw::addr_of(l1) + e * 4, 0);
+       },
+       nullptr},
+  };
+  constexpr std::uint32_t kEntry = 517;
+  constexpr hw::Cycles kPerPte = pv::costs::kPerPtePinScan;
+  for (const Case& c : cases) {
+    for (const bool heal : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) + (heal ? ", heal mode" : ", crash mode"));
+      auto s = Sut::create(SystemId::kX0, small());
+      vmm::Hypervisor& hv = *s->hypervisor();
+      hw::Cpu& cpu = s->machine().cpu(0);
+      const std::optional<hw::Pfn> l1 = bulk_checkable_l1(*s);
+      ASSERT_TRUE(l1.has_value()) << "no direct-map L1 over uniform shards";
+      const auto validate = [&](std::size_t* present) {
+        return hv.validate_l1(cpu, hv.domain(0), *l1, kPerPte, present);
+      };
+      // Untouched, the table passes whole.
+      std::size_t present = 0;
+      std::uint64_t validations = hv.stats().pte_validations;
+      hw::Cycles t0 = cpu.now();
+      ASSERT_TRUE(validate(&present));
+      EXPECT_EQ(present, hw::kPtEntries);
+      EXPECT_EQ(hv.stats().pte_validations - validations, hw::kPtEntries);
+      EXPECT_EQ(cpu.now() - t0, hw::kPtEntries * kPerPte);
+
+      c.plant(*s, *l1, kEntry);
+      std::vector<std::uint32_t> before(hw::kPtEntries);
+      for (std::uint32_t e = 0; e < hw::kPtEntries; ++e)
+        before[e] = s->machine().memory().read_u32(hw::addr_of(*l1) + e * 4);
+      const std::uint64_t healed = hv.stats().entries_healed;
+      hv.set_heal_mode(heal);
+      present = 0;
+      validations = hv.stats().pte_validations;
+      t0 = cpu.now();
+      const bool ok = validate(&present);
+      const hw::Cycles charged = cpu.now() - t0;
+      const std::uint64_t validated = hv.stats().pte_validations - validations;
+      if (c.crash_reason == nullptr) {
+        // One entry absent: 1 023 validated, nothing to repair.
+        EXPECT_TRUE(ok);
+        EXPECT_EQ(present, hw::kPtEntries - 1);
+        EXPECT_EQ(validated, hw::kPtEntries - 1);
+        EXPECT_EQ(charged, hw::kPtEntries * kPerPte);
+        EXPECT_EQ(hv.stats().entries_healed, healed);
+      } else if (!heal) {
+        // The loop stops at the planted entry and charges up to it.
+        EXPECT_FALSE(ok);
+        EXPECT_TRUE(hv.domain(0).crashed);
+        EXPECT_NE(hv.domain(0).crash_reason.find(c.crash_reason),
+                  std::string::npos)
+            << hv.domain(0).crash_reason;
+        EXPECT_EQ(validated, kEntry + 1);
+        EXPECT_EQ(charged, (kEntry + 1) * kPerPte);
+      } else {
+        // Heal mode clears exactly the planted entry.
+        EXPECT_TRUE(ok);
+        EXPECT_FALSE(hv.domain(0).crashed);
+        EXPECT_EQ(present, hw::kPtEntries - 1);
+        EXPECT_EQ(validated, hw::kPtEntries);
+        EXPECT_EQ(hv.stats().entries_healed, healed + 1);
+        EXPECT_EQ(charged, hw::kPtEntries * kPerPte + hw::costs::kMemAccess);
+        for (std::uint32_t e = 0; e < hw::kPtEntries; ++e)
+          EXPECT_EQ(s->machine().memory().read_u32(hw::addr_of(*l1) + e * 4),
+                    e == kEntry ? 0u : before[e])
+              << "entry " << e;
+      }
+    }
+  }
 }
 
 }  // namespace
