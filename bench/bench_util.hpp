@@ -38,8 +38,9 @@ struct ObsOptions {
 /// `=`-joined) out of
 /// argv. Call before benchmark::Initialize. When only --metrics-json is
 /// given, the Chrome trace defaults to `<metrics-json>.trace.json` so one
-/// flag yields both artifacts. A --profile-json flag also enables the
-/// engine profiler for the whole run.
+/// flag yields both artifacts; a run that writes the trace gets a larger
+/// flight ring. A --profile-json flag also enables the engine profiler for
+/// the whole run.
 inline ObsOptions consume_obs_flags(int& argc, char** argv) {
   // Bench binaries honour $MERCURY_POSTMORTEM_DIR but default bundles to
   // the build tree (beside the binary), not the invoking directory.
@@ -72,59 +73,48 @@ inline ObsOptions consume_obs_flags(int& argc, char** argv) {
   argv[argc] = nullptr;
   if (!opts.metrics_json.empty() && opts.trace_json.empty())
     opts.trace_json = opts.metrics_json + ".trace.json";
-  if (opts.any()) obs::trace_buffer().set_enabled(true);
+  // The Chrome trace is a view over the flight ring: size the ring for it
+  // before anything is recorded.
+  if (!opts.trace_json.empty())
+    obs::flight_recorder().set_capacity(
+        obs::FlightRecorder::kTraceCapacityPerCpu);
   if (!opts.profile_json.empty()) obs::profiler().set_enabled(true);
   return opts;
 }
 
-/// Dump the registry snapshot / trace ring to the paths in `opts`.
-/// Call once, after the bench's workloads have run.
+/// Write `json` to `path` and say so, or that it could not be written.
+inline void write_artifact(const std::string& path, const std::string& json,
+                           const char* what, const char* note = "") {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  const bool ok = f != nullptr &&
+                  std::fwrite(json.data(), 1, json.size(), f) == json.size();
+  if ((f != nullptr && std::fclose(f) != 0) || !ok) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return;
+  }
+  std::printf("%s written to %s%s\n", what, path.c_str(), note);
+}
+
+/// Dump the registry snapshot, Chrome trace, engine profile and pause
+/// ledger to the paths in `opts`. Call once, after the bench's workloads
+/// have run.
 inline void write_obs_artifacts(const ObsOptions& opts) {
-  if (!opts.metrics_json.empty()) {
-    if (std::FILE* f = std::fopen(opts.metrics_json.c_str(), "w")) {
-      const std::string json = obs::to_json(obs::snapshot());
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("metrics snapshot written to %s\n",
-                  opts.metrics_json.c_str());
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   opts.metrics_json.c_str());
-    }
-  }
-  if (!opts.trace_json.empty()) {
-    if (obs::write_chrome_trace(opts.trace_json)) {
-      std::printf("chrome trace written to %s (open via chrome://tracing)\n",
-                  opts.trace_json.c_str());
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   opts.trace_json.c_str());
-    }
-  }
-  if (!opts.profile_json.empty()) {
-    if (obs::write_profile_json(opts.profile_json)) {
-      std::printf("engine profile written to %s (mercury.profile.v1)\n",
-                  opts.profile_json.c_str());
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   opts.profile_json.c_str());
-    }
-  }
-  if (!opts.pause_json.empty()) {
-    // The ambient ledger: benches that sweep cells under PauseLedgerScope
-    // merge each cell's ledger back into the global so the artifact covers
-    // the whole run.
-    if (std::FILE* f = std::fopen(opts.pause_json.c_str(), "w")) {
-      const std::string json = obs::pause_ledger().to_json();
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("pause ledger written to %s (mercury.pause.v1)\n",
-                  opts.pause_json.c_str());
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   opts.pause_json.c_str());
-    }
-  }
+  if (!opts.metrics_json.empty())
+    write_artifact(opts.metrics_json, obs::to_json(obs::snapshot()),
+                   "metrics snapshot");
+  if (!opts.trace_json.empty())
+    write_artifact(opts.trace_json,
+                   obs::chrome_trace_json(obs::flight_recorder()),
+                   "chrome trace", " (open via chrome://tracing)");
+  if (!opts.profile_json.empty())
+    write_artifact(opts.profile_json, obs::profile_json(), "engine profile",
+                   " (mercury.profile.v1)");
+  // The ambient ledger: benches that sweep cells under PauseLedgerScope
+  // merge each cell's ledger back into the global so the artifact covers
+  // the whole run.
+  if (!opts.pause_json.empty())
+    write_artifact(opts.pause_json, obs::pause_ledger().to_json(),
+                   "pause ledger", " (mercury.pause.v1)");
 }
 
 using workloads::Sut;

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Validate Mercury JSON artifacts: bench metrics, postmortem bundles,
-chaos-soak verdicts, sampled time series, and engine profiles.
+chaos-soak verdicts, sampled time series, engine profiles, and Chrome
+traces.
 
 Usage:
     scripts/check_bench_json.py out.json
@@ -12,14 +13,17 @@ Usage:
     scripts/check_bench_json.py prof.json --schema profile
     scripts/check_bench_json.py pause.json --schema pause
     scripts/check_bench_json.py depend.json --schema depend
+    scripts/check_bench_json.py out.json.trace.json --schema chrome \
+        --require switch.attach
 
 Exits 0 when the document is well-formed against the selected schema
 (mercury.metrics.v1 by default; mercury.postmortem.v1 with
 --schema postmortem, mercury.soak.v1 with --schema soak,
 mercury.timeseries.v1 with --schema timeseries, mercury.profile.v1 with
 --schema profile, mercury.pause.v1 with --schema pause, mercury.depend.v1
-with --schema depend) and every --require name is present as an
-instrument; nonzero otherwise. The soak schema additionally *gates*: zero
+with --schema depend, a Chrome trace_event document with --schema chrome)
+and every --require name is present as an instrument (for a Chrome trace:
+an event name); nonzero otherwise. The soak schema additionally *gates*: zero
 unresolved requests, zero invariant violations, zero workload corruptions,
 zero unattributed pause intervals (document-wide and per node), and
 converged == true — the CI soak job fails on any of them. The pause schema
@@ -45,6 +49,9 @@ PROFILE_SCHEMA = "mercury.profile.v1"
 PAUSE_SCHEMA = "mercury.pause.v1"
 DEPEND_SCHEMA = "mercury.depend.v1"
 HIST_FIELDS = ("count", "sum", "min", "mean", "max", "p50", "p90", "p99")
+# Chrome event phases the flight-ring export writes: complete spans and
+# instants.
+CHROME_PHASES = ("X", "i")
 
 # The attribution causes a mercury.pause.v1 ledger always reports
 # (silent causes appear with zero counts).
@@ -701,6 +708,48 @@ def validate_profile(doc):
     return names
 
 
+def validate_chrome(doc):
+    """Validate a Chrome trace_event document as the benches write it
+    (--trace-json, a view over the flight ring): named X spans and i
+    instants with numeric ts/pid/tid, a non-negative dur on every span, and
+    a unique flight seq in args. Returns the set of event names. Raises
+    SchemaError on the first violation."""
+    if not isinstance(doc, dict):
+        raise SchemaError("top-level value is not an object")
+    events = doc.get("traceEvents")
+    if not isinstance(events, list):
+        raise SchemaError("'traceEvents' is missing or not an array")
+    names = set()
+    seqs = set()
+    for i, ev in enumerate(events):
+        where = f"traceEvents[{i}]"
+        if not isinstance(ev, dict):
+            raise SchemaError(f"{where} is not an object")
+        name = ev.get("name")
+        if not isinstance(name, str) or not name:
+            raise SchemaError(f"{where} lacks a non-empty string 'name'")
+        where = f"{where} ('{name}')"
+        if not isinstance(ev.get("cat"), str):
+            raise SchemaError(f"{where} lacks a string 'cat'")
+        if ev.get("ph") not in CHROME_PHASES:
+            raise SchemaError(f"{where} 'ph' is {ev.get('ph')!r}, not X or i")
+        for field in ("ts", "pid", "tid"):
+            if not _is_number(ev.get(field)):
+                raise SchemaError(f"{where} field '{field}' is not a number")
+        if ev["ph"] == "X" and not (_is_number(ev.get("dur"))
+                                    and ev["dur"] >= 0):
+            raise SchemaError(f"{where} span lacks a 'dur' >= 0")
+        args = ev.get("args")
+        seq = args.get("seq") if isinstance(args, dict) else None
+        if not _is_number(seq):
+            raise SchemaError(f"{where} 'args.seq' is not a number")
+        if seq in seqs:
+            raise SchemaError(f"{where} repeats seq {seq}")
+        seqs.add(seq)
+        names.add(name)
+    return names
+
+
 def fail(msg):
     print(f"check_bench_json: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
@@ -712,7 +761,7 @@ def main():
     ap.add_argument(
         "--schema",
         choices=("metrics", "postmortem", "soak", "timeseries", "profile",
-                 "pause", "depend"),
+                 "pause", "depend", "chrome"),
         default="metrics",
         help="document schema to validate against (default: metrics)",
     )
@@ -733,6 +782,7 @@ def main():
         "profile": PROFILE_SCHEMA,
         "pause": PAUSE_SCHEMA,
         "depend": DEPEND_SCHEMA,
+        "chrome": "Chrome trace_event",
     }
     # Every failure is one line carrying (file, schema, reason): a truncated
     # or non-object artifact must diagnose itself, not raise a traceback.
@@ -751,6 +801,7 @@ def main():
         "profile": validate_profile,
         "pause": validate_pause,
         "depend": validate_depend,
+        "chrome": validate_chrome,
     }
     try:
         names = validators[args.schema](doc)
@@ -801,6 +852,12 @@ def main():
             f"check_bench_json: OK: {args.path} — depend verdict: "
             f"{len(doc['arcs'])} arc(s), {ok} succeeded, {quar} quarantined, "
             f"{doc['storm_fires']} storm fires"
+        )
+    elif args.schema == "chrome":
+        spans = sum(1 for ev in doc["traceEvents"] if ev["ph"] == "X")
+        print(
+            f"check_bench_json: OK: {args.path} — Chrome trace: "
+            f"{len(doc['traceEvents'])} events, {spans} spans"
         )
     else:
         print(

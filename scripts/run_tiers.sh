@@ -20,7 +20,8 @@
 #            arcs (live-update, checkpoint-restart, migrate) clean and
 #            under a fault storm, writes mercury.depend.v1 verdicts to
 #            build/depend-artifacts/, schema-gates both with
-#            scripts/check_bench_json.py --schema depend, renders them via
+#            scripts/check_bench_json.py --schema depend, validates the
+#            Chrome trace with --schema chrome, renders the verdicts via
 #            scripts/blackbox_report.py, and gates the clean window/downtime
 #            gauges against BENCH_depend.json with scripts/bench_compare.py
 #   obsoff - tier1 with -DMERCURY_OBS=OFF (build-obsoff/), then diff the
@@ -200,6 +201,8 @@ run_depend() {
   python3 scripts/check_bench_json.py "$art/depend.json" --schema depend
   python3 scripts/check_bench_json.py "$art/depend-storm.json" --schema depend
   python3 scripts/check_bench_json.py "$art/metrics.json"
+  python3 scripts/check_bench_json.py "$art/metrics.json.trace.json" \
+    --schema chrome --require switch.attach --require switch.detach
   python3 scripts/blackbox_report.py "$art/depend-storm.json"
   python3 scripts/bench_compare.py BENCH_depend.json "$art/metrics.json" \
     --prefix bench.depend.

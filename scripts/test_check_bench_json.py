@@ -284,6 +284,25 @@ def depend_doc():
     }
 
 
+def chrome_doc():
+    # A switch span, a zero-length interval exported as an instant, and a
+    # point event, as the flight-ring export writes them.
+    return {
+        "displayTimeUnit": "ms",
+        "traceEvents": [
+            {"name": "switch.attach", "cat": "switch", "ph": "X",
+             "ts": 1.0, "dur": 239.5, "pid": 0, "tid": 0,
+             "args": {"seq": 7, "trace": 3, "span": 4, "parent": 0}},
+            {"name": "vmm.tlb_shootdown_all", "cat": "vmm", "ph": "i",
+             "s": "t", "ts": 2.0, "pid": 0, "tid": 1,
+             "args": {"seq": 5, "trace": 3, "span": 6, "parent": 4}},
+            {"name": "switch.refcount_retry", "cat": "refcount.retry",
+             "ph": "i", "s": "t", "ts": 240.5, "pid": 2, "tid": 0,
+             "args": {"seq": 9}},
+        ],
+    }
+
+
 class MetricsSchemaTest(unittest.TestCase):
     def test_valid_doc_returns_names(self):
         names = cbj.validate_metrics(metrics_doc())
@@ -763,6 +782,72 @@ class ProfileSchemaTest(unittest.TestCase):
         doc["buckets"][0]["wall_fraction"] = 1.0  # inclusive share
         with self.assertRaisesRegex(cbj.SchemaError, "sum to"):
             cbj.validate_profile(doc)
+
+
+class ChromeSchemaTest(unittest.TestCase):
+    def test_valid_doc_returns_event_names(self):
+        names = cbj.validate_chrome(chrome_doc())
+        self.assertEqual(
+            names,
+            {"switch.attach", "vmm.tlb_shootdown_all",
+             "switch.refcount_retry"},
+        )
+
+    def test_empty_trace_is_valid(self):
+        cbj.validate_chrome({"traceEvents": []})
+
+    def test_missing_trace_events(self):
+        with self.assertRaisesRegex(cbj.SchemaError, "traceEvents"):
+            cbj.validate_chrome({"displayTimeUnit": "ms"})
+
+    def test_empty_name_rejected(self):
+        doc = chrome_doc()
+        doc["traceEvents"][0]["name"] = ""
+        with self.assertRaisesRegex(cbj.SchemaError, "name"):
+            cbj.validate_chrome(doc)
+
+    def test_missing_cat_rejected(self):
+        doc = chrome_doc()
+        del doc["traceEvents"][1]["cat"]
+        with self.assertRaisesRegex(cbj.SchemaError, "cat"):
+            cbj.validate_chrome(doc)
+
+    def test_unknown_phase_rejected(self):
+        doc = chrome_doc()
+        doc["traceEvents"][0]["ph"] = "B"
+        with self.assertRaisesRegex(cbj.SchemaError, "'ph'"):
+            cbj.validate_chrome(doc)
+
+    def test_non_numeric_ts_pid_tid_rejected(self):
+        for field in ("ts", "pid", "tid"):
+            doc = chrome_doc()
+            doc["traceEvents"][2][field] = "0"
+            with self.assertRaisesRegex(cbj.SchemaError, field):
+                cbj.validate_chrome(doc)
+
+    def test_span_without_dur_rejected(self):
+        doc = chrome_doc()
+        del doc["traceEvents"][0]["dur"]
+        with self.assertRaisesRegex(cbj.SchemaError, "dur"):
+            cbj.validate_chrome(doc)
+
+    def test_negative_dur_rejected(self):
+        doc = chrome_doc()
+        doc["traceEvents"][0]["dur"] = -1.0
+        with self.assertRaisesRegex(cbj.SchemaError, "dur"):
+            cbj.validate_chrome(doc)
+
+    def test_missing_seq_rejected(self):
+        doc = chrome_doc()
+        del doc["traceEvents"][2]["args"]
+        with self.assertRaisesRegex(cbj.SchemaError, "args.seq"):
+            cbj.validate_chrome(doc)
+
+    def test_repeated_seq_rejected(self):
+        doc = chrome_doc()
+        doc["traceEvents"][2]["args"]["seq"] = 7
+        with self.assertRaisesRegex(cbj.SchemaError, "repeats seq 7"):
+            cbj.validate_chrome(doc)
 
 
 class BenchCompareTest(unittest.TestCase):

@@ -17,6 +17,13 @@ using core::ExecMode;
 
 namespace {
 
+/// Budget driving each supervised switch to resolution.
+constexpr hw::Cycles kSwitchBudget = 2000 * hw::kCyclesPerMillisecond;
+/// Guest execution between checkpoint and restore (the divergence the
+/// restore must undo), and on the migration destination (the service the
+/// migrated OS renders before coming home).
+constexpr hw::Cycles kServiceRun = 10 * hw::kCyclesPerMillisecond;
+
 /// Arm a content-dirty window on `node`'s machine for the duration of a
 /// migration leg: reuses the engine's warm-reattach DirtyFrameTracker when
 /// one exists (it is already the machine's dirty sink), otherwise installs
@@ -157,7 +164,7 @@ ArcReport live_update_arc(Node& node, const KernelPatch& patch,
     const hw::Cycles t0 = cpu.now();
     core::FaultInjected last{};
 
-    if (!sup.switch_now(ExecMode::kPartialVirtual, cfg.switch_budget)) {
+    if (!sup.switch_now(ExecMode::kPartialVirtual, kSwitchBudget)) {
       quarantine(r, node, "attach never committed", &last);
     } else {
       r.attach_cycles = m.engine().stats().last_attach_cycles;
@@ -179,7 +186,7 @@ ArcReport live_update_arc(Node& node, const KernelPatch& patch,
       }
       // Native speed is the standing promise: come home even after a
       // quarantined service.
-      if (sup.switch_now(ExecMode::kNative, cfg.switch_budget)) {
+      if (sup.switch_now(ExecMode::kNative, kSwitchBudget)) {
         r.detach_cycles = m.engine().stats().last_detach_cycles;
       } else {
         r.success = false;
@@ -216,7 +223,7 @@ ArcReport self_heal_arc(Node& node, const DependConfig& cfg) {
     // VMM "repairs the tainted state").
     hv.set_heal_mode(true);
     const bool attached =
-        sup.switch_now(ExecMode::kPartialVirtual, cfg.switch_budget);
+        sup.switch_now(ExecMode::kPartialVirtual, kSwitchBudget);
     hv.set_heal_mode(false);
     if (!attached) {
       quarantine(r, node, "attach never committed", &last);
@@ -225,7 +232,7 @@ ArcReport self_heal_arc(Node& node, const DependConfig& cfg) {
       r.verified = hv.stats().domains_crashed == crashed_before;
       r.success = r.verified;
       if (!r.verified) quarantine(r, node, "a domain crashed", &last);
-      if (sup.switch_now(ExecMode::kNative, cfg.switch_budget)) {
+      if (sup.switch_now(ExecMode::kNative, kSwitchBudget)) {
         r.detach_cycles = m.engine().stats().last_detach_cycles;
       } else {
         r.success = false;
@@ -278,7 +285,7 @@ ArcReport checkpoint_restart_arc(Node& node, const DependConfig& cfg) {
     const hw::Cycles t0 = cpu.now();
     core::FaultInjected last{};
 
-    if (!sup.switch_now(ExecMode::kPartialVirtual, cfg.switch_budget)) {
+    if (!sup.switch_now(ExecMode::kPartialVirtual, kSwitchBudget)) {
       quarantine(r, node, "attach never committed", &last);
     } else {
       r.attach_cycles = m.engine().stats().last_attach_cycles;
@@ -299,7 +306,7 @@ ArcReport checkpoint_restart_arc(Node& node, const DependConfig& cfg) {
       } else {
         // Diverge: the OS keeps executing under the attached VMM. The
         // restore below must make all of this unhappen, bit-exactly.
-        m.kernel().run_for(cfg.service_run);
+        m.kernel().run_for(kServiceRun);
 
         // The undo image, taken fault-free immediately before the first
         // restore attempt: rollback must never itself be faultable.
@@ -340,7 +347,7 @@ ArcReport checkpoint_restart_arc(Node& node, const DependConfig& cfg) {
         fold_invariants(r, m.engine(), cfg.check_invariants);
       }
       r.service_cycles = cpu.now() - s0;
-      if (sup.switch_now(ExecMode::kNative, cfg.switch_budget)) {
+      if (sup.switch_now(ExecMode::kNative, kSwitchBudget)) {
         r.detach_cycles = m.engine().stats().last_detach_cycles;
       } else {
         r.success = false;
@@ -420,11 +427,11 @@ ArcReport migration_arc(Node& src, Node& dst, const DependConfig& cfg,
 
     // Receiver first: partial-virtual, so its driver domain hosts the
     // split-I/O backends the migrated frontends reconnect to (§5.2).
-    if (!dsup.switch_now(ExecMode::kPartialVirtual, cfg.switch_budget)) {
+    if (!dsup.switch_now(ExecMode::kPartialVirtual, kSwitchBudget)) {
       quarantine(r, dst, "receiver attach never committed", &last);
-    } else if (!ssup.switch_now(ExecMode::kFullVirtual, cfg.switch_budget)) {
+    } else if (!ssup.switch_now(ExecMode::kFullVirtual, kSwitchBudget)) {
       quarantine(r, src, "source attach never committed", &last);
-      dsup.switch_now(ExecMode::kNative, cfg.switch_budget);
+      dsup.switch_now(ExecMode::kNative, kSwitchBudget);
     } else {
       r.attach_cycles = sm.engine().stats().last_attach_cycles;
       const hw::Cycles s0 = src.machine().max_cpu_time();
@@ -432,8 +439,8 @@ ArcReport migration_arc(Node& src, Node& dst, const DependConfig& cfg,
         // Every attempt rolled the source back; both nodes come home.
         r.rolled_back = true;
         r.service_cycles = src.machine().max_cpu_time() - s0;
-        ssup.switch_now(ExecMode::kNative, cfg.switch_budget);
-        dsup.switch_now(ExecMode::kNative, cfg.switch_budget);
+        ssup.switch_now(ExecMode::kNative, kSwitchBudget);
+        dsup.switch_now(ExecMode::kNative, kSwitchBudget);
         quarantine(r, src,
                    "outbound migration kept failing; source rolled back",
                    &last);
@@ -450,7 +457,7 @@ ArcReport migration_arc(Node& src, Node& dst, const DependConfig& cfg,
         if (maintenance) maintenance(src.machine());
         // Service phase: the OS runs on the receiver, frontends already
         // reconnected by the migration's activation step.
-        sm.kernel().run_for(cfg.service_run);
+        sm.kernel().run_for(kServiceRun);
 
         const bool home = migrate_leg(r, cfg, "migrate.back", dst, src, &last);
         r.service_cycles = src.machine().max_cpu_time() - s0;
@@ -464,8 +471,8 @@ ArcReport migration_arc(Node& src, Node& dst, const DependConfig& cfg,
                      "receiver",
                      &last);
         } else {
-          const bool sn = ssup.switch_now(ExecMode::kNative, cfg.switch_budget);
-          const bool dn = dsup.switch_now(ExecMode::kNative, cfg.switch_budget);
+          const bool sn = ssup.switch_now(ExecMode::kNative, kSwitchBudget);
+          const bool dn = dsup.switch_now(ExecMode::kNative, kSwitchBudget);
           if (sn) r.detach_cycles = sm.engine().stats().last_detach_cycles;
           if (sn && dn) {
             r.verified = !src.hosts_foreign_guest() &&

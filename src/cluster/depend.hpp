@@ -62,12 +62,6 @@ struct DependConfig {
   /// Retry budget for the service step (capture, restore, one migration
   /// leg). Exhaustion escalates to rollback + quarantine.
   std::uint32_t service_max_attempts = 4;
-  /// Budget driving each supervised switch to resolution.
-  hw::Cycles switch_budget = 2000 * hw::kCyclesPerMillisecond;
-  /// Guest execution between checkpoint and restore (the divergence the
-  /// restore must undo), and on the migration destination (the service the
-  /// migrated OS renders before coming home).
-  hw::Cycles service_run = 10 * hw::kCyclesPerMillisecond;
   /// Run the machine invariant checker at the arc's verification points.
   bool check_invariants = true;
 };

@@ -11,7 +11,7 @@ Node& Fabric::add_node(const std::string& name, NodeConfig config) {
     config.addr = 0x0A000001 + static_cast<std::uint32_t>(nodes_.size());
   nodes_.push_back(std::make_unique<Node>(name, config));
   // Trace-node ids are 1-based: 0 stays "unscoped single-machine".
-  nodes_.back()->set_trace_node(static_cast<std::uint32_t>(nodes_.size()));
+  nodes_.back()->set_trace_node(static_cast<std::uint16_t>(nodes_.size()));
   return *nodes_.back();
 }
 

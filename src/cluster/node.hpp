@@ -39,8 +39,8 @@ class Node {
   // --- observability ---
   /// Trace attribution id (Chrome export pid). 0 until the fabric assigns
   /// index+1 in add_node; standalone Nodes stay unscoped.
-  std::uint32_t trace_node() const { return trace_node_; }
-  void set_trace_node(std::uint32_t id) { trace_node_ = id; }
+  std::uint16_t trace_node() const { return trace_node_; }
+  void set_trace_node(std::uint16_t id) { trace_node_ = id; }
 
   /// This node's label-bound view of the global metrics registry: every
   /// instrument created through it carries "node=<name>", so fleet soaks
@@ -69,14 +69,14 @@ class Node {
   std::unique_ptr<hw::Machine> machine_;
   std::unique_ptr<core::Mercury> mercury_;
   kernel::Kernel* active_ = nullptr;
-  std::uint32_t trace_node_ = 0;
+  std::uint16_t trace_node_ = 0;
   obs::ScopedMetrics metrics_;
   obs::ProfBucket* prof_bucket_ = nullptr;
   obs::PauseLedger pauses_;
   bool failed_ = false;
 };
 
-/// A node's attribution for whatever runs inside the scope: trace records
+/// A node's attribution for whatever runs inside the scope: flight records
 /// land under its Chrome pid and host time in its profiler bucket (both
 /// compiled away with telemetry off), pause intervals in its ledger.
 /// Fabric::co_step opens one around every step of a node, ClusterSoak

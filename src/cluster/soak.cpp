@@ -88,6 +88,9 @@ bool write_soak_report(const SoakReport& r, const std::string& path) {
 
 namespace {
 
+/// Stepper budget per wave.
+constexpr hw::Cycles kWaveBudget = 400 * hw::kCyclesPerMillisecond;
+
 // A committed switch is a service interruption as long as its transfer
 // window, booked as [resolved_at - window, resolved_at]. A request that
 // found the machine already in its target made no attempt: the engine's
@@ -102,6 +105,31 @@ void book_commit(AvailabilityTracker& tracker, const core::SwitchStats& es,
   tracker.service_down(r.resolved_at - window,
                        detach ? "switch.detach" : "switch.attach");
   tracker.service_up(r.resolved_at);
+}
+
+/// Add one supervisor's request outcomes, and its engine's rollbacks and
+/// cancels, to `r`. The stranded-request gate covers caller-submitted
+/// requests only: a supervisor-internal probe or quarantine detach
+/// legitimately in flight at snapshot time is scheduled work, not a
+/// stranded request.
+void add_supervisor(SoakReport& r, core::SwitchSupervisor& sup) {
+  const core::SupervisorStats& ss = sup.stats();
+  r.submitted += ss.submitted;
+  r.committed += ss.committed;
+  r.failed_deadline += ss.failed_deadline;
+  r.failed_attempts += ss.failed_attempts;
+  r.failed_quarantined += ss.failed_quarantined;
+  r.cancelled += ss.cancelled;
+  r.attempts += ss.attempts;
+  r.retries += ss.retries;
+  r.backoffs += ss.backoffs;
+  r.quarantines += ss.quarantines;
+  r.recoveries += ss.recoveries;
+  r.probes += ss.probes;
+  r.rollbacks += sup.engine().stats().rollbacks;
+  r.engine_cancels += sup.engine().stats().cancels;
+  for (const core::SupervisedRequest& q : sup.requests())
+    if (!q.internal && !core::request_state_terminal(q.state)) ++r.unresolved;
 }
 
 }  // namespace
@@ -206,29 +234,8 @@ SoakReport SoakDriver::report(std::uint64_t seed) const {
   r.storm_fires = fi.storm_fires();
   r.storm_windows = fi.storm_windows();
 
-  const core::SupervisorStats& ss = sup_.stats();
-  r.submitted = ss.submitted;
-  r.committed = ss.committed;
-  r.failed_deadline = ss.failed_deadline;
-  r.failed_attempts = ss.failed_attempts;
-  r.failed_quarantined = ss.failed_quarantined;
-  r.cancelled = ss.cancelled;
-  // The stranded-request gate covers caller-submitted requests only: a
-  // supervisor-internal probe or quarantine detach legitimately in flight
-  // at snapshot time is scheduled work, not a stranded request.
-  r.unresolved = 0;
-  for (const core::SupervisedRequest& q : sup_.requests())
-    if (!q.internal && !core::request_state_terminal(q.state)) ++r.unresolved;
-  r.attempts = ss.attempts;
-  r.retries = ss.retries;
-  r.backoffs = ss.backoffs;
-  r.quarantines = ss.quarantines;
-  r.recoveries = ss.recoveries;
-  r.probes = ss.probes;
+  add_supervisor(r, sup_);
   r.final_health = core::supervisor_health_name(sup_.health());
-
-  r.rollbacks = sup_.engine().stats().rollbacks;
-  r.engine_cancels = sup_.engine().stats().cancels;
   r.invariant_checks = invariant_checks_;
   r.invariant_violations = invariant_violations_;
 
@@ -414,7 +421,7 @@ void ClusterSoak::run_wave() {
           if (rt->outstanding) return false;
         return true;
       },
-      params_.wave_budget);
+      kWaveBudget);
   if (!ok) all_resolved_ok_ = false;
   ++waves_run_;
   obs::record_interval(obs::IntervalKind::kClusterWave, 0, wave_begin,
@@ -488,23 +495,7 @@ SoakReport ClusterSoak::report() const {
         core::exec_mode_name(rt.supervisor->engine().mode());
     avail_sum += ns.availability;
 
-    r.submitted += ss.submitted;
-    r.committed += ss.committed;
-    r.failed_deadline += ss.failed_deadline;
-    r.failed_attempts += ss.failed_attempts;
-    r.failed_quarantined += ss.failed_quarantined;
-    r.cancelled += ss.cancelled;
-    r.attempts += ss.attempts;
-    r.retries += ss.retries;
-    r.backoffs += ss.backoffs;
-    r.quarantines += ss.quarantines;
-    r.recoveries += ss.recoveries;
-    r.probes += ss.probes;
-    r.rollbacks += rt.supervisor->engine().stats().rollbacks;
-    r.engine_cancels += rt.supervisor->engine().stats().cancels;
-    for (const core::SupervisedRequest& q : rt.supervisor->requests())
-      if (!q.internal && !core::request_state_terminal(q.state))
-        ++r.unresolved;
+    add_supervisor(r, *rt.supervisor);
     r.interruptions += rt.tracker.interruptions().size();
     r.downtime_cycles += rt.tracker.total_downtime();
     r.span_cycles = std::max(r.span_cycles,

@@ -222,8 +222,6 @@ struct ClusterSoakParams {
   /// ring capacity.
   double sample_interval_ms = 1.0;
   std::size_t sample_capacity = 256;
-  /// co_step budget per wave.
-  hw::Cycles wave_budget = 400 * hw::kCyclesPerMillisecond;
 };
 
 /// Fleet-scale soak: its own Fabric of `nodes` Mercury nodes, one

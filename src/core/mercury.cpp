@@ -4,6 +4,11 @@
 
 namespace mercury::core {
 
+namespace {
+/// Frames withheld from the kernel (firmware/boot holdback).
+constexpr std::size_t kHoldbackFrames = 256;
+}  // namespace
+
 Mercury::Mercury(hw::Machine& machine, MercuryConfig config)
     : machine_(machine), config_(std::move(config)) {
   // Pre-cache the VMM: warmed into its reserved region at boot (§4.1), so a
@@ -27,9 +32,8 @@ Mercury::Mercury(hw::Machine& machine, MercuryConfig config)
   // holdback; the unified layout reserves the VMM's PDEs in every address
   // space from the start (§3.2.2).
   hw::Pfn first = 0;
-  std::size_t grant = machine_.frames().frames_free() > config_.holdback_frames
-                          ? machine_.frames().frames_free() -
-                                config_.holdback_frames
+  std::size_t grant = machine_.frames().frames_free() > kHoldbackFrames
+                          ? machine_.frames().frames_free() - kHoldbackFrames
                           : machine_.frames().frames_free();
   if (config_.kernel_frames != 0)
     grant = std::min(grant, config_.kernel_frames);

@@ -26,8 +26,6 @@ namespace mercury::core {
 
 struct MercuryConfig {
   SwitchConfig switch_config{};
-  /// Frames withheld from the kernel (firmware/boot holdback).
-  std::size_t holdback_frames = 256;
   /// Frames granted to the kernel; 0 = everything left after the holdback.
   std::size_t kernel_frames = 0;
   std::string kernel_name = "mercury-linux";

@@ -20,6 +20,10 @@ namespace mercury::core {
 
 namespace {
 
+/// §5.1.1: a switch deferred by in-flight sensitive code retries after
+/// this timer interval.
+constexpr hw::Cycles kDeferRetry = 10 * hw::kCyclesPerMillisecond;
+
 /// The injection site behind each hypervisor probe point, indexed by
 /// HvFaultPoint. Both halves of the probe (per-visit and bulk) map here.
 constexpr FaultSite kHvFaultSites[] = {
@@ -184,11 +188,10 @@ void SwitchEngine::try_commit(hw::Cpu& cpu) {
   if (current_vo().active_refs() != 0) {
     ++stats_.deferrals;
     MERC_COUNT("switch.deferrals");
-    MERC_INSTANT(cpu, kSwitch, "switch.deferred");
     MERC_FLIGHT(cpu, kRefcountRetry, "switch.refcount_retry",
                 current_vo().active_refs(), stats_.deferrals);
     kernel_.add_timer(
-        cpu.now() + hw::us_to_cycles(config_.defer_retry_ms * 1000.0),
+        cpu.now() + kDeferRetry,
         [this] {
           if (!pending_) return;
           hw::Machine& m = kernel_.machine();
@@ -204,9 +207,7 @@ void SwitchEngine::try_commit(hw::Cpu& cpu) {
                                  pending_target_ == ExecMode::kNative
                                      ? hw::kVecSelfVirtDetach
                                      : hw::kVecSelfVirtAttach,
-                                 m.cpu(0).now() +
-                                     hw::us_to_cycles(config_.defer_retry_ms *
-                                                      1000.0));
+                                 m.cpu(0).now() + kDeferRetry);
           }
         });
     return;

@@ -59,7 +59,6 @@ struct SwitchConfig {
   bool eager_page_tracking = false;  // §5.1.2 alternative 1
   bool eager_selector_fixup = false; // walk tasks at switch time vs resume stub
   RendezvousProtocol rendezvous = RendezvousProtocol::kIpiSharedVar;
-  double defer_retry_ms = 10.0;      // §5.1.1 timer interval
   bool validate_before_commit = false;  // failure-resistant switch (§8)
   /// Number of rendezvous-parked CPUs recruited as shard workers for the
   /// bulk switch phases (page-info rebuild, type-and-protect, validation,

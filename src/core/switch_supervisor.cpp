@@ -147,9 +147,7 @@ std::uint64_t SwitchSupervisor::enqueue(ExecMode target,
       probe ? 1 : (opts.max_attempts ? opts.max_attempts : config_.max_attempts);
   req.submitted_at = now();
   req.ctx = obs::current_span_context();
-  const hw::Cycles rel =
-      opts.deadline != 0 ? opts.deadline : config_.default_deadline;
-  req.deadline_at = rel != 0 ? req.submitted_at + rel : 0;
+  req.deadline_at = opts.deadline != 0 ? req.submitted_at + opts.deadline : 0;
   requests_.push_back(req);
   callbacks_.push_back(std::move(cb));
   ++live_;
@@ -472,7 +470,7 @@ void SwitchSupervisor::dump_quarantine_postmortem() {
 }
 
 void SwitchSupervisor::arm_probe_timer() {
-  if (!config_.probe_enabled || config_.probe_interval_ms <= 0.0) return;
+  if (config_.probe_interval_ms <= 0.0) return;
   if (probe_timer_armed_) return;
   probe_timer_armed_ = true;
   std::weak_ptr<SwitchSupervisor*> weak = self_;

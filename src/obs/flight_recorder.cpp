@@ -57,14 +57,25 @@ void FlightRecorder::record(std::uint32_t cpu, FlightType type,
                             const char* name, hw::Cycles at,
                             std::uint64_t arg0, std::uint64_t arg1,
                             std::uint64_t arg2) {
+  // A point event hangs off whatever span is ambient at its site.
+  const SpanContext& ambient = current_span_context();
+  record(SpanContext{ambient.trace_id, 0, ambient.span_id}, cpu, type, name,
+         at, arg0, arg1, arg2);
+}
+
+void FlightRecorder::record(const SpanContext& ctx, std::uint32_t cpu,
+                            FlightType type, const char* name, hw::Cycles at,
+                            std::uint64_t arg0, std::uint64_t arg1,
+                            std::uint64_t arg2) {
   if (!enabled_) return;
   if (cpu >= rings_.size()) rings_.resize(cpu + 1);
   Ring& r = rings_[cpu];
   if (r.slots.empty()) r.slots.resize(capacity_);
   if (r.size == r.slots.size()) ++dropped_;  // overwriting the oldest
   else ++r.size;
-  r.slots[r.head] =
-      FlightEvent{next_seq_++, at, name, type, cpu, arg0, arg1, arg2};
+  r.slots[r.head] = FlightEvent{next_seq_++, at, name, type,
+                                current_trace_node(), cpu, arg0, arg1, arg2,
+                                ctx.trace_id, ctx.span_id, ctx.parent_id};
   r.head = (r.head + 1) % r.slots.size();
   ++recorded_;
 }
@@ -122,9 +133,10 @@ std::string flight_events_json(const std::vector<FlightEvent>& events) {
     out += std::to_string(ev.at);
     out += ",\"type\":\"";
     out += flight_type_name(ev.type);
-    out += "\",\"name\":\"";
-    out += ev.name;  // names are C literals: no escaping needed
-    out += "\",\"args\":[";
+    // A failed check records its expression as the name: escape it.
+    out += "\",\"name\":";
+    append_json_string(out, ev.name);
+    out += ",\"args\":[";
     out += std::to_string(ev.arg0);
     out += ',';
     out += std::to_string(ev.arg1);

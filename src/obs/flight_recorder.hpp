@@ -6,11 +6,12 @@
 // shard's begin carries its range, an end its elapsed cycles and whether it
 // unwound), plus point events — switch requests and commits, refcount
 // retries, fault-injection hits, rollback steps, invariant verdicts,
-// supervisor attempts and resolutions, markers. Unlike the Chrome
-// trace ring (obs/trace.hpp), every event carries up to three integer
-// arguments and a *global* sequence number, so cross-CPU causality survives
+// supervisor attempts and resolutions, markers. Every event carries up to
+// three integer arguments, the cluster node and causal ids it was recorded
+// under, and a *global* sequence number, so cross-CPU causality survives
 // export: merging the per-CPU rings by `seq` reconstructs exactly the order
-// in which the single-threaded simulator emitted them.
+// in which the single-threaded simulator emitted them. It is the only event
+// ring: the Chrome trace is a view over it (obs/trace.hpp).
 //
 // Recording is a ring-slot store plus a counter increment — no allocation
 // after the first event on a CPU, no simulated cost (instrumentation never
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "hw/types.hpp"
+#include "obs/trace.hpp"
 
 namespace mercury::obs {
 
@@ -55,17 +57,31 @@ struct FlightEvent {
   hw::Cycles at = 0;       // emitting CPU's simulated clock
   const char* name = "";   // static string (event names are literals)
   FlightType type = FlightType::kPhaseBegin;
+  std::uint16_t node = 0;  // cluster node (0 = unscoped); the Chrome pid
   std::uint32_t cpu = 0;
   std::uint64_t arg0 = 0, arg1 = 0, arg2 = 0;
+  // Causal ids (obs/trace.hpp): an interval's own on its begin and end
+  // records; on a point event the ambient span's trace and, as parent, the
+  // span itself.
+  std::uint32_t trace_id = 0;  // 0 = untraced
+  std::uint32_t span_id = 0;
+  std::uint32_t parent_id = 0;
 };
+// Every slot is paid per CPU: a depend-arcs benchmark ring is 32 768 slots.
+static_assert(sizeof(FlightEvent) <= 72);
 
 /// Per-CPU rings of FlightEvents with one global sequence counter. Rings
-/// overwrite their oldest event when full (dropped count kept), mirroring
-/// TraceBuffer: the black box never allocates unboundedly and never loses
-/// the *newest* evidence.
+/// overwrite their oldest event when full (dropped count kept): the black
+/// box never allocates unboundedly and never loses the *newest* evidence.
 class FlightRecorder {
  public:
+  /// A postmortem reads the last 256 events and the pause ledger the last
+  /// 64, so the default ring is small.
   static constexpr std::size_t kDefaultCapacityPerCpu = 1024;
+  /// A run that writes its Chrome trace sizes the ring to this first
+  /// (bench --trace-json): at switch-churn's ~2.8 records per span it holds
+  /// ~5 800 spans per CPU.
+  static constexpr std::size_t kTraceCapacityPerCpu = 16384;
 
   explicit FlightRecorder(
       std::size_t capacity_per_cpu = kDefaultCapacityPerCpu);
@@ -77,9 +93,15 @@ class FlightRecorder {
   void set_capacity(std::size_t per_cpu);
   std::size_t capacity() const { return capacity_; }
 
+  /// Record a point event under the ambient span context and cluster node.
   void record(std::uint32_t cpu, FlightType type, const char* name,
               hw::Cycles at, std::uint64_t arg0 = 0, std::uint64_t arg1 = 0,
               std::uint64_t arg2 = 0);
+  /// Record an event whose causal identity is `ctx` (an interval's begin
+  /// and end records), under the ambient cluster node.
+  void record(const SpanContext& ctx, std::uint32_t cpu, FlightType type,
+              const char* name, hw::Cycles at, std::uint64_t arg0,
+              std::uint64_t arg1, std::uint64_t arg2);
 
   /// All retained events merged across CPUs, in emission (seq) order.
   std::vector<FlightEvent> events() const;

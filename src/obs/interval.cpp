@@ -53,25 +53,21 @@ Hist& histogram_for(IntervalKind kind, const char* name) {
 }
 #endif
 
-/// Derive every view from one closed interval.
+/// Derive every view from one closed interval. The Chrome span is read
+/// from the flight end record (obs/trace.hpp).
 void emit(IntervalKind kind, const char* name, std::uint32_t cpu,
           hw::Cycles begin, hw::Cycles end, [[maybe_unused]] bool unwound,
           [[maybe_unused]] const SpanContext& ctx) {
   const IntervalKindInfo& info = interval_kind_info(kind);
   [[maybe_unused]] const hw::Cycles span = end >= begin ? end - begin : 0;
 #if MERCURY_OBS_ENABLED
-  flight_recorder().record(cpu, FlightType::kPhaseEnd, name, end,
+  flight_recorder().record(ctx, cpu, FlightType::kPhaseEnd, name, end,
                            static_cast<std::uint64_t>(kind), span,
                            unwound ? 1 : 0);
 #endif
   if (info.cause != PauseCause::kCauseCount)
     pause_ledger().record(info.cause, cpu, begin, end, name);
 #if MERCURY_OBS_ENABLED
-  TraceEvent ev{name, info.cat, cpu, begin, end};
-  ev.trace_id = ctx.trace_id;
-  ev.span_id = ctx.span_id;
-  ev.parent_id = ctx.parent_id;
-  trace_buffer().record(ev);
   if (info.hist != nullptr && !unwound)
     histogram_for(kind, name).record(span);
 #endif
@@ -89,7 +85,7 @@ void open_interval(IntervalKind kind, std::uint32_t cpu, hw::Cycles at,
   iv.parent = current_span_context();
   iv.ctx = child_of(iv.parent);
   set_span_context(iv.ctx);
-  flight_recorder().record(cpu, FlightType::kPhaseBegin, iv.name, at,
+  flight_recorder().record(iv.ctx, cpu, FlightType::kPhaseBegin, iv.name, at,
                            static_cast<std::uint64_t>(kind), arg0, arg1);
 #endif
   g_open[cpu].push_back(iv);
@@ -120,7 +116,7 @@ void record_interval(IntervalKind kind, std::uint32_t cpu, hw::Cycles begin,
   SpanContext id;
 #if MERCURY_OBS_ENABLED
   id = ctx != nullptr ? *ctx : child_of(current_span_context());
-  flight_recorder().record(cpu, FlightType::kPhaseBegin, name, begin,
+  flight_recorder().record(id, cpu, FlightType::kPhaseBegin, name, begin,
                            static_cast<std::uint64_t>(kind), arg0, arg1);
 #endif
   emit(kind, name, cpu, begin, end, /*unwound=*/false, id);

@@ -6,8 +6,9 @@
 // when its bounds are known only afterwards (per-CPU parking, crew shards,
 // supervisor backoff, the cluster wave). Both are keyed by an IntervalKind
 // from the one kind table below. The stream writes a begin and an end
-// record to the flight ring and derives the Chrome span, the pause-ledger
-// interval and the histogram sample from the same closed interval.
+// record to the flight ring, whose Chrome view shows the end record as the
+// span, and derives the pause-ledger interval and the histogram sample from
+// the same closed interval.
 //
 // Pairing is structural: each CPU has a stack of open intervals, closed
 // innermost first. An end with no open begin, or a begin still open when
@@ -17,8 +18,8 @@
 // flagged unwound; it adds no histogram sample.
 //
 // The pairing and the pause ledger are built with MERCURY_OBS=OFF too: arc
-// downtime is read from the ledger. The flight ring, the trace ring and the
-// histograms compile away. Nothing here charges a simulated cycle.
+// downtime is read from the ledger. The flight ring and the histograms
+// compile away. Nothing here charges a simulated cycle.
 #pragma once
 
 #include <cstddef>

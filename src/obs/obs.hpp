@@ -2,17 +2,17 @@
 //
 // Hooks:
 //   - obs::Interval and obs::record_interval (obs/interval.hpp): every timed
-//     interval, emitted once and fanned out to the flight ring, the Chrome
-//     trace, the pause ledger and the phase histograms;
+//     interval, emitted once and fanned out to the flight ring (which the
+//     Chrome trace views), the pause ledger and the phase histograms;
 //   - MERC_FLIGHT: point events on the flight ring (requests, commits,
-//     cancels, fault hits, rollback steps, verdicts, markers);
+//     cancels, fault hits, rollback steps, verdicts, markers), each a
+//     Chrome instant;
 //   - MERC_COUNT / MERC_GAUGE_SET / MERC_HIST: registry instruments;
-//   - MERC_INSTANT: a zero-duration trace marker;
 //   - MERC_PROF_SCOPE: an engine-profiler scope.
 //
 // With the MERCURY_OBS CMake option OFF (MERCURY_OBS_ENABLED=0) the macros
-// compile away completely, and so do the interval stream's flight, trace
-// and histogram views: no registry lookups, no ring writes. What stays is
+// compile away completely, and so do the interval stream's flight and
+// histogram views: no registry lookups, no ring writes. What stays is
 // what results are read from: the interval stream's pairing and the pause
 // ledger, which arc downtime comes from, so an obs-off build reports the
 // same downtime. The obs library itself builds in both configurations, so
@@ -108,11 +108,6 @@ class ProfScope {
         static_cast<std::uint64_t>(v_));                                \
   } while (0)
 
-/// Zero-duration marker event at cpu_'s current simulated time.
-#define MERC_INSTANT(cpu_, cat_, name_)                                  \
-  ::mercury::obs::trace_buffer().record_instant(                         \
-      (cpu_).id(), ::mercury::obs::TraceCat::cat_, name_, (cpu_).now())
-
 /// Black-box flight event on cpu_'s ring, stamped with its id and clock:
 /// MERC_FLIGHT(cpu, kFaultHit, "adopt.rebuild", site, kind, visits).
 /// Up to three integer arguments; type_ is a bare FlightType enumerator.
@@ -137,7 +132,6 @@ class ProfScope {
 #define MERC_COUNT_N(name_, n_) ((void)0)
 #define MERC_GAUGE_SET(name_, v_) ((void)0)
 #define MERC_HIST(name_, v_) ((void)0)
-#define MERC_INSTANT(cpu_, cat_, name_) ((void)0)
 #define MERC_FLIGHT(...) ((void)0)
 #define MERC_PROF_SCOPE(name_, cpu_ptr_) ((void)0)
 

@@ -53,28 +53,6 @@ std::string slot_file_name(std::uint64_t slot) {
          std::to_string(slot) + ".json";
 }
 
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 }  // namespace
 
 void set_postmortem_dir(const std::string& dir) { dir_storage() = dir; }
@@ -118,19 +96,19 @@ std::string postmortem_json(const PostmortemContext& ctx,
                             std::size_t flight_tail) {
   const FlightRecorder& rec = flight_recorder();
   std::string out = "{\"schema\":\"mercury.postmortem.v1\",\"reason\":";
-  append_escaped(out, ctx.reason);
+  append_json_string(out, ctx.reason);
   out += ",\"detail\":";
-  append_escaped(out, ctx.detail);
+  append_json_string(out, ctx.detail);
   out += ",\"switch\":{\"from\":";
-  append_escaped(out, ctx.switch_from ? ctx.switch_from : "");
+  append_json_string(out, ctx.switch_from ? ctx.switch_from : "");
   out += ",\"target\":";
-  append_escaped(out, ctx.switch_target ? ctx.switch_target : "");
+  append_json_string(out, ctx.switch_target ? ctx.switch_target : "");
   out += '}';
   if (ctx.has_fault) {
     out += ",\"fault\":{\"site\":";
-    append_escaped(out, ctx.fault_site ? ctx.fault_site : "");
+    append_json_string(out, ctx.fault_site ? ctx.fault_site : "");
     out += ",\"kind\":";
-    append_escaped(out, ctx.fault_kind ? ctx.fault_kind : "");
+    append_json_string(out, ctx.fault_kind ? ctx.fault_kind : "");
     out += ",\"cpu\":";
     out += std::to_string(ctx.fault_cpu);
     out += '}';
@@ -162,7 +140,7 @@ std::string postmortem_json(const PostmortemContext& ctx,
     if (!first) out += ',';
     first = false;
     out += "{\"name\":";
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ",\"value\":";
     out += std::to_string(value);
     out += '}';

@@ -1,7 +1,5 @@
 #include "obs/profiler.hpp"
 
-#include <cstdio>
-
 #include "obs/metrics.hpp"
 
 namespace mercury::obs {
@@ -72,14 +70,6 @@ std::string profile_json(const EngineProfiler& prof) {
   }
   out += "]}";
   return out;
-}
-
-bool write_profile_json(const std::string& path, const EngineProfiler& prof) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string json = profile_json(prof);
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace mercury::obs

@@ -92,8 +92,4 @@ EngineProfiler& profiler();
 /// share of it, so the fractions sum to 1.
 std::string profile_json(const EngineProfiler& prof = profiler());
 
-/// Write profile_json() to `path`; false on I/O failure.
-bool write_profile_json(const std::string& path,
-                        const EngineProfiler& prof = profiler());
-
 }  // namespace mercury::obs

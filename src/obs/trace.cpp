@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
+#include "obs/flight_recorder.hpp"
+#include "obs/interval.hpp"
 #include "obs/metrics.hpp"
 
 namespace mercury::obs {
@@ -11,15 +14,21 @@ namespace {
 // The simulator is single-threaded, so the ambient causal context and node
 // attribution are plain globals (see trace.hpp header comment).
 SpanContext g_span_ctx;
-std::uint32_t g_trace_node = 0;
-std::uint64_t g_next_span_id = 0;
+std::uint16_t g_trace_node = 0;
+std::uint32_t g_next_span_id = 0;
+
+void append_us(std::string& out, hw::Cycles cycles) {
+  char num[64];
+  std::snprintf(num, sizeof num, "%.3f", hw::cycles_to_us(cycles));
+  out += num;
+}
 }  // namespace
 
 const SpanContext& current_span_context() { return g_span_ctx; }
 void set_span_context(const SpanContext& ctx) { g_span_ctx = ctx; }
-std::uint64_t next_span_id() { return ++g_next_span_id; }
-std::uint32_t current_trace_node() { return g_trace_node; }
-void set_trace_node(std::uint32_t node) { g_trace_node = node; }
+std::uint32_t next_span_id() { return ++g_next_span_id; }
+std::uint16_t current_trace_node() { return g_trace_node; }
+void set_trace_node(std::uint16_t node) { g_trace_node = node; }
 
 const char* trace_cat_name(TraceCat cat) {
   switch (cat) {
@@ -37,95 +46,47 @@ const char* trace_cat_name(TraceCat cat) {
   return "?";
 }
 
-TraceBuffer::TraceBuffer(std::size_t capacity_per_cpu)
-    : capacity_(capacity_per_cpu ? capacity_per_cpu : 1) {}
-
-void TraceBuffer::set_capacity(std::size_t per_cpu) {
-  capacity_ = per_cpu ? per_cpu : 1;
-  clear();
-}
-
-void TraceBuffer::clear() {
-  rings_.clear();
-  recorded_ = 0;
-  dropped_ = 0;
-  // next_seq_ deliberately survives: the sequence is the global record
-  // order across the buffer's whole lifetime (mirrors FlightRecorder).
-}
-
-void TraceBuffer::record(const TraceEvent& ev) {
-  if (!enabled_) return;
-  if (ev.cpu >= rings_.size()) rings_.resize(ev.cpu + 1);
-  Ring& r = rings_[ev.cpu];
-  if (r.slots.empty()) r.slots.resize(capacity_);
-  if (r.size == r.slots.size()) ++dropped_;  // overwriting the oldest
-  else ++r.size;
-  TraceEvent& slot = r.slots[r.head];
-  slot = ev;
-  slot.seq = next_seq_++;
-  if (slot.node == 0) slot.node = current_trace_node();
-  r.head = (r.head + 1) % r.slots.size();
-  ++recorded_;
-}
-
-std::vector<TraceEvent> TraceBuffer::events() const {
-  std::vector<TraceEvent> out;
-  for (const Ring& r : rings_) {
-    // Oldest retained event sits at head when the ring has wrapped.
-    const std::size_t cap = r.slots.size();
-    const std::size_t start = r.size == cap ? r.head : 0;
-    for (std::size_t i = 0; i < r.size; ++i)
-      out.push_back(r.slots[(start + i) % cap]);
+std::string chrome_trace_json(const FlightRecorder& rec) {
+  struct Item {
+    hw::Cycles begin;
+    const FlightEvent* ev;
+  };
+  const std::vector<FlightEvent> evs = rec.events();
+  std::vector<Item> items;
+  items.reserve(evs.size());
+  for (const FlightEvent& ev : evs) {
+    if (ev.type == FlightType::kPhaseBegin) continue;
+    // An end record alone bounds its interval, so a span whose begin record
+    // was overwritten still exports.
+    const bool end = ev.type == FlightType::kPhaseEnd;
+    items.push_back({end ? ev.at - ev.arg1 : ev.at, &ev});
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.begin != b.begin) return a.begin < b.begin;
-                     return a.seq < b.seq;
-                   });
-  return out;
-}
+  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+    if (a.begin != b.begin) return a.begin < b.begin;
+    return a.ev->seq < b.ev->seq;
+  });
 
-TraceBuffer& trace_buffer() {
-  static TraceBuffer buf;
-  // Ring overflow must be visible in every --metrics-json artifact, not
-  // silently lost: expose the running totals as callback gauges the first
-  // time anything touches the buffer.
-  static const bool registered = [] {
-    registry().register_callback("obs.trace.recorded", {}, [] {
-      return static_cast<double>(trace_buffer().recorded());
-    });
-    registry().register_callback("obs.trace.dropped", {}, [] {
-      return static_cast<double>(trace_buffer().dropped());
-    });
-    return true;
-  }();
-  (void)registered;
-  return buf;
-}
-
-std::string chrome_trace_json(const TraceBuffer& buf) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  char num[64];
-  for (const TraceEvent& ev : buf.events()) {
+  for (const Item& item : items) {
+    const FlightEvent& ev = *item.ev;
+    const bool span = ev.type == FlightType::kPhaseEnd;
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":\"";
-    out += ev.name;  // names are C literals: no escaping needed
-    out += "\",\"cat\":\"";
-    out += trace_cat_name(ev.cat);
-    if (ev.instant()) {
-      out += "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
-      std::snprintf(num, sizeof num, "%.3f", hw::cycles_to_us(ev.begin));
-      out += num;
-    } else {
+    out += "{\"name\":";
+    append_json_string(out, ev.name);
+    out += ",\"cat\":\"";
+    out += span && ev.arg0 < kIntervalKindCount
+               ? trace_cat_name(kIntervalKinds[ev.arg0].cat)
+               : flight_type_name(ev.type);
+    if (span && ev.arg1 != 0) {
       out += "\",\"ph\":\"X\",\"ts\":";
-      std::snprintf(num, sizeof num, "%.3f", hw::cycles_to_us(ev.begin));
-      out += num;
+      append_us(out, item.begin);
       out += ",\"dur\":";
-      std::snprintf(num, sizeof num, "%.3f",
-                    hw::cycles_to_us(ev.end - ev.begin));
-      out += num;
+      append_us(out, ev.arg1);
+    } else {
+      out += "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
+      append_us(out, item.begin);
     }
     // pid = cluster node: each node renders as its own process group in the
     // Chrome/Perfetto UI (node 0 = unscoped single-machine events).
@@ -149,14 +110,6 @@ std::string chrome_trace_json(const TraceBuffer& buf) {
   }
   out += "]}";
   return out;
-}
-
-bool write_chrome_trace(const std::string& path, const TraceBuffer& buf) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string json = chrome_trace_json(buf);
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace mercury::obs

@@ -3,16 +3,15 @@
 // across nodes, the time-series document is byte-identical for identical
 // params, the engine profiler attributes wall time to engine work classes,
 // and the fleet verdict carries per-node sections. Also here: the flight
-// ring, the Chrome trace and the pause ledger agree on every interval of a
-// switch round trip, a rolled-back switch and a checkpoint-restart arc.
+// ring agrees with the pause ledger and with its own Chrome export on every
+// interval of a switch round trip, a rolled-back switch and a
+// checkpoint-restart arc.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstring>
 #include <map>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "cluster/depend.hpp"
@@ -23,6 +22,7 @@
 #include "obs/postmortem.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
+#include "tests/chrome_events.hpp"
 #include "tests/json_checker.hpp"
 #include "tests/test_seed.hpp"
 
@@ -45,55 +45,64 @@ cluster::ClusterSoakParams small_params() {
 
 #if MERCURY_OBS_ENABLED
 
-TEST(ClusterObs, SwitchWaveFormsOneCausalTraceAcrossNodes) {
-  obs::TraceBuffer& buf = obs::trace_buffer();
-  buf.set_enabled(true);
-  buf.clear();
+/// A ring large enough to hold every event of one scenario, emptied on
+/// entry; the default capacity comes back on exit.
+struct FullRings {
+  static constexpr std::size_t kCapacity = std::size_t{1} << 17;
+  FullRings() { obs::flight_recorder().set_capacity(kCapacity); }
+  ~FullRings() {
+    obs::flight_recorder().set_capacity(
+        obs::FlightRecorder::kDefaultCapacityPerCpu);
+  }
+};
 
+TEST(ClusterObs, SwitchWaveFormsOneCausalTraceAcrossNodes) {
+  FullRings rings;
   cluster::ClusterSoak soak(small_params());
   ASSERT_TRUE(soak.run());
+  ASSERT_EQ(obs::flight_recorder().dropped(), 0u);
 
-  const auto evs = buf.events();
-  // Each wave records a root "cluster.wave" event carrying the wave's
-  // trace id. Use the newest wave: it is the least likely to have lost
-  // children to ring wrap.
-  const obs::TraceEvent* wave = nullptr;
-  for (const auto& e : evs)
-    if (std::strcmp(e.name, "cluster.wave") == 0) wave = &e;
+  const std::string json = obs::chrome_trace_json(obs::flight_recorder());
+  EXPECT_TRUE(JsonChecker(json).ok()) << json.substr(0, 400);
+  const std::vector<ChromeEvent> evs = chrome_events(json);
+  // Each wave exports a root "cluster.wave" span carrying the wave's trace
+  // id; spans are ordered by begin, so the last one is the newest wave.
+  const ChromeEvent* wave = nullptr;
+  for (const ChromeEvent& e : evs)
+    if (e.name == "cluster.wave") wave = &e;
   ASSERT_NE(wave, nullptr);
-  const std::uint64_t trace = wave->trace_id;
+  const std::uint64_t trace = wave->trace;
   ASSERT_NE(trace, 0u);
 
-  // The per-node fabric message spans must share that trace id and be
+  // The per-node fabric message spans must hang off the wave span and be
   // attributed to distinct cluster nodes (Chrome pids).
-  std::set<std::uint32_t> msg_nodes;
-  std::set<std::uint64_t> msg_spans;
-  for (const auto& e : evs)
-    if (std::strcmp(e.name, "fabric.msg.switch") == 0 && e.trace_id == trace) {
-      msg_nodes.insert(e.node);
-      msg_spans.insert(e.span_id);
+  std::map<std::uint64_t, std::uint64_t> msg_pid;  // span id -> pid
+  std::set<std::uint64_t> msg_pids;
+  for (const ChromeEvent& e : evs)
+    if (e.name == "fabric.msg.switch" && e.trace == trace) {
+      EXPECT_EQ(e.parent, wave->span);
+      msg_pid[e.span] = e.pid;
+      msg_pids.insert(e.pid);
     }
-  EXPECT_GE(msg_nodes.size(), 2u)
+  EXPECT_GE(msg_pids.size(), 2u)
       << "one wave should span >= 2 distinct nodes";
+  EXPECT_EQ(msg_pids.count(0), 0u) << "a message span left unattributed";
 
   // The engine's commit span resolves asynchronously (submit -> interrupt
   // -> commit), yet must still link beneath the wave's message span via
-  // the captured SpanContext.
-  bool commit_linked = false;
-  for (const auto& e : evs) {
-    const bool is_commit = std::strcmp(e.name, "switch.attach") == 0 ||
-                           std::strcmp(e.name, "switch.detach") == 0;
-    if (is_commit && e.trace_id == trace && msg_spans.count(e.parent_id) > 0)
-      commit_linked = true;
+  // the captured SpanContext, on the node the message went to.
+  std::size_t commits_linked = 0;
+  for (const ChromeEvent& e : evs) {
+    const bool is_commit =
+        e.name == "switch.attach" || e.name == "switch.detach";
+    const auto msg = msg_pid.find(e.parent);
+    if (!is_commit || e.trace != trace || msg == msg_pid.end()) continue;
+    EXPECT_EQ(e.pid, msg->second) << "commit span on another node";
+    ++commits_linked;
   }
-  EXPECT_TRUE(commit_linked)
+  EXPECT_GT(commits_linked, 0u)
       << "no commit span chained to a fabric.msg.switch span of trace "
       << trace;
-
-  const std::string json = obs::chrome_trace_json(buf);
-  EXPECT_TRUE(JsonChecker(json).ok()) << json.substr(0, 400);
-  EXPECT_NE(json.find("\"trace\""), std::string::npos);
-  buf.clear();
 }
 
 TEST(ClusterObs, ProfilerAttributesEngineWorkDuringSoak) {
@@ -124,37 +133,10 @@ TEST(ClusterObs, ProfilerAttributesEngineWorkDuringSoak) {
   prof.reset();
 }
 
-/// Rings large enough to hold every event of one scenario, emptied on entry;
-/// the default capacities come back on exit.
-struct FullRings {
-  static constexpr std::size_t kCapacity = std::size_t{1} << 17;
-  FullRings() {
-    obs::flight_recorder().set_capacity(kCapacity);
-    obs::trace_buffer().set_capacity(kCapacity);
-    obs::trace_buffer().set_enabled(true);
-  }
-  ~FullRings() {
-    obs::flight_recorder().set_capacity(
-        obs::FlightRecorder::kDefaultCapacityPerCpu);
-    obs::trace_buffer().set_capacity(obs::TraceBuffer::kDefaultCapacityPerCpu);
-  }
-};
-
-/// One interval as a Chrome span would show it.
-using SpanKey = std::tuple<std::string, obs::TraceCat, std::uint32_t,
-                           hw::Cycles, hw::Cycles>;
-
-/// Every interval in the flight ring must appear as the same Chrome span,
-/// and per pause cause the ring's intervals must add up to the ledger's.
-void expect_recorders_agree(const obs::PauseLedger& ledger,
-                            const std::string& scenario) {
-  SCOPED_TRACE(scenario);
-  ASSERT_EQ(obs::flight_recorder().dropped(), 0u);
-  ASSERT_EQ(obs::trace_buffer().dropped(), 0u);
-
+/// Per pause cause, the flight ring's intervals must add up to the ledger's.
+void expect_ring_matches_ledger(const obs::PauseLedger& ledger) {
   // Pair the flight ring's begin and end records per CPU, innermost first.
   std::map<std::uint32_t, std::vector<obs::FlightEvent>> open;
-  std::array<std::vector<SpanKey>, obs::kIntervalKindCount> by_kind;
   std::array<std::uint64_t, obs::kPauseCauseCount> count{};
   std::array<hw::Cycles, obs::kPauseCauseCount> total{};
   for (const obs::FlightEvent& ev : obs::flight_recorder().events()) {
@@ -171,7 +153,6 @@ void expect_recorders_agree(const obs::PauseLedger& ledger,
     EXPECT_EQ(begin.at + ev.arg1, ev.at) << ev.name;
     ASSERT_LT(ev.arg0, obs::kIntervalKindCount);
     const obs::IntervalKindInfo& info = obs::kIntervalKinds[ev.arg0];
-    by_kind[ev.arg0].emplace_back(ev.name, info.cat, ev.cpu, begin.at, ev.at);
     if (info.cause != obs::PauseCause::kCauseCount) {
       ++count[static_cast<std::size_t>(info.cause)];
       total[static_cast<std::size_t>(info.cause)] += ev.arg1;
@@ -186,29 +167,48 @@ void expect_recorders_agree(const obs::PauseLedger& ledger,
     EXPECT_EQ(total[c], ledger.total(cause)) << obs::pause_cause_name(cause);
   }
   EXPECT_EQ(ledger.unattributed(), 0u);
+}
 
-  // A zero-length interval exports as an instant, so instants take part in
-  // the match; the markers among them are the only trace events left over.
-  std::multiset<SpanKey> spans;
-  for (const obs::TraceEvent& ev : obs::trace_buffer().events())
-    spans.emplace(ev.name, ev.cat, ev.cpu, ev.begin, ev.end);
-  for (std::size_t k = 0; k < obs::kIntervalKindCount; ++k) {
-    std::size_t missing = 0;
-    for (const SpanKey& key : by_kind[k]) {
-      const auto it = spans.find(key);
-      if (it == spans.end()) {
-        ++missing;
-      } else {
-        spans.erase(it);
-      }
-    }
-    EXPECT_EQ(missing, 0u) << obs::kIntervalKinds[k].name << ": "
-                           << by_kind[k].size() << " in the flight ring";
+/// Every flight event but a begin record must appear exactly once in the
+/// Chrome export, under its own seq: each interval's end record as the span
+/// with the same name, CPU, begin and end (an instant when it took no
+/// time), every point event as an instant.
+void expect_export_matches_ring() {
+  std::map<std::uint64_t, ChromeEvent> by_seq;
+  for (ChromeEvent& e :
+       chrome_events(obs::chrome_trace_json(obs::flight_recorder()))) {
+    const std::uint64_t seq = e.seq;
+    EXPECT_TRUE(by_seq.emplace(seq, std::move(e)).second)
+        << "seq " << seq << " exported twice";
   }
-  std::size_t unmatched = 0;
-  for (const SpanKey& key : spans)
-    if (std::get<3>(key) != std::get<4>(key)) ++unmatched;
-  EXPECT_EQ(unmatched, 0u) << "Chrome spans with no flight interval";
+  std::size_t expected = 0;
+  for (const obs::FlightEvent& ev : obs::flight_recorder().events()) {
+    if (ev.type == obs::FlightType::kPhaseBegin) continue;
+    ++expected;
+    const auto it = by_seq.find(ev.seq);
+    ASSERT_NE(it, by_seq.end()) << ev.name << " (seq " << ev.seq
+                                << ") missing from the export";
+    const ChromeEvent& e = it->second;
+    EXPECT_EQ(e.name, ev.name);
+    EXPECT_EQ(e.tid, ev.cpu) << ev.name;
+    const bool span = ev.type == obs::FlightType::kPhaseEnd && ev.arg1 != 0;
+    EXPECT_EQ(e.ph, span ? "X" : "i") << ev.name;
+    const hw::Cycles begin =
+        ev.type == obs::FlightType::kPhaseEnd ? ev.at - ev.arg1 : ev.at;
+    // ts and dur are printed to the nanosecond (three cycles).
+    EXPECT_NEAR(e.ts, hw::cycles_to_us(begin), 6e-4) << ev.name;
+    EXPECT_NEAR(e.ts + e.dur, hw::cycles_to_us(ev.at), 1.1e-3) << ev.name;
+  }
+  EXPECT_EQ(by_seq.size(), expected) << "Chrome events with no flight record";
+}
+
+/// The ring, its Chrome export and the ledger agree on every interval.
+void expect_recorders_agree(const obs::PauseLedger& ledger,
+                            const std::string& scenario) {
+  SCOPED_TRACE(scenario);
+  ASSERT_EQ(obs::flight_recorder().dropped(), 0u);
+  expect_ring_matches_ledger(ledger);
+  expect_export_matches_ring();
 }
 
 TEST(ClusterObs, FlightRingTraceAndLedgerAgreeOnEveryInterval) {

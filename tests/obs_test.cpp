@@ -1,6 +1,6 @@
-// Telemetry layer: registry semantics, trace ring buffer, the interval
-// stream (span nesting over simulated time, pairing, unwound ends), the
-// profiler's self time, and well-formedness of the JSON exports.
+// Telemetry layer: registry semantics, the flight ring and its Chrome view,
+// the interval stream (span nesting over simulated time, pairing, unwound
+// ends), the profiler's self time, and well-formedness of the JSON exports.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -19,6 +19,7 @@
 #include "obs/postmortem.hpp"
 #include "obs/profiler.hpp"
 #include "obs/timeseries.hpp"
+#include "tests/chrome_events.hpp"
 #include "tests/json_checker.hpp"
 #include "util/stats.hpp"
 
@@ -113,84 +114,113 @@ TEST(MetricsRegistry, ResetValuesZeroesButKeepsInstruments) {
   EXPECT_EQ(c.value(), 1u);
 }
 
-TEST(TraceBuffer, RecordsAndReportsEvents) {
-  obs::TraceBuffer buf(8);
-  buf.record(obs::TraceEvent{"a", obs::TraceCat::kSwitch, 0, 100, 200});
-  buf.record_instant(0, obs::TraceCat::kOther, "b", 150);
-  const auto evs = buf.events();
+// --- Chrome trace: a view over the flight ring -------------------------------
+
+/// Record one closed interval into `rec` the way the interval stream does:
+/// a begin record, then an end record carrying the elapsed cycles.
+void record_span(obs::FlightRecorder& rec, obs::IntervalKind kind,
+                 std::uint32_t cpu, const char* name, hw::Cycles begin,
+                 hw::Cycles end, const obs::SpanContext& ctx = {}) {
+  const auto k = static_cast<std::uint64_t>(kind);
+  rec.record(ctx, cpu, obs::FlightType::kPhaseBegin, name, begin, k, 0, 0);
+  rec.record(ctx, cpu, obs::FlightType::kPhaseEnd, name, end, k, end - begin,
+             0);
+}
+
+TEST(ChromeTrace, RecordsSpanAndInstantAndReportsThem) {
+  obs::FlightRecorder rec(8);
+  record_span(rec, obs::IntervalKind::kHypercall, 0, "a", 3000, 6000);
+  rec.record(0, obs::FlightType::kMarker, "b", 4500);
+  EXPECT_EQ(rec.recorded(), 3u);  // begin, end, marker
+  EXPECT_EQ(rec.dropped(), 0u);
+  const auto evs = chrome_events(obs::chrome_trace_json(rec));
   ASSERT_EQ(evs.size(), 2u);
-  EXPECT_STREQ(evs[0].name, "a");
-  EXPECT_FALSE(evs[0].instant());
-  EXPECT_TRUE(evs[1].instant());
-  EXPECT_EQ(buf.recorded(), 2u);
-  EXPECT_EQ(buf.dropped(), 0u);
+  EXPECT_EQ(evs[0].name, "a");
+  EXPECT_EQ(evs[0].ph, "X");  // a span, not an instant
+  EXPECT_EQ(evs[1].name, "b");
+  EXPECT_EQ(evs[1].ph, "i");
 }
 
-TEST(TraceBuffer, WrapsAroundKeepingNewestEvents) {
-  obs::TraceBuffer buf(4);
-  for (std::uint64_t i = 0; i < 10; ++i)
-    buf.record_instant(0, obs::TraceCat::kOther, "e", 1000 + i);
-  const auto evs = buf.events();
-  ASSERT_EQ(evs.size(), 4u);  // capacity, not 10
-  EXPECT_EQ(buf.recorded(), 10u);
-  EXPECT_EQ(buf.dropped(), 6u);
-  // Oldest evicted: the survivors are the last four, oldest first.
-  EXPECT_EQ(evs.front().begin, 1006u);
-  EXPECT_EQ(evs.back().begin, 1009u);
-}
-
-TEST(TraceBuffer, PerCpuRingsAreIndependent) {
-  obs::TraceBuffer buf(2);
-  for (std::uint64_t i = 0; i < 5; ++i)
-    buf.record_instant(0, obs::TraceCat::kOther, "cpu0", 10 + i);
-  buf.record_instant(3, obs::TraceCat::kOther, "cpu3", 7);
-  const auto evs = buf.events();
-  ASSERT_EQ(evs.size(), 3u);  // 2 survivors on cpu0 + 1 on cpu3
-  // Merged oldest-first across CPUs.
-  EXPECT_STREQ(evs[0].name, "cpu3");
-  EXPECT_EQ(evs[1].cpu, 0u);
-}
-
-TEST(TraceBuffer, DisabledBufferRecordsNothing) {
-  obs::TraceBuffer buf(4);
-  buf.set_enabled(false);
-  buf.record_instant(0, obs::TraceCat::kOther, "e", 1);
-  EXPECT_TRUE(buf.events().empty());
-  EXPECT_EQ(buf.recorded(), 0u);
-}
-
-TEST(TraceBuffer, RingWrapFromManyCpusKeepsGlobalSeqMonotonic) {
-  obs::TraceBuffer buf(4);
-  // Emit far past capacity from three CPUs, with globally increasing begin
+TEST(ChromeTrace, WrappedRingsFromManyCpusExportInBeginSeqOrder) {
+  obs::FlightRecorder rec(4);
+  // Emit far past capacity from three CPUs, with globally increasing
   // timestamps so emission order == timestamp order.
-  hw::Cycles t = 1000;
+  hw::Cycles t = 3000;
   for (std::uint64_t round = 0; round < 10; ++round)
     for (std::uint32_t cpu = 0; cpu < 3; ++cpu)
-      buf.record_instant(cpu, obs::TraceCat::kOther, "wrap", t += 10);
-  const auto evs = buf.events();
+      rec.record(cpu, obs::FlightType::kMarker, "wrap", t += 3000);
+  const std::string json = obs::chrome_trace_json(rec);
+  EXPECT_TRUE(JsonChecker(json).ok()) << json.substr(0, 400);
+  const auto evs = chrome_events(json);
   ASSERT_EQ(evs.size(), 12u);  // 4 survivors per CPU ring
-  EXPECT_EQ(buf.recorded(), 30u);
-  EXPECT_EQ(buf.dropped(), 18u);
-  // The merged export must be ordered and the global sequence must be
-  // strictly monotonic across the wrapped rings — Chrome trace viewers
-  // key causal ordering off it.
+  // The merged export is ordered and the flight seq is strictly monotonic
+  // across the wrapped rings.
   for (std::size_t i = 1; i < evs.size(); ++i) {
     EXPECT_GT(evs[i].seq, evs[i - 1].seq);
-    EXPECT_GE(evs[i].begin, evs[i - 1].begin);
+    EXPECT_GE(evs[i].ts, evs[i - 1].ts);
   }
-  const std::string json = obs::chrome_trace_json(buf);
-  EXPECT_TRUE(JsonChecker(json).ok()) << json.substr(0, 400);
-  EXPECT_NE(json.find("\"seq\""), std::string::npos);
 }
 
-TEST(TraceBuffer, SeqSurvivesClear) {
-  obs::TraceBuffer buf(4);
-  buf.record_instant(0, obs::TraceCat::kOther, "before", 10);
-  const std::uint64_t first_seq = buf.events()[0].seq;
-  buf.clear();
-  buf.record_instant(0, obs::TraceCat::kOther, "after", 20);
-  // Exports from before and after a clear() must still order correctly.
-  EXPECT_GT(buf.events()[0].seq, first_seq);
+TEST(ChromeTrace, SpanWhoseBeginWasOverwrittenStillExports) {
+  obs::FlightRecorder rec(2);
+  const auto k = static_cast<std::uint64_t>(obs::IntervalKind::kMigratePrecopy);
+  rec.record({}, 0, obs::FlightType::kPhaseBegin, "long", 3000, k, 0, 0);
+  rec.record(0, obs::FlightType::kMarker, "m1", 6000);
+  rec.record(0, obs::FlightType::kMarker, "m2", 9000);  // evicts the begin
+  rec.record({}, 0, obs::FlightType::kPhaseEnd, "long", 12000, k, 9000, 0);
+  ASSERT_EQ(rec.dropped(), 2u);
+  const auto evs = chrome_events(obs::chrome_trace_json(rec));
+  ASSERT_EQ(evs.size(), 2u);
+  // The end record alone bounds the span: begin = at - elapsed, so it
+  // sorts before the marker recorded after its begin.
+  EXPECT_EQ(evs[0].name, "long");
+  EXPECT_EQ(evs[0].ph, "X");
+  EXPECT_DOUBLE_EQ(evs[0].ts, 1.0);
+  EXPECT_DOUBLE_EQ(evs[0].dur, 3.0);
+  EXPECT_EQ(evs[1].name, "m2");
+}
+
+TEST(ChromeTrace, ZeroLengthIntervalExportsAsInstant) {
+  obs::FlightRecorder rec(8);
+  record_span(rec, obs::IntervalKind::kTlbShootdown, 1, "flush", 6000, 6000);
+  const std::string json = obs::chrome_trace_json(rec);
+  EXPECT_TRUE(JsonChecker(json).ok()) << json;
+  const auto evs = chrome_events(json);
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].name, "flush");
+  EXPECT_EQ(evs[0].ph, "i");
+  EXPECT_EQ(evs[0].cat, "vmm");
+  EXPECT_EQ(evs[0].tid, 1u);
+  EXPECT_DOUBLE_EQ(evs[0].ts, 2.0);
+  EXPECT_EQ(json.find("\"dur\""), std::string::npos);
+}
+
+TEST(ChromeTrace, SpanSeqIsItsEndRecordSeq) {
+  hw::MachineConfig mc;
+  mc.mem_kb = 16 * 1024;
+  hw::Machine machine(mc);
+  hw::Cpu& cpu = machine.cpu(0);
+
+  obs::FlightRecorder& rec = obs::flight_recorder();
+  rec.clear();
+  {
+    const obs::Interval span(cpu, obs::IntervalKind::kReloadHwState, 0, 0,
+                             "seq_span");
+    cpu.charge(3000);
+  }
+#if !MERCURY_OBS_ENABLED
+  EXPECT_TRUE(rec.events().empty());  // the flight view compiled away
+  return;
+#endif
+  const auto tail = rec.tail(1);
+  ASSERT_EQ(tail.size(), 1u);
+  ASSERT_EQ(tail[0].type, obs::FlightType::kPhaseEnd);
+  const auto evs = chrome_events(obs::chrome_trace_json(rec));
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].name, "seq_span");
+  // The postmortem tail and the Chrome trace name the interval alike.
+  EXPECT_EQ(evs[0].seq, tail[0].seq);
+  rec.clear();
 }
 
 TEST(SpanContext, SpansChainParentChildAndRestoreAmbient) {
@@ -199,9 +229,8 @@ TEST(SpanContext, SpansChainParentChildAndRestoreAmbient) {
   hw::Machine machine(mc);
   hw::Cpu& cpu = machine.cpu(0);
 
-  obs::TraceBuffer& buf = obs::trace_buffer();
-  buf.set_enabled(true);
-  buf.clear();
+  obs::FlightRecorder& rec = obs::flight_recorder();
+  rec.clear();
   EXPECT_FALSE(obs::current_span_context().valid());
   obs::SpanContext outer_ctx, inner_ctx, between_ctx;
   {
@@ -221,7 +250,7 @@ TEST(SpanContext, SpansChainParentChildAndRestoreAmbient) {
 #if !MERCURY_OBS_ENABLED
   // Causal ids and spans are a telemetry view: compiled away.
   EXPECT_FALSE(outer_ctx.valid());
-  EXPECT_TRUE(buf.events().empty());
+  EXPECT_TRUE(rec.events().empty());
 #else
   EXPECT_TRUE(outer_ctx.valid());
   // A root span starts its own trace.
@@ -233,24 +262,24 @@ TEST(SpanContext, SpansChainParentChildAndRestoreAmbient) {
   // Inner scope gone: the ambient context is the outer span again.
   EXPECT_EQ(between_ctx.span_id, outer_ctx.span_id);
 
-  // The recorded events carry the ids, and the Chrome export exposes them.
-  const auto evs = buf.events();
+  // The end records carry the ids, and the Chrome export exposes them.
+  const std::string json = obs::chrome_trace_json(rec);
+  EXPECT_TRUE(JsonChecker(json).ok()) << json.substr(0, 400);
+  const auto evs = chrome_events(json);
   ASSERT_EQ(evs.size(), 2u);
-  for (const auto& ev : evs) {
-    if (std::string(ev.name) == "ctx_inner") {
-      EXPECT_EQ(ev.trace_id, outer_ctx.trace_id);
-      EXPECT_EQ(ev.parent_id, outer_ctx.span_id);
+  for (const ChromeEvent& ev : evs) {
+    EXPECT_EQ(ev.trace, outer_ctx.trace_id);
+    if (ev.name == "ctx_inner") {
+      EXPECT_EQ(ev.span, inner_ctx.span_id);
+      EXPECT_EQ(ev.parent, outer_ctx.span_id);
     } else {
-      EXPECT_EQ(ev.trace_id, outer_ctx.trace_id);
-      EXPECT_EQ(ev.parent_id, 0u);
+      EXPECT_EQ(ev.span, outer_ctx.span_id);
+      EXPECT_EQ(ev.parent, 0u);
     }
   }
-  const std::string json = obs::chrome_trace_json(buf);
-  EXPECT_TRUE(JsonChecker(json).ok()) << json.substr(0, 400);
-  EXPECT_NE(json.find("\"trace\""), std::string::npos);
   EXPECT_NE(json.find("\"parent\""), std::string::npos);
 #endif
-  buf.clear();
+  rec.clear();
 }
 
 TEST(SpanContext, InstantEventsInheritAmbientContext) {
@@ -259,41 +288,48 @@ TEST(SpanContext, InstantEventsInheritAmbientContext) {
   hw::Machine machine(mc);
   hw::Cpu& cpu = machine.cpu(0);
 
-  obs::TraceBuffer& buf = obs::trace_buffer();
-  buf.set_enabled(true);
-  buf.clear();
+  obs::FlightRecorder& rec = obs::flight_recorder();
+  rec.clear();
   {
     const obs::Interval span(cpu, obs::IntervalKind::kReloadHwState, 0, 0,
                              "ctx_span");
     const obs::SpanContext ctx = obs::current_span_context();
-    buf.record_instant(0, obs::TraceCat::kOther, "ctx_mark", cpu.now());
-    const auto evs = buf.events();
+    rec.record(0, obs::FlightType::kMarker, "ctx_mark", cpu.now());
+    // A point event hangs off the ambient span.
+    const auto tail = rec.tail(1);
+    ASSERT_EQ(tail.size(), 1u);
+    EXPECT_EQ(tail[0].trace_id, ctx.trace_id);
+    EXPECT_EQ(tail[0].span_id, 0u);
+    EXPECT_EQ(tail[0].parent_id, ctx.span_id);
+    const auto evs = chrome_events(obs::chrome_trace_json(rec));
     ASSERT_EQ(evs.size(), 1u);  // the span is still open
-    EXPECT_EQ(evs[0].trace_id, ctx.trace_id);
-    EXPECT_EQ(evs[0].parent_id, ctx.span_id);
+    EXPECT_EQ(evs[0].name, "ctx_mark");
+    EXPECT_EQ(evs[0].trace, ctx.trace_id);
+    EXPECT_EQ(evs[0].parent, ctx.span_id);
   }
-  buf.clear();
+  rec.clear();
 }
 
 TEST(TraceNodeScope, StampsNodeOnEventsAndRestores) {
-  obs::TraceBuffer& buf = obs::trace_buffer();
-  buf.set_enabled(true);
-  buf.clear();
+  obs::FlightRecorder& rec = obs::flight_recorder();
+  rec.clear();
   EXPECT_EQ(obs::current_trace_node(), 0u);
   {
     obs::TraceNodeScope scope(3);
-    buf.record_instant(0, obs::TraceCat::kCluster, "on_node", 100);
+    rec.record(0, obs::FlightType::kMarker, "on_node", 3000);
   }
-  buf.record_instant(0, obs::TraceCat::kOther, "off_node", 200);
+  rec.record(0, obs::FlightType::kMarker, "off_node", 6000);
   EXPECT_EQ(obs::current_trace_node(), 0u);
-  const auto evs = buf.events();
+  const auto evs = rec.events();
   ASSERT_EQ(evs.size(), 2u);
   EXPECT_EQ(evs[0].node, 3u);
   EXPECT_EQ(evs[1].node, 0u);
   // The Chrome export maps node -> pid.
-  const std::string json = obs::chrome_trace_json(buf);
-  EXPECT_NE(json.find("\"pid\":3"), std::string::npos);
-  buf.clear();
+  const auto chrome = chrome_events(obs::chrome_trace_json(rec));
+  ASSERT_EQ(chrome.size(), 2u);
+  EXPECT_EQ(chrome[0].pid, 3u);
+  EXPECT_EQ(chrome[1].pid, 0u);
+  rec.clear();
 }
 
 TEST(TraceSpan, NestedSpansNestOverSimulatedTime) {
@@ -302,37 +338,36 @@ TEST(TraceSpan, NestedSpansNestOverSimulatedTime) {
   hw::Machine machine(mc);
   hw::Cpu& cpu = machine.cpu(0);
 
-  obs::TraceBuffer& buf = obs::trace_buffer();
-  buf.set_enabled(true);
-  buf.clear();
+  obs::FlightRecorder& rec = obs::flight_recorder();
+  rec.clear();
   {
     const obs::Interval outer(cpu, obs::IntervalKind::kReloadHwState, 0, 0,
                               "outer");
-    cpu.charge(1000);
+    cpu.charge(3000);
     {
       const obs::Interval inner(cpu, obs::IntervalKind::kFixupWalkTasks, 0, 0,
                                 "inner");
-      cpu.charge(500);
+      cpu.charge(1500);
     }
-    cpu.charge(250);
+    cpu.charge(750);
   }
 #if !MERCURY_OBS_ENABLED
-  EXPECT_TRUE(buf.events().empty());  // the trace view compiled away
+  EXPECT_TRUE(rec.events().empty());  // the flight view compiled away
   return;
 #endif
-  const auto evs = buf.events();
+  const auto evs = chrome_events(obs::chrome_trace_json(rec));
   ASSERT_EQ(evs.size(), 2u);
-  const obs::TraceEvent* outer = &evs[0];
-  const obs::TraceEvent* inner = &evs[1];
-  if (std::string(outer->name) != "outer") std::swap(outer, inner);
-  EXPECT_STREQ(outer->name, "outer");
-  EXPECT_STREQ(inner->name, "inner");
-  // Proper nesting: inner entirely inside outer, durations in cycles.
-  EXPECT_GE(inner->begin, outer->begin);
-  EXPECT_LE(inner->end, outer->end);
-  EXPECT_EQ(inner->end - inner->begin, 500u);
-  EXPECT_EQ(outer->end - outer->begin, 1750u);
-  buf.clear();
+  // Ordered by begin: the outer span first.
+  const ChromeEvent& outer = evs[0];
+  const ChromeEvent& inner = evs[1];
+  EXPECT_EQ(outer.name, "outer");
+  EXPECT_EQ(inner.name, "inner");
+  // Proper nesting: inner entirely inside outer, durations in simulated µs.
+  EXPECT_GE(inner.ts, outer.ts);
+  EXPECT_LE(inner.ts + inner.dur, outer.ts + outer.dur + 1e-9);
+  EXPECT_DOUBLE_EQ(inner.dur, 0.5);
+  EXPECT_DOUBLE_EQ(outer.dur, 1.75);
+  rec.clear();
 }
 
 TEST(JsonExport, MetricsJsonIsWellFormedAndCarriesSchema) {
@@ -351,17 +386,24 @@ TEST(JsonExport, MetricsJsonIsWellFormedAndCarriesSchema) {
 }
 
 TEST(JsonExport, ChromeTraceIsWellFormedAndHasOurEvents) {
-  obs::TraceBuffer buf(16);
-  buf.record(obs::TraceEvent{"span_x", obs::TraceCat::kVmm, 2, 3000, 9000});
-  buf.record_instant(1, obs::TraceCat::kSwitch, "mark_y", 4500);
-  const std::string json = obs::chrome_trace_json(buf);
+  obs::FlightRecorder rec(16);
+  record_span(rec, obs::IntervalKind::kHypercall, 2, "span_x", 3000, 9000);
+  rec.record(1, obs::FlightType::kMarker, "mark_y", 4500);
+  const std::string json = obs::chrome_trace_json(rec);
   EXPECT_TRUE(JsonChecker(json).ok()) << json.substr(0, 400);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"span_x\""), std::string::npos);
-  EXPECT_NE(json.find("\"mark_y\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);  // complete event
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);  // instant event
-  EXPECT_NE(json.find("\"vmm\""), std::string::npos);        // category name
+  const auto evs = chrome_events(json);
+  ASSERT_EQ(evs.size(), 2u);  // the begin record exports nothing
+  EXPECT_EQ(evs[0].name, "span_x");
+  EXPECT_EQ(evs[0].ph, "X");     // complete event
+  EXPECT_EQ(evs[0].cat, "vmm");  // the interval kind's category
+  EXPECT_EQ(evs[0].tid, 2u);
+  EXPECT_DOUBLE_EQ(evs[0].ts, 1.0);
+  EXPECT_DOUBLE_EQ(evs[0].dur, 2.0);
+  EXPECT_EQ(evs[1].name, "mark_y");
+  EXPECT_EQ(evs[1].ph, "i");        // instant event
+  EXPECT_EQ(evs[1].cat, "marker");  // a point event's flight type
+  EXPECT_DOUBLE_EQ(evs[1].ts, 1.5);
 }
 
 // --- black box: flight recorder ---------------------------------------------
@@ -467,6 +509,28 @@ TEST(FlightRecorder, EventsJsonIsWellFormed) {
   EXPECT_NE(json.find("\"marker\""), std::string::npos);
   EXPECT_NE(json.find("vmm.adopt_protect"), std::string::npos);
   EXPECT_NE(json.find("[88,11,0]"), std::string::npos);
+}
+
+// A failed MERC_CHECK records its stringized expression as the event name,
+// and an expression can hold quotes and backslashes: every writer of the
+// ring's names must escape them.
+TEST(FlightRecorder, NamesAreJsonEscapedInEveryExport) {
+  static const char kExpr[] = "name == \"a\\\\b\"";  // name == "a\\b"
+  obs::FlightRecorder& rec = obs::flight_recorder();
+  rec.clear();
+  rec.record(0, obs::FlightType::kAssertFail, kExpr, 0, 42);
+  const std::string events = obs::flight_events_json(rec.events());
+  EXPECT_TRUE(JsonChecker(events).ok()) << events;
+  obs::PostmortemContext ctx;
+  ctx.reason = "assert";
+  const std::string bundle = obs::postmortem_json(ctx);
+  EXPECT_TRUE(JsonChecker(bundle).ok()) << bundle.substr(0, 400);
+  const std::string json = obs::chrome_trace_json(rec);
+  EXPECT_TRUE(JsonChecker(json).ok()) << json;
+  const auto evs = chrome_events(json);
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].name, kExpr);
+  rec.clear();
 }
 
 TEST(FlightMacro, RecordsIffObsEnabled) {

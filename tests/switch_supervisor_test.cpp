@@ -419,7 +419,7 @@ TEST(SwitchSupervisor, QuarantineSweepSurvivesCallbackSubmits) {
   cfg.backoff_base_ms = 0.5;
   cfg.degraded_after = 1;
   cfg.quarantine_after = 2;
-  cfg.probe_enabled = false;
+  cfg.probe_interval_ms = 0;
   SwitchSupervisor sup(m.engine(), cfg);
 
   core::fault_injector().arm_storm(
