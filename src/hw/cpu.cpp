@@ -5,7 +5,7 @@
 
 namespace mercury::hw {
 
-Cpu::Cpu(std::uint32_t id, std::size_t tlb_capacity) : id_(id), tlb_(tlb_capacity) {}
+Cpu::Cpu(std::uint32_t id) : id_(id) {}
 
 bool Cpu::require_ring0(const char* what) {
   if (cpl_ == Ring::kRing0) return true;

@@ -49,7 +49,7 @@ struct TableToken {
 
 class Cpu {
  public:
-  Cpu(std::uint32_t id, std::size_t tlb_capacity = 64);
+  explicit Cpu(std::uint32_t id);
 
   std::uint32_t id() const { return id_; }
 

@@ -22,8 +22,7 @@ Machine::Machine(MachineConfig config)
   MERC_CHECK_MSG(config.mem_frames() >= 1024, "machine needs at least 4 MB");
   cpus_.reserve(config.num_cpus);
   for (std::size_t i = 0; i < config.num_cpus; ++i)
-    cpus_.push_back(std::make_unique<Cpu>(static_cast<std::uint32_t>(i),
-                                          config.tlb_entries));
+    cpus_.push_back(std::make_unique<Cpu>(static_cast<std::uint32_t>(i)));
 }
 
 Cycles Machine::max_cpu_time() const {

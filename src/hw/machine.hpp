@@ -22,7 +22,6 @@ namespace mercury::hw {
 struct MachineConfig {
   std::size_t num_cpus = 1;
   std::size_t mem_kb = 900'000;           // paper's per-variant reservation
-  std::size_t tlb_entries = 64;
   std::uint32_t timer_hz = 100;           // paper: 100 Hz for all systems
   std::uint32_t nic_addr = 0x0A000001;    // 10.0.0.1
   Disk::Params disk{};

@@ -3,8 +3,15 @@
 // Fixed capacity, FIFO replacement (deterministic). On x86 the TLB is
 // flushed on CR3 writes — which is exactly why Xen-style designs keep VMM,
 // kernel and user in one address space; the model reproduces that cost.
+//
+// The FIFO is part of the cycle model: a new VPN always replaces the slot
+// under the FIFO pointer, even when a flush left other slots invalid, and
+// flushes never move the pointer. A VPN → slot index over the valid entries
+// makes lookup, insert and flush_page one hash probe instead of a scan of
+// every slot, without changing which entry hits or which one is evicted.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -27,9 +34,12 @@ struct TlbEntry {
 
 class Tlb {
  public:
-  explicit Tlb(std::size_t capacity = 64);
+  /// The simulated TLB's size; smaller ones exist for unit tests.
+  static constexpr std::size_t kMaxCapacity = 64;
 
-  std::optional<TlbEntry> lookup(std::uint32_t vpn);
+  explicit Tlb(std::size_t capacity = kMaxCapacity);
+
+  std::optional<TlbEntry> lookup(std::uint32_t vpn) const;
   void insert(std::uint32_t vpn, const Pte& pte);
 
   /// CR3 reload semantics: drop all non-global entries.
@@ -38,18 +48,28 @@ class Tlb {
   void flush_global();
   void flush_page(std::uint32_t vpn);
 
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  std::uint64_t flushes() const { return flushes_; }
-  std::size_t capacity() const { return entries_.size(); }
   std::size_t valid_entries() const;
 
  private:
+  // Open addressing with linear probing over 4× the capacity; a bucket
+  // holds a slot number of a valid entry, or kEmpty.
+  static constexpr std::size_t kBuckets = 256;
+  static constexpr std::uint8_t kEmpty = 0xFF;
+  static_assert(kMaxCapacity * 4 <= kBuckets && kMaxCapacity < kEmpty);
+
+  /// Fibonacci hash: the top 8 bits of vpn × 2^32/φ.
+  static std::size_t home(std::uint32_t vpn) {
+    return (vpn * 0x9E3779B1u) >> 24;
+  }
+  /// The bucket indexing `vpn`'s valid entry, or else the empty bucket that
+  /// ends its probe sequence.
+  std::size_t find(std::uint32_t vpn) const;
+  /// Empty `bucket` by backward-shift deletion (no tombstones).
+  void unindex(std::size_t bucket);
+
   std::vector<TlbEntry> entries_;
   std::size_t next_victim_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t flushes_ = 0;
+  std::array<std::uint8_t, kBuckets> index_;
 };
 
 }  // namespace mercury::hw

@@ -1,6 +1,7 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/metrics.hpp"
 
@@ -81,24 +82,40 @@ void FlightRecorder::record(const SpanContext& ctx, std::uint32_t cpu,
 }
 
 std::vector<FlightEvent> FlightRecorder::events() const {
-  std::vector<FlightEvent> out;
-  for (const Ring& r : rings_) {
-    const std::size_t cap = r.slots.size();
-    const std::size_t start = r.size == cap ? r.head : 0;
-    for (std::size_t i = 0; i < r.size; ++i)
-      out.push_back(r.slots[(start + i) % cap]);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const FlightEvent& a, const FlightEvent& b) {
-              return a.seq < b.seq;
-            });
-  return out;
+  return tail(std::numeric_limits<std::size_t>::max());
 }
 
 std::vector<FlightEvent> FlightRecorder::tail(std::size_t n) const {
-  std::vector<FlightEvent> all = events();
-  if (all.size() > n) all.erase(all.begin(), all.end() - static_cast<std::ptrdiff_t>(n));
-  return all;
+  // Seq is global and monotonic, so each ring already holds its CPU's
+  // events in seq order: merge the rings from their newest ends and stop
+  // after n.
+  std::vector<std::size_t> unread(rings_.size());  // a ring's oldest unread[i]
+  std::size_t retained = 0;
+  for (std::size_t i = 0; i < rings_.size(); ++i) {
+    unread[i] = rings_[i].size;
+    retained += rings_[i].size;
+  }
+  std::vector<FlightEvent> out;
+  out.reserve(std::min(n, retained));
+  while (out.size() < n && out.size() < retained) {
+    const FlightEvent* newest = nullptr;
+    std::size_t from = 0;
+    for (std::size_t i = 0; i < rings_.size(); ++i) {
+      if (unread[i] == 0) continue;
+      const Ring& r = rings_[i];
+      const std::size_t oldest = r.size == r.slots.size() ? r.head : 0;
+      const FlightEvent& ev =
+          r.slots[(oldest + unread[i] - 1) % r.slots.size()];
+      if (newest == nullptr || ev.seq > newest->seq) {
+        newest = &ev;
+        from = i;
+      }
+    }
+    out.push_back(*newest);
+    --unread[from];
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
 }
 
 FlightRecorder& flight_recorder() {

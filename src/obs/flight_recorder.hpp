@@ -106,6 +106,7 @@ class FlightRecorder {
   /// All retained events merged across CPUs, in emission (seq) order.
   std::vector<FlightEvent> events() const;
   /// The last `n` retained events in emission order — the black-box tail.
+  /// Costs O(n × rings), whatever the rings retain.
   std::vector<FlightEvent> tail(std::size_t n) const;
 
   std::uint64_t recorded() const { return recorded_; }

@@ -1,6 +1,7 @@
 #include "vmm/hypervisor.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "hw/costs.hpp"
 #include "kernel/kernel.hpp"
@@ -30,14 +31,30 @@ bool plain_ram_shard(const PageInfoTable& t, std::size_t shard, DomainId dom) {
          v->type != PageType::kL2;
 }
 
+/// Page table `table`'s 4 KB, read in place: its backing, or a zero page
+/// when the frame was never materialized.
+const std::uint8_t* table_bytes(const hw::PhysicalMemory& mem, hw::Pfn table) {
+  static constexpr std::uint8_t kZeroPage[hw::kPageSize] = {};
+  const std::uint8_t* bytes = mem.frame_bytes(table);
+  return bytes != nullptr ? bytes : kZeroPage;
+}
+
+/// Entry `e` of a table read in place.
+std::uint32_t entry_at(const std::uint8_t* table, std::uint32_t e) {
+  std::uint32_t raw = 0;
+  std::memcpy(&raw, table + e * sizeof raw, sizeof raw);
+  return raw;
+}
+
 /// Whether every entry is present and entry e maps frame `base` + e (one
 /// branch-free pass, so it vectorizes).
-bool maps_consecutive(const std::array<std::uint32_t, hw::kPtEntries>& entries,
-                      hw::Pfn base) {
+bool maps_consecutive(const std::uint8_t* table, hw::Pfn base) {
   std::uint32_t mismatch = 0;
-  for (std::uint32_t e = 0; e < hw::kPtEntries; ++e)
-    mismatch |= ((entries[e] >> hw::kPageShift) ^ (base + e)) |
-                (~entries[e] & hw::Pte::kPresent);
+  for (std::uint32_t e = 0; e < hw::kPtEntries; ++e) {
+    const std::uint32_t raw = entry_at(table, e);
+    mismatch |= ((raw >> hw::kPageShift) ^ (base + e)) |
+                (~raw & hw::Pte::kPresent);
+  }
   return mismatch == 0;
 }
 
@@ -158,26 +175,19 @@ const char* Hypervisor::pte_value_violation(const Domain& d,
   return nullptr;
 }
 
-std::array<std::uint32_t, hw::kPtEntries> Hypervisor::read_table(
-    hw::Pfn table) const {
-  std::array<std::uint32_t, hw::kPtEntries> entries{};
-  machine_.memory().read_bytes(
-      hw::addr_of(table),
-      {reinterpret_cast<std::uint8_t*>(entries.data()), sizeof entries});
-  return entries;
-}
-
 // The scans charge per_pte for every entry up to the one they stop at; the
 // clock is not read in between, so the charge is taken in one piece.
 
 bool Hypervisor::validate_l1(hw::Cpu& cpu, Domain& d, hw::Pfn table,
                              hw::Cycles per_pte, std::size_t* present_out) {
-  const auto entries = read_table(table);
+  // The heal path clears only entries the scan has already read, so reading
+  // the table in place sees what a copy would.
+  const std::uint8_t* entries = table_bytes(machine_.memory(), table);
   // Bulk check: a table whose entries are all present and map consecutive
   // frames, all in uniform shards of plain RAM that `d` owns, has no entry
   // pte_value_violation could reject, so it passes with the per-entry
   // loop's count and charge.
-  const hw::Pfn base = hw::Pte{entries[0]}.pfn();
+  const hw::Pfn base = hw::Pte{entry_at(entries, 0)}.pfn();
   if (base + hw::kPtEntries <= page_info_.size() &&
       plain_ram_shard(page_info_, page_info_.shard_of(base), d.id()) &&
       plain_ram_shard(page_info_,
@@ -191,7 +201,7 @@ bool Hypervisor::validate_l1(hw::Cpu& cpu, Domain& d, hw::Pfn table,
   std::size_t present = 0;
   std::uint64_t validated = 0;
   for (std::uint32_t e = 0; e < hw::kPtEntries; ++e) {
-    const hw::Pte pte{entries[e]};
+    const hw::Pte pte{entry_at(entries, e)};
     if (!pte.present()) continue;
     ++present;
     ++validated;
@@ -218,12 +228,12 @@ bool Hypervisor::validate_l1(hw::Cpu& cpu, Domain& d, hw::Pfn table,
 
 bool Hypervisor::validate_l2(hw::Cpu& cpu, Domain& d, hw::Pfn table,
                              hw::Cycles per_pte, std::size_t* present_out) {
-  const auto entries = read_table(table);
+  const std::uint8_t* entries = table_bytes(machine_.memory(), table);
   std::size_t present = 0;
   const PageInfoTable& pit = page_info_;
   const std::uint32_t vmm_pde_start = hw::pde_index(kernel::kVmmBase);
   for (std::uint32_t e = 0; e < hw::kPtEntries; ++e) {
-    const hw::Pte pde{entries[e]};
+    const hw::Pte pde{entry_at(entries, e)};
     if (!pde.present()) continue;
     ++present;
     if (e >= vmm_pde_start) {

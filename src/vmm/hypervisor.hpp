@@ -9,7 +9,6 @@
 // (§5.1.2).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -289,8 +288,6 @@ class Hypervisor : public hw::TrapSink {
       i += len;
     }
   }
-  /// The four bytes of every entry of page table `table`, read at once.
-  std::array<std::uint32_t, hw::kPtEntries> read_table(hw::Pfn table) const;
   /// Point the direct-map PTE of `pfn` at `writable` and track the frame
   /// in protected_frames_ (uncharged: the callers charge the flip).
   void rewrite_direct_map_pte(kernel::Kernel& k, hw::Pfn pfn, bool writable);

@@ -1,13 +1,18 @@
-// PTE / TLB / MMU walker tests, including a randomized property check of the
-// hardware walker against a straightforward reference translator.
+// PTE / TLB / MMU walker tests, including randomized property checks of the
+// indexed TLB against a linear-scan reference TLB and of the hardware walker
+// against a straightforward reference translator.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "hw/cpu.hpp"
 #include "hw/mmu.hpp"
 #include "hw/phys_mem.hpp"
+#include "tests/test_seed.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -26,7 +31,7 @@ struct NullSink : TrapSink {
 /// Test fixture with a tiny machine: PD at frame 1, one L1 at frame 2.
 class MmuTest : public ::testing::Test {
  protected:
-  MmuTest() : mem(4096), mmu(mem), cpu(0, 8) {
+  MmuTest() : mem(4096), mmu(mem), cpu(0) {
     cpu.install_trap_sink(&sink);
     cpu.set_cpl(Ring::kRing0);
     cpu.write_cr3(1);
@@ -113,6 +118,193 @@ TEST(TlbTest, ReinsertSameVpnUpdatesInPlace) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->pfn, 2u);
   EXPECT_EQ(tlb.valid_entries(), 1u);
+}
+
+/// Whether each of `vpns` hits.
+::testing::AssertionResult all_hit(Tlb& tlb,
+                                   std::initializer_list<std::uint32_t> vpns) {
+  for (const std::uint32_t v : vpns)
+    if (!tlb.lookup(v))
+      return ::testing::AssertionFailure() << "vpn " << v << " misses";
+  return ::testing::AssertionSuccess();
+}
+
+TEST(TlbTest, FlushedSlotIsRefilledOnlyInFifoOrder) {
+  // A slot a flush frees is refilled when the FIFO pointer reaches it, not
+  // before: which entry a new VPN evicts is part of the cycle model.
+  {
+    Tlb tlb(4);
+    for (std::uint32_t v = 1; v <= 4; ++v) tlb.insert(v, make_pte(v, true, true));
+    tlb.flush_page(2);
+    tlb.insert(5, make_pte(5, true, true));  // evicts 1, not 2's free slot
+    EXPECT_FALSE(tlb.lookup(1).has_value());
+    EXPECT_FALSE(tlb.lookup(2).has_value());
+    EXPECT_TRUE(all_hit(tlb, {3, 4, 5}));
+    EXPECT_EQ(tlb.valid_entries(), 3u);
+    tlb.insert(6, make_pte(6, true, true));  // fills 2's old slot
+    EXPECT_TRUE(all_hit(tlb, {3, 4, 5, 6}));
+    EXPECT_EQ(tlb.valid_entries(), 4u);
+    tlb.insert(7, make_pte(7, true, true));  // evicts 3
+    EXPECT_FALSE(tlb.lookup(3).has_value());
+    EXPECT_TRUE(all_hit(tlb, {4, 5, 6, 7}));
+  }
+  {
+    Tlb tlb(4);
+    for (std::uint32_t v = 1; v <= 4; ++v)
+      tlb.insert(v, make_pte(v, true, true, /*global=*/v == 3));
+    tlb.flush_all();  // frees the slots of 1, 2 and 4
+    EXPECT_EQ(tlb.valid_entries(), 1u);
+    tlb.insert(5, make_pte(5, true, true));  // 1's old slot
+    tlb.insert(6, make_pte(6, true, true));  // 2's old slot
+    EXPECT_TRUE(all_hit(tlb, {3, 5, 6}));
+    EXPECT_EQ(tlb.valid_entries(), 3u);
+    tlb.insert(7, make_pte(7, true, true));  // evicts global 3, not 4's slot
+    EXPECT_FALSE(tlb.lookup(3).has_value());
+    EXPECT_TRUE(all_hit(tlb, {5, 6, 7}));
+    EXPECT_EQ(tlb.valid_entries(), 3u);
+    tlb.insert(8, make_pte(8, true, true));  // 4's old slot
+    EXPECT_EQ(tlb.valid_entries(), 4u);
+    tlb.insert(9, make_pte(9, true, true));  // evicts 5
+    EXPECT_FALSE(tlb.lookup(5).has_value());
+    EXPECT_TRUE(all_hit(tlb, {6, 7, 8, 9}));
+  }
+}
+
+/// The TLB as a linear scan over its slots, as it was before the VPN
+/// index: the reference model for the indexed Tlb.
+class LinearScanTlb {
+ public:
+  explicit LinearScanTlb(std::size_t capacity) : entries_(capacity) {}
+
+  std::optional<TlbEntry> lookup(std::uint32_t vpn) const {
+    for (const auto& e : entries_)
+      if (e.valid && e.vpn == vpn) return e;
+    return std::nullopt;
+  }
+  void insert(std::uint32_t vpn, const Pte& pte) {
+    const TlbEntry fresh{vpn,          pte.pfn(),      pte.writable(), pte.user(),
+                         pte.global(), pte.vmm_only(), pte.dirty(),    true};
+    for (auto& e : entries_) {
+      if (e.valid && e.vpn == vpn) {
+        e = fresh;
+        return;
+      }
+    }
+    entries_[next_victim_] = fresh;
+    next_victim_ = (next_victim_ + 1) % entries_.size();
+  }
+  void flush_all() {
+    for (auto& e : entries_)
+      if (!e.global) e.valid = false;
+  }
+  void flush_global() {
+    for (auto& e : entries_) e.valid = false;
+  }
+  void flush_page(std::uint32_t vpn) {
+    for (auto& e : entries_)
+      if (e.valid && e.vpn == vpn) e.valid = false;
+  }
+  std::size_t valid_entries() const {
+    std::size_t n = 0;
+    for (const auto& e : entries_) n += e.valid;
+    return n;
+  }
+
+ private:
+  std::vector<TlbEntry> entries_;
+  std::size_t next_victim_ = 0;
+};
+
+::testing::AssertionResult same_lookup(std::uint32_t vpn,
+                                       const std::optional<TlbEntry>& got,
+                                       const std::optional<TlbEntry>& want) {
+  if (got.has_value() != want.has_value())
+    return ::testing::AssertionFailure()
+           << "vpn " << vpn << (got ? " hits" : " misses") << ", model "
+           << (want ? "hits" : "misses");
+  if (got && (got->vpn != want->vpn || got->pfn != want->pfn ||
+              got->writable != want->writable || got->user != want->user ||
+              got->global != want->global || got->vmm_only != want->vmm_only ||
+              got->dirty != want->dirty || got->valid != want->valid))
+    return ::testing::AssertionFailure()
+           << "vpn " << vpn << " hits an entry with other fields than the model's";
+  return ::testing::AssertionSuccess();
+}
+
+/// `n` VPNs whose home bucket in the TLB's index is `bucket`, under the
+/// index's Fibonacci hash, so that they share one probe run.
+std::vector<std::uint32_t> vpns_homed_at(std::uint32_t bucket, std::size_t n) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t vpn = 0; out.size() < n; ++vpn)
+    if ((vpn * 0x9E3779B1u) >> 24 == bucket) out.push_back(vpn);
+  return out;
+}
+
+TEST(TlbTest, IndexAgreesWithLinearScanModel) {
+  const std::uint64_t seed = mercury::testing::test_seed(21);
+  std::uint64_t stream = 0;
+  for (const std::size_t capacity : {1, 2, 4, 16, 64}) {
+    util::Rng pick(seed ^ capacity);
+    std::vector<std::uint32_t> resident, sweep;
+    for (std::size_t i = 0; i < capacity / 2 + 1; ++i)
+      resident.push_back(static_cast<std::uint32_t>(pick.below(1u << 20)));
+    for (std::size_t i = 0; i < 3 * capacity + 5; ++i)
+      sweep.push_back(static_cast<std::uint32_t>(pick.below(1u << 20)));
+    // Two adjacent home buckets, so their probe runs merge; and a run that
+    // wraps past the last bucket.
+    std::vector<std::uint32_t> one_bucket = vpns_homed_at(9, 16);
+    for (const std::uint32_t v : vpns_homed_at(10, 8)) one_bucket.push_back(v);
+    std::vector<std::uint32_t> wrapping;
+    for (const std::uint32_t b : {254u, 255u, 0u})
+      for (const std::uint32_t v : vpns_homed_at(b, 8)) wrapping.push_back(v);
+    const std::pair<const char*, const std::vector<std::uint32_t>*> pools[] = {
+        {"resident", &resident},
+        {"sweep", &sweep},
+        {"one-bucket", &one_bucket},
+        {"wrapping", &wrapping}};
+
+    for (const auto& [pool_name, pool] : pools) {
+      SCOPED_TRACE(std::string("capacity ") + std::to_string(capacity) +
+                   ", pool " + pool_name);
+      util::Rng rng(seed + ++stream);
+      Tlb tlb(capacity);
+      LinearScanTlb model(capacity);
+      for (int op = 0; op < 3000; ++op) {
+        const std::uint32_t vpn = (*pool)[rng.below(pool->size())];
+        const std::uint64_t kind = rng.below(100);
+        if (kind < 45) {
+          ASSERT_TRUE(same_lookup(vpn, tlb.lookup(vpn), model.lookup(vpn)))
+              << "op " << op;
+          continue;
+        }
+        if (kind < 85) {
+          Pte pte = make_pte(static_cast<Pfn>(rng.below(1u << 20)), rng.chance(0.5),
+                             rng.chance(0.5), rng.chance(0.25));
+          pte.set_flag(Pte::kVmmOnly, rng.chance(0.2));
+          pte.set_flag(Pte::kDirty, rng.chance(0.5));
+          tlb.insert(vpn, pte);
+          model.insert(vpn, pte);
+        } else if (kind < 93) {
+          tlb.flush_page(vpn);
+          model.flush_page(vpn);
+        } else if (kind < 98) {
+          tlb.flush_all();
+          model.flush_all();
+        } else {
+          tlb.flush_global();
+          model.flush_global();
+        }
+        ASSERT_EQ(tlb.valid_entries(), model.valid_entries()) << "op " << op;
+        for (const std::uint32_t v : *pool)
+          ASSERT_TRUE(same_lookup(v, tlb.lookup(v), model.lookup(v))) << "op " << op;
+      }
+    }
+  }
+}
+
+TEST(TlbTest, CapacityBeyondTheIndexIsRejected) {
+  EXPECT_THROW((void)Tlb(Tlb::kMaxCapacity + 1), util::InvariantError);
+  EXPECT_THROW((void)Tlb(0), util::InvariantError);
 }
 
 TEST_F(MmuTest, TranslateSimpleMapping) {
@@ -264,7 +456,7 @@ class MmuPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(MmuPropertyTest, WalkerAgreesWithReferenceModel) {
   PhysicalMemory mem(8192);
   Mmu mmu(mem);
-  Cpu cpu(0, 16);
+  Cpu cpu(0);
   NullSink sink;
   cpu.install_trap_sink(&sink);
   cpu.write_cr3(1);

@@ -3,6 +3,7 @@
 // ends), the profiler's self time, and well-formedness of the JSON exports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -21,6 +23,7 @@
 #include "obs/timeseries.hpp"
 #include "tests/chrome_events.hpp"
 #include "tests/json_checker.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace mercury::testing {
@@ -489,6 +492,70 @@ TEST(FlightRecorder, ClearKeepsRingsThatRefillAndWrapInSeqOrder) {
       EXPECT_EQ(evs[i].seq, evs[i - 1].seq + 1);
     }
   }
+}
+
+TEST(FlightRecorder, TailMergeMatchesCopyAndSortReference) {
+  // The reference keeps each CPU's newest `kCap` events, then copies every
+  // ring's events into one vector and sorts it by seq, as tail() once did.
+  constexpr std::size_t kCap = 8;
+  obs::FlightRecorder rec(kCap);
+  std::vector<std::vector<obs::FlightEvent>> kept(4);
+  const auto reference = [&](std::size_t n) {
+    std::vector<obs::FlightEvent> all;
+    for (const auto& ring : kept) all.insert(all.end(), ring.begin(), ring.end());
+    std::sort(all.begin(), all.end(),
+              [](const auto& a, const auto& b) { return a.seq < b.seq; });
+    if (all.size() > n)
+      all.erase(all.begin(), all.end() - static_cast<std::ptrdiff_t>(n));
+    return all;
+  };
+  const auto expect_matches = [&](const std::vector<obs::FlightEvent>& got,
+                                  const std::vector<obs::FlightEvent>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].seq, want[i].seq) << "at " << i;
+      EXPECT_EQ(got[i].cpu, want[i].cpu) << "at " << i;
+      EXPECT_EQ(got[i].arg0, want[i].arg0) << "at " << i;
+    }
+  };
+  // Record `fill[c]` events on CPU c, interleaved at random across CPUs.
+  util::Rng rng(7);
+  std::uint64_t id = 0;
+  const auto record = [&](std::vector<std::size_t> fill) {
+    std::size_t left = 0;
+    for (const std::size_t f : fill) left += f;
+    for (; left > 0; --left) {
+      std::uint32_t cpu = static_cast<std::uint32_t>(rng.below(fill.size()));
+      while (fill[cpu] == 0) cpu = (cpu + 1) % fill.size();
+      --fill[cpu];
+      obs::FlightEvent ev;
+      ev.seq = rec.next_seq();
+      ev.cpu = cpu;
+      ev.arg0 = ++id;
+      rec.record(cpu, obs::FlightType::kMarker, "m", id, id);
+      kept[cpu].push_back(ev);
+      if (kept[cpu].size() > kCap) kept[cpu].erase(kept[cpu].begin());
+    }
+  };
+  const auto check = [&] {
+    std::size_t all = 0;
+    for (const auto& ring : kept) all += ring.size();
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, all / 2, all, all + 5}) {
+      SCOPED_TRACE("tail(" + std::to_string(n) + ")");
+      expect_matches(rec.tail(n), reference(n));
+    }
+    expect_matches(rec.events(), reference(all));
+  };
+
+  // Wrapped, partly filled, exactly full and wrapped again.
+  record({20, 5, kCap, 11});
+  check();
+  rec.clear();
+  for (auto& ring : kept) ring.clear();
+  // After the clear: other fills, and CPU 3 left empty.
+  record({3, kCap, 13, 0});
+  check();
 }
 
 TEST(FlightRecorder, DisabledRecordsNothing) {
