@@ -117,12 +117,14 @@ run_obsoff() {
   run_label build-obsoff tier1
   # The switch path, the dependability services (checkpoint/restore/
   # migrate carry interval and flight hooks that must stay weightless, and
-  # the update and checkpoint arcs read their downtime from the ledger), and
-  # the two-kernel netperf run on the shared stepper.
+  # the update and checkpoint arcs read their downtime from the ledger), the
+  # two-kernel netperf run on the shared stepper, and the file path (dbench
+  # through the guest and backend block caches).
   local lines
   lines="$(check_cycle_identity core_switch_test
            check_cycle_identity checkpoint_restore_test
-           check_cycle_identity kernel_net_test)"
+           check_cycle_identity kernel_net_test
+           check_cycle_identity workloads_test)"
   if ! diff <(echo "$lines") "$CYCLE_GOLDEN" >&2; then
     echo "run_tiers: FAIL: CYCLE_IDENTITY lines differ from $CYCLE_GOLDEN" >&2
     exit 1

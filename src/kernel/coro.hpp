@@ -4,9 +4,15 @@
 // awaitables that park the task on a wait queue and hand control back to the
 // kernel stepper; nested helper coroutines (Sub<T>) chain via symmetric
 // transfer so the stepper always resumes the innermost frame.
+//
+// Frames are recycled: every syscall helper (file_write, file_read, ...) is
+// a coroutine, so a workload makes one frame per call. They come from
+// per-thread free lists, one per 64-byte size class; a frame larger than
+// the largest class goes to ::operator new.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
@@ -25,7 +31,21 @@ class Sub;
 
 namespace detail {
 
+/// A coroutine frame of `bytes`, from this thread's free list of its size
+/// class when one is parked there.
+void* alloc_frame(std::size_t bytes);
+/// Park `frame` (of `bytes`, as allocated) on this thread's free list of its
+/// size class; under ASan it stays poisoned until alloc_frame reuses it.
+void free_frame(void* frame, std::size_t bytes) noexcept;
+
 struct PromiseBase {
+  // Found by the frame allocation of every coroutine whose promise derives
+  // from this one; the sized delete receives the frame's size back.
+  static void* operator new(std::size_t bytes) { return alloc_frame(bytes); }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    free_frame(frame, bytes);
+  }
+
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
 

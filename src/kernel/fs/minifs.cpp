@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "hw/devices/disk.hpp"
 #include "kernel/costs.hpp"
@@ -121,11 +122,10 @@ std::size_t MiniFs::write(hw::Cpu& cpu, Inode& ino, std::uint64_t off,
 }
 
 void MiniFs::writeback_blocks(hw::Cpu& cpu,
-                              const std::vector<std::uint64_t>& blocks) {
+                              std::vector<std::uint64_t> blocks) {
   // Elevator: issue in ascending block order to minimize positioning.
-  std::vector<std::uint64_t> sorted(blocks);
-  std::sort(sorted.begin(), sorted.end());
-  for (const std::uint64_t b : sorted)
+  std::sort(blocks.begin(), blocks.end());
+  for (const std::uint64_t b : blocks)
     kernel_.ops().disk_write(cpu, b, scratch());
 }
 
@@ -138,7 +138,7 @@ void MiniFs::fsync(hw::Cpu& cpu, Inode& ino) {
       dirty.push_back(b);
     }
   }
-  writeback_blocks(cpu, dirty);
+  writeback_blocks(cpu, std::move(dirty));
   kernel_.ops().disk_flush(cpu);
 }
 
@@ -153,7 +153,9 @@ bool MiniFs::unlink(hw::Cpu& cpu, const std::string& path) {
     cache_.invalidate(b);
     free_blocks_.push_back(b);
   }
-  ino->blocks.clear();
+  // Release the list's storage, not just empty it: the inode (its id picks
+  // a metadata block) lives as long as the kernel.
+  std::vector<std::uint64_t>().swap(ino->blocks);
   ino->size = 0;
   paths_.erase(it);
   return true;

@@ -57,7 +57,7 @@ class MiniFs {
  private:
   void charge_path(hw::Cpu& cpu, const std::string& path);
   std::uint64_t alloc_block();
-  void writeback_blocks(hw::Cpu& cpu, const std::vector<std::uint64_t>& blocks);
+  void writeback_blocks(hw::Cpu& cpu, std::vector<std::uint64_t> blocks);
 
   Kernel& kernel_;
   BlockCache cache_;

@@ -1,6 +1,7 @@
 #include "workloads/dbench.hpp"
 
 #include <string>
+#include <vector>
 
 #include "kernel/fs/minifs.hpp"
 #include "kernel/syscalls.hpp"
@@ -40,12 +41,19 @@ DbenchResult Dbench::run(Kernel& k, const DbenchParams& p) {
     k.spawn("dbench-client", [&, c, p](Sys& s) -> Sub<void> {
       const std::string dir = "/dbench/client" + std::to_string(c);
       s.mkdir(dir);
+      // The metadata storm's paths are the same every loop: build them once.
+      std::vector<std::string> probes;
+      std::vector<std::string> subs;
+      for (int m = 0; m < 5; ++m)
+        probes.push_back(dir + "/probe" + std::to_string(m));
+      for (int m = 0; m < p.metadata_ops_per_loop; m += 6)
+        subs.push_back(dir + "/sub" + std::to_string(m));
       for (int loop = 0; loop < p.loops_per_client; ++loop) {
         const std::string file = dir + "/f" + std::to_string(loop) + ".dat";
         // NetBench-ish metadata storm.
         for (int m = 0; m < p.metadata_ops_per_loop; ++m) {
-          s.stat(dir + "/probe" + std::to_string(m % 5));
-          if (m % 6 == 0) s.mkdir(dir + "/sub" + std::to_string(m));
+          s.stat(probes[m % 5]);
+          if (m % 6 == 0) s.mkdir(subs[m / 6]);
         }
         // Write the file in chunks, re-read it, delete it.
         const int fd = s.open(file, /*create=*/true);

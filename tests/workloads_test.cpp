@@ -2,6 +2,10 @@
 // tables/figures depend on must hold for every seed and system.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+
+#include "kernel/fs/minifs.hpp"
 #include "workloads/configs.hpp"
 #include "workloads/dbench.hpp"
 #include "workloads/kbuild.hpp"
@@ -122,6 +126,46 @@ TEST(DbenchTest, DomUOutrunsDom0ViaWriteBehind) {
   const double t_x0 = Dbench::run(x0->kernel(), p).throughput_mb_s;
   const double t_xu = Dbench::run(xu->kernel(), p).throughput_mb_s;
   EXPECT_GT(t_xu, t_x0) << "paper §7.3's dbench anomaly";
+}
+
+// Pins the file path's simulated clock (tests/cycle_identity.golden; the
+// obs-off tier diffs these lines). A small dbench mix with a frequent,
+// narrow flusher (cache hits, dirty blocks taken oldest first, fsyncs,
+// unlinks), then one 66 MB file through the 64 MB guest cache (dirty
+// evictions in LRU order, and a read-back that misses). X-U adds the
+// backend's write-behind cache under the guest's.
+TEST(DbenchTest, CycleIdentityProbe) {
+  workloads::DbenchParams mix;
+  mix.clients = 2;
+  mix.loops_per_client = 12;
+  mix.fsync_every_loops = 4;
+  mix.flusher_interval_ms = 1.0;
+  mix.flusher_blocks = 16;
+  workloads::DbenchParams overflow;
+  overflow.clients = 1;
+  overflow.loops_per_client = 1;
+  overflow.file_kb = 66 * 1024;
+  overflow.chunk_kb = 256;
+  overflow.fsync_every_loops = 0;
+  for (const SystemId id : {SystemId::kNL, SystemId::kXU}) {
+    auto sut = Sut::create(id, quick());
+    const auto r1 = Dbench::run(sut->kernel(), mix);
+    const auto r2 = Dbench::run(sut->kernel(), overflow);
+    const kernel::BlockCache& cache = sut->kernel().fs().cache();
+    const hw::Disk& disk = sut->machine().disk();
+    std::printf("CYCLE_IDENTITY dbench %s elapsed=%" PRIu64 "+%" PRIu64
+                " bytes=%" PRIu64 " hits=%" PRIu64 " misses=%" PRIu64
+                " disk_reads=%" PRIu64 " disk_writes=%" PRIu64,
+                sut->label(), r1.elapsed, r2.elapsed,
+                r1.bytes_moved + r2.bytes_moved, cache.hits(), cache.misses(),
+                disk.reads(), disk.writes());
+    if (vmm::Hypervisor* hv = sut->hypervisor()) {
+      const kernel::BlockCache& back = hv->blk_backend().cache();
+      std::printf(" backend_hits=%" PRIu64 " backend_misses=%" PRIu64,
+                  back.hits(), back.misses());
+    }
+    std::printf("\n");
+  }
 }
 
 TEST(OsdbTest, WarmCacheQueriesAreFast) {
