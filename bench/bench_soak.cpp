@@ -1,8 +1,9 @@
 // Chaos-soak bench: supervised attach/detach cycles under a seeded fault
 // storm while a dbench fileserver mix hammers the same kernel — the
 // robustness counterpart of bench_modeswitch. Reports availability, retry
-// and quarantine counts, and (with --soak-json <path>) emits the same
-// machine-checkable mercury.soak.v1 verdict the soak CI job gates on:
+// and quarantine counts, and (with --soak-json <path>) emits the
+// mercury.soak.v1 verdict. The exit code is the verdict: nonzero exactly
+// when SoakReport::gate_failures() lists a failure, printed one per line.
 //
 //   bench_soak --soak-json soak.json [--metrics-json m.json]
 //   python3 scripts/check_bench_json.py soak.json --schema soak
@@ -97,6 +98,14 @@ SoakReport run_soak(const SoakRunParams& rp) {
   driver.note_workload(db.bytes_moved / (dp.chunk_kb * 1024), db.bytes_moved,
                        0);
   return driver.report(seed);
+}
+
+/// Print `report`'s gate failures under `title`; true when there are none.
+bool passes_gates(const char* title, const SoakReport& report) {
+  const std::vector<std::string> failures = report.gate_failures();
+  for (const std::string& why : failures)
+    std::printf("%s gate FAILED: %s\n", title, why.c_str());
+  return failures.empty();
 }
 
 SoakReport g_last;
@@ -196,16 +205,16 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s for writing\n", soak_json.c_str());
   }
 
+  bool ok = passes_gates("soak", r);
+
   // Fleet leg: a 4-node cluster soak producing the time-series and feeding
   // the engine profiler cross-node dispatch samples. Only runs when one of
-  // the fleet artifacts was requested — the single-machine soak above stays
-  // the converged/exit-code authority either way.
-  bool cluster_ok = true;
+  // the fleet artifacts was requested; its verdict gates the exit code too.
   if (!obs_opts.timeseries_json.empty() || !obs_opts.profile_json.empty()) {
     cluster::ClusterSoakParams cp;
     cp.seed = soak_seed();
     cluster::ClusterSoak cs(cp);
-    cluster_ok = cs.run();
+    cs.run();  // a wave left unresolved reads as converged: false
     const SoakReport fleet = cs.report();
     std::printf(
         "\n=== Cluster soak (%zu nodes, %llu waves) ===\n"
@@ -232,8 +241,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(n.pause_worst_cycles),
                   n.pause_worst_cause.c_str(), n.final_health.c_str(),
                   n.final_mode.c_str());
-    // The fleet verdict (with its nodes[] pause rollups) is schema-gated
-    // alongside the single-machine one — see scripts/run_tiers.sh profile.
+    ok = passes_gates("fleet soak", fleet) && ok;
     if (!soak_json.empty()) {
       const std::string fleet_json = soak_json + ".fleet.json";
       if (mercury::cluster::write_soak_report(fleet, fleet_json))
@@ -258,5 +266,5 @@ int main(int argc, char** argv) {
   }
 
   mercury::bench::write_obs_artifacts(obs_opts);
-  return r.converged && cluster_ok ? 0 : 1;
+  return ok ? 0 : 1;
 }

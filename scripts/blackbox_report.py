@@ -98,32 +98,8 @@ def crew_utilization(events):
 HEALTH_NAMES = {0: "healthy", 1: "degraded", 2: "quarantined"}
 # ExecMode enum values (core/mode.hpp), as supervisor.attempt's arg2.
 MODE_NAMES = {0: "native", 1: "partial-virtual", 2: "full-virtual"}
-# FaultSite enum values, mirroring kFaultSiteNames (core/fault_inject.hpp).
-# Bundles from a newer binary may carry sites this table has not learned
-# yet — every lookup falls back to "site#<n>" instead of raising.
-SITE_NAMES = {
-    0: "rendezvous",
-    1: "adopt.rebuild",
-    2: "adopt.protect",
-    3: "stack.fixup",
-    4: "transfer.bindings",
-    5: "release.unprotect",
-    6: "reload.hw_state",
-    7: "shard.rebuild",
-    8: "shard.protect",
-    9: "shard.unprotect",
-    10: "dirty.rebuild",
-    11: "checkpoint.capture",
-    12: "restore.apply",
-    13: "migrate.stream",
-    14: "migrate.activate",
-}
 # FaultKind enum values (core/fault_inject.hpp), as fault.hit's arg1.
 KIND_NAMES = {0: "fail", 1: "timeout", 2: "corrupt-frame"}
-
-
-def site_name(index, fallback=None):
-    return SITE_NAMES.get(index, fallback or f"site#{index}")
 
 
 def kind_name(index):
@@ -246,13 +222,15 @@ def render(doc, tail_n=40):
             for cpu in sorted(per_worker):
                 add(f"    cpu {cpu:>2}: {_us(per_worker[cpu]):>12.3f} us busy")
 
+    # A fault.hit event is named after its site (fault_site_name in
+    # core/fault_inject.cpp), so no site table is kept here.
     hits = [e for e in events if e["type"] == "fault.hit"]
     if hits:
         add("")
         add("--- fault hits ---")
         for e in hits:
             add(
-                f"  {site_name(e['args'][0], e['name'])} on cpu {e['cpu']} "
+                f"  {e['name']} on cpu {e['cpu']} "
                 f"(visit #{e['args'][2]}, kind {kind_name(e['args'][1])})"
             )
 

@@ -228,6 +228,9 @@ ArcReport self_heal_arc(Node& node, const DependConfig& cfg) {
     if (!attached) {
       quarantine(r, node, "attach never committed", &last);
     } else {
+      // The heal-mode attach is the service: its validation pass did the
+      // repair.
+      r.attempts = 1;
       r.attach_cycles = m.engine().stats().last_attach_cycles;
       r.verified = hv.stats().domains_crashed == crashed_before;
       r.success = r.verified;
@@ -509,6 +512,36 @@ ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg,
 
 ArcReport evacuate_arc(Node& src, Node& dst, const DependConfig& cfg) {
   return migration_arc(src, dst, cfg, false, {});
+}
+
+std::vector<std::string> ArcReport::gate_failures() const {
+  std::vector<std::string> out;
+  const auto gate = [&out](bool failed, const char* why) {
+    if (failed) out.push_back(why);
+  };
+  gate(!success && !quarantined, "neither succeeded nor quarantined");
+  gate(success && quarantined, "both succeeded and quarantined");
+  gate(quarantined && postmortem_path.empty(),
+       "quarantined without a postmortem");
+  gate(stranded_requests != 0, "stranded a supervised request");
+  gate(invariant_violations != 0, "broke a machine invariant");
+  gate(success && attempts == 0, "succeeded with zero service attempts");
+  gate(window_cycles == 0, "empty dependability window");
+  gate(downtime_cycles > window_cycles, "downtime exceeds its window");
+  gate(pages_sent < pages_total, "sent fewer pages than the domain holds");
+  return out;
+}
+
+std::vector<std::string> DependReport::gate_failures() const {
+  std::vector<std::string> out;
+  if (arcs.empty()) out.push_back("no arc ran");
+  for (const ArcReport& a : arcs) {
+    for (const std::string& why : a.gate_failures())
+      out.push_back(a.service + ": " + why);
+    if (storm_rate == 0.0 && !a.success)
+      out.push_back(a.service + ": a clean run did not land the service");
+  }
+  return out;
 }
 
 namespace {

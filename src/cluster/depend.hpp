@@ -31,8 +31,9 @@
 // quarantine), every service step runs under its own retry → rollback →
 // quarantine ladder catching core::FaultInjected, and the whole arc is
 // measured as a *dependability window*: total cycles native-to-native,
-// decomposed via the ambient pause ledger into service phases. bench_depend
-// serializes the result as mercury.depend.v1 and CI gates it.
+// decomposed via the ambient pause ledger into service phases. The verdict
+// is ArcReport::gate_failures(); bench_depend serializes the result as
+// mercury.depend.v1 and exits on its gates.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +67,10 @@ struct DependConfig {
   bool check_invariants = true;
 };
 
-/// One arc's verdict and window decomposition. The dichotomy the fault
-/// matrix asserts: a completed arc has success (service rendered, machine
-/// verified) or quarantined (service abandoned *cleanly*: state rolled
-/// back or left consistent, postmortem written) — never neither.
+/// One arc's verdict and window decomposition. The completion dichotomy: a
+/// completed arc has success (service rendered, machine verified) or
+/// quarantined (service abandoned *cleanly*: state rolled back or left
+/// consistent, postmortem written), never neither and never both.
 struct ArcReport {
   std::string service;  // "live-update" | "self-heal" |
                         // "checkpoint-restart" | "migrate" | "evacuate"
@@ -77,7 +78,8 @@ struct ArcReport {
   bool quarantined = false;
   bool rolled_back = false;  // the undo path ran (restore undo / source abort)
   bool verified = false;     // post-service integrity check passed
-  std::uint64_t attempts = 0;  // service-step attempts (1 = clean first try)
+  std::uint64_t attempts = 0;  // service-step attempts (1 = clean first try;
+                               // self-heal's heal-mode attach counts as 1)
   std::uint64_t retries = 0;   // attempts beyond the first
   std::uint64_t faults = 0;    // FaultInjected caught by the arc
   std::uint64_t switch_attempts = 0;  // supervisor commit attempts, all sups
@@ -112,11 +114,15 @@ struct ArcReport {
   std::uint64_t pages_total = 0;
   std::uint64_t precopy_rounds = 0;
 
-  /// The completion dichotomy: rendered-and-verified, or cleanly abandoned.
-  bool completed_cleanly() const {
-    return (success || quarantined) && stranded_requests == 0 &&
-           invariant_violations == 0;
-  }
+  /// The arc gates, one line per failure; empty means the arc completed
+  /// cleanly. An arc fails when it breaks the dichotomy, quarantines without
+  /// a postmortem, strands a request, breaks an invariant, succeeds without
+  /// a service attempt, or reports an empty window, a downtime longer than
+  /// its window, or fewer pages sent than the domain holds. An arc
+  /// quarantined before its service began (the attach never committed)
+  /// completes cleanly with zero attempts.
+  std::vector<std::string> gate_failures() const;
+  bool completed_cleanly() const { return gate_failures().empty(); }
 };
 
 /// §6.4: attach → quiesce + apply `patch` → detach, supervised.
@@ -164,15 +170,13 @@ struct DependReport {
   std::uint64_t storm_fires = 0;
   std::vector<ArcReport> arcs;
 
-  bool all_completed_cleanly() const {
-    if (arcs.empty()) return false;
-    for (const ArcReport& a : arcs)
-      if (!a.completed_cleanly()) return false;
-    return true;
-  }
+  /// Every arc's gate failures, prefixed with its service, plus the run's
+  /// own: at least one arc ran, and a clean run (rate 0) landed every
+  /// service instead of quarantining it.
+  std::vector<std::string> gate_failures() const;
 };
 
-/// Serialize as mercury.depend.v1 (see scripts/check_bench_json.py).
+/// Serialize as mercury.depend.v1.
 std::string depend_report_json(const DependReport& r);
 /// Write the document; false on I/O failure.
 bool write_depend_report(const DependReport& r, const std::string& path);

@@ -12,6 +12,24 @@
 
 namespace mercury::cluster {
 
+std::vector<std::string> SoakReport::gate_failures() const {
+  std::vector<std::string> out;
+  const auto nonzero = [&out](std::uint64_t n, const char* what) {
+    if (n != 0) out.push_back(std::to_string(n) + " " + what);
+  };
+  const auto fraction = [&out](double f, const std::string& where) {
+    if (!(f >= 0.0 && f <= 1.0))
+      out.push_back(where + "availability outside [0, 1]");
+  };
+  nonzero(unresolved, "unresolved request(s): a request was stranded");
+  nonzero(invariant_violations, "invariant violation(s)");
+  nonzero(workload_corruptions, "workload corruption(s)");
+  if (!converged) out.push_back("the run did not converge");
+  fraction(availability, "");
+  for (const NodeSoakStats& n : nodes) fraction(n.availability, n.name + ": ");
+  return out;
+}
+
 std::string soak_report_json(const SoakReport& r) {
   std::ostringstream os;
   os << "{\n";

@@ -1,7 +1,7 @@
 // Chaos-soak harness: drive hundreds of *supervised* attach/detach cycles
 // under a fault storm while a workload runs, account availability, and emit
-// a machine-checkable `mercury.soak.v1` verdict (the robustness analogue of
-// the bench JSON artifacts — CI gates on it).
+// a `mercury.soak.v1` verdict (the robustness analogue of the bench JSON
+// artifacts) whose gates, SoakReport::gate_failures(), decide the run.
 //
 // The driver is kernel-timer based: a periodic pump submits the next switch
 // request (alternating toward and away from the virtual mode) through the
@@ -39,8 +39,8 @@ struct NodeSoakStats {
   std::uint64_t downtime_cycles = 0;
   std::uint64_t span_cycles = 0;
   // Pause-observatory rollup (this node's ledger; see obs/pause_ledger.hpp).
-  // `pause_unattributed` must be 0 — an orphaned begin/end half is a
-  // pairing bug, and the soak gate fails on it.
+  // `pause_unattributed` is 0 by construction: the ledger refuses an
+  // interval without a cause.
   std::uint64_t pause_intervals = 0;
   std::uint64_t pause_unattributed = 0;
   std::uint64_t pause_worst_cycles = 0;
@@ -53,7 +53,7 @@ struct NodeSoakStats {
 /// serializer. SoakDriver::report() fills the switch/health/availability
 /// sections and quotes the storm regime as armed (from
 /// FaultInjector::storm_config); the harness fills seed and workload
-/// fields itself.
+/// fields itself. gate_failures() is the run's verdict.
 struct SoakReport {
   std::uint64_t seed = 0;
   std::size_t cpus = 0;
@@ -75,7 +75,7 @@ struct SoakReport {
   std::uint64_t failed_attempts = 0;
   std::uint64_t failed_quarantined = 0;
   std::uint64_t cancelled = 0;
-  std::uint64_t unresolved = 0;  // must be 0: no stranded caller requests
+  std::uint64_t unresolved = 0;
 
   std::uint64_t attempts = 0;
   std::uint64_t retries = 0;
@@ -89,7 +89,7 @@ struct SoakReport {
   std::uint64_t engine_cancels = 0;
 
   std::uint64_t invariant_checks = 0;
-  std::uint64_t invariant_violations = 0;  // must be 0
+  std::uint64_t invariant_violations = 0;
 
   double availability = 1.0;
   std::uint64_t interruptions = 0;
@@ -98,10 +98,10 @@ struct SoakReport {
 
   std::uint64_t workload_ops = 0;
   std::uint64_t workload_bytes = 0;
-  std::uint64_t workload_corruptions = 0;  // must be 0
+  std::uint64_t workload_corruptions = 0;
 
   // Run-wide pause rollup: the ambient ledger for single-machine soaks, the
-  // per-node ledgers merged for fleet soaks. `pause_unattributed` must be 0.
+  // per-node ledgers merged for fleet soaks.
   std::uint64_t pause_intervals = 0;
   std::uint64_t pause_unattributed = 0;
   std::uint64_t pause_worst_cycles = 0;
@@ -113,6 +113,13 @@ struct SoakReport {
   /// Per-node rollups (cluster soaks only; single-machine reports leave it
   /// empty and the serializer omits the section).
   std::vector<NodeSoakStats> nodes;
+
+  /// The soak gates, one line per failure; empty means the soak passed. A
+  /// soak fails on a stranded caller request, an invariant violation, a
+  /// corrupted workload, a run that did not converge, or an availability
+  /// outside [0, 1] (run-wide or on any node). A quarantined supervisor
+  /// that came to rest cleanly passes.
+  std::vector<std::string> gate_failures() const;
 };
 
 /// The mercury.soak.v1 document (embeds the live obs metrics snapshot).

@@ -38,16 +38,6 @@ FaultStorm FaultStorm::uniform(double r, std::uint64_t seed) {
   return s;
 }
 
-std::string FaultStorm::describe() const {
-  std::ostringstream os;
-  os << "storm(" << fault_kind_name(kind) << " seed=" << seed
-     << " burst=" << burst_windows << " decay=" << decay << " rates=[";
-  for (std::size_t i = 0; i < kNumFaultSites; ++i)
-    os << (i ? "," : "") << rate[i];
-  os << "])";
-  return os.str();
-}
-
 void FaultInjector::arm(const FaultPlan& plan) {
   MERC_CHECK_MSG(!armed_,
                  "arming a fault plan over a live one — silent replacement "
@@ -140,28 +130,24 @@ void FaultInjector::fire_storm(FaultSite site, hw::Cpu* cpu,
   storm_.rate[idx] *= storm_.decay;
   if (storm_.max_fires != 0 && storm_fires_ >= storm_.max_fires)
     storm_active_ = false;
-  if (cpu != nullptr && storm_.kind == FaultKind::kTimeout &&
-      storm_.timeout_latency != 0)
-    cpu->charge(storm_.timeout_latency);
   MERC_COUNT("fault.injected");
   MERC_COUNT("fault.storm.fires");
 #if MERCURY_OBS_ENABLED
+  constexpr auto kFail = static_cast<std::uint64_t>(FaultKind::kFail);
   obs::registry().counter("fault.injected_at", fault_site_name(site)).inc();
   if (cpu != nullptr) {
     MERC_FLIGHT(*cpu, kFaultHit, fault_site_name(site),
-                static_cast<std::uint64_t>(site),
-                static_cast<std::uint64_t>(storm_.kind), visit);
+                static_cast<std::uint64_t>(site), kFail, visit);
   } else {
     obs::flight_recorder().record(0, obs::FlightType::kFaultHit,
                                   fault_site_name(site), 0,
-                                  static_cast<std::uint64_t>(site),
-                                  static_cast<std::uint64_t>(storm_.kind),
+                                  static_cast<std::uint64_t>(site), kFail,
                                   visit);
   }
 #endif
   util::log_warn("fault", "storm firing at ", fault_site_name(site),
                  " (fire #", storm_fires_, ")");
-  throw FaultInjected{site, storm_.kind, cpu != nullptr ? cpu->id() : 0u};
+  throw FaultInjected{site, FaultKind::kFail, cpu != nullptr ? cpu->id() : 0u};
 }
 
 void FaultInjector::on_site(FaultSite site, hw::Cpu* cpu) {

@@ -67,8 +67,8 @@ inline constexpr std::size_t kNumFaultSites =
     static_cast<std::size_t>(FaultSite::kNumSites);
 
 /// The one site↔name table. Every stringification (injector logs,
-/// postmortems, JSON artifacts, blackbox_report.py's mirror of this list)
-/// derives from here — adding a site means adding exactly one row.
+/// postmortems, JSON artifacts, the fault.hit flight events) derives from
+/// here — adding a site means adding exactly one row.
 inline constexpr const char* kFaultSiteNames[kNumFaultSites] = {
     "rendezvous",         // kRendezvous
     "adopt.rebuild",      // kAdoptRebuild
@@ -123,7 +123,7 @@ struct FaultInjected {
 /// attempt (the switch engine calls begin_window); per window each site
 /// with rate > 0 rolls an independent Bernoulli trial, and a won trial
 /// fires on a uniformly chosen visit in [1, max_trigger_depth] to that
-/// site within the window.
+/// site within the window. Every storm fire is a kFail.
 struct FaultStorm {
   /// Per-window fire probability, indexed by FaultSite.
   double rate[kNumFaultSites] = {};
@@ -137,17 +137,12 @@ struct FaultStorm {
   /// Each fire multiplies the firing site's rate by this factor: < 1.0
   /// models storms that blow over, 1.0 a stationary fault rate.
   double decay = 1.0;
-  FaultKind kind = FaultKind::kFail;
-  /// Cycles charged at the site before a kTimeout fire fails.
-  hw::Cycles timeout_latency = 0;
   /// Stop the storm after this many fires (0 = unlimited).
   std::uint64_t max_fires = 0;
   std::uint64_t seed = 1;
 
   /// Every site at the same per-window rate.
   static FaultStorm uniform(double rate, std::uint64_t seed);
-
-  std::string describe() const;
 };
 
 /// The process-global injector every site reports to. Disarmed it is a

@@ -436,7 +436,6 @@ void SwitchEngine::dump_rollback_postmortem(ExecMode from, ExecMode target,
                          stats_.last_max_pause_cycles);
   const obs::PauseLedger& pl = obs::pause_ledger();
   ctx.extra.emplace_back("pause.intervals", pl.intervals());
-  ctx.extra.emplace_back("pause.unattributed", pl.unattributed());
   ctx.extra.emplace_back("pause.worst_cycles",
                          pl.worst().valid ? pl.worst().span() : 0);
   obs::write_postmortem(ctx);

@@ -1,6 +1,7 @@
 #include "obs/pause_ledger.hpp"
 
 #include "obs/obs.hpp"
+#include "util/assert.hpp"
 
 namespace mercury::obs {
 
@@ -59,10 +60,9 @@ void PauseLedger::note_worst(PauseCause cause, std::uint32_t cpu,
 
 void PauseLedger::record(PauseCause cause, std::uint32_t cpu, hw::Cycles begin,
                          hw::Cycles end, const char* detail) {
-  if (cause >= PauseCause::kCauseCount) {
-    ++unattributed_;
-    return;
-  }
+  MERC_CHECK_MSG(cause < PauseCause::kCauseCount,
+                 "pause interval with no valid cause: "
+                     << (detail ? detail : "") << " on cpu " << cpu);
   if (end < begin) end = begin;
   const hw::Cycles span = end - begin;
   CauseSlot& slot = causes_[static_cast<std::size_t>(cause)];
@@ -101,7 +101,6 @@ void PauseLedger::merge(const PauseLedger& other) {
   for (std::size_t i = 0; i < other.cpu_totals_.size(); ++i)
     cpu_totals_[i] += other.cpu_totals_[i];
   intervals_ += other.intervals_;
-  unattributed_ += other.unattributed_;
   if (other.worst_.valid &&
       (!worst_.valid || other.worst_.span() > worst_.span()))
     worst_ = other.worst_;
@@ -111,7 +110,6 @@ void PauseLedger::clear() {
   for (CauseSlot& slot : causes_) slot = CauseSlot{};
   cpu_totals_.clear();
   intervals_ = 0;
-  unattributed_ = 0;
   // worst_ survives: the run's worst interval outlives per-cell clears.
 }
 
@@ -124,7 +122,7 @@ std::string PauseLedger::to_json() const {
   std::string out = "{\"schema\":\"mercury.pause.v1\",\"intervals\":";
   out += std::to_string(intervals_);
   out += ",\"unattributed\":";
-  out += std::to_string(unattributed_);
+  out += std::to_string(unattributed());
   out += ",\"worst\":{\"cause\":";
   append_json_string(out, worst_.valid ? pause_cause_name(worst_.cause)
                                        : "none");
@@ -179,8 +177,7 @@ std::string PauseLedger::to_json() const {
 
 PauseLedger& pause_ledger() {
   static PauseLedger global;
-  // Ledger health must be visible in every --metrics-json artifact: a
-  // nonzero unattributed count means a begin/end pairing bug somewhere.
+  // Ledger health must be visible in every --metrics-json artifact.
   static const bool registered = [] {
     registry().register_callback("obs.pause.intervals", {}, [] {
       return static_cast<double>(pause_ledger().intervals());

@@ -69,15 +69,16 @@ class PauseLedger {
   PauseLedger();
 
   /// Record one closed interval [begin, end] on `cpu`. end < begin is
-  /// clamped to a zero span (defensive; sites pass monotone clocks).
+  /// clamped to a zero span (defensive; sites pass monotone clocks). A
+  /// cause past the sentinel fails a MERC_CHECK: every stop has a cause.
   void record(PauseCause cause, std::uint32_t cpu, hw::Cycles begin,
               hw::Cycles end, const char* detail = "");
 
   std::uint64_t intervals() const { return intervals_; }
-  /// Intervals recorded with no valid cause. Pairing is checked by the
-  /// interval stream, which fails a MERC_CHECK on an unpaired half, so
-  /// only a bad cause reaches this count; the soak gate holds it at zero.
-  std::uint64_t unattributed() const { return unattributed_; }
+  /// Intervals recorded with no valid cause: 0 by construction. The
+  /// interval stream fails a MERC_CHECK on an unpaired half and record()
+  /// on a missing cause; the count stays in the artifacts that report it.
+  std::uint64_t unattributed() const { return 0; }
   std::uint64_t count(PauseCause c) const { return per_cause(c).count; }
   hw::Cycles total(PauseCause c) const { return per_cause(c).total; }
   /// Log2-bucketed quantile, except q >= 1.0 returns the *exact* recorded
@@ -88,7 +89,7 @@ class PauseLedger {
   const PauseWorst& worst() const { return worst_; }
 
   /// Fold another ledger's intervals in (histograms, moments, CPU totals,
-  /// unattributed count, worst-case). Bench sweeps merge per-cell ledgers
+  /// worst-case). Bench sweeps merge per-cell ledgers
   /// into a run ledger; soak merges per-node into fleet.
   void merge(const PauseLedger& other);
 
@@ -116,7 +117,6 @@ class PauseLedger {
   std::vector<CauseSlot> causes_;       // indexed by PauseCause
   std::vector<hw::Cycles> cpu_totals_;  // indexed by cpu id, grown on demand
   std::uint64_t intervals_ = 0;
-  std::uint64_t unattributed_ = 0;
   PauseWorst worst_;
 };
 

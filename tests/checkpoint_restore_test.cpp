@@ -358,13 +358,9 @@ TEST(CheckpointRestore, CheckpointRestartArcVerifiesOnALiveNode) {
   const cluster::ArcReport r = cluster::checkpoint_restart_arc(n, cfg);
   EXPECT_TRUE(r.success);
   EXPECT_TRUE(r.verified);
-  EXPECT_TRUE(r.completed_cleanly());
-  EXPECT_FALSE(r.quarantined);
+  EXPECT_EQ(r.gate_failures(), std::vector<std::string>{});
   EXPECT_EQ(r.faults, 0u);
   EXPECT_EQ(r.attempts, 2u);  // capture + restore, one try each
-  EXPECT_EQ(r.stranded_requests, 0u);
-  EXPECT_EQ(r.invariant_violations, 0u);
-  EXPECT_GT(r.window_cycles, 0u);
   EXPECT_GE(r.window_cycles,
             r.attach_cycles + r.service_cycles + r.detach_cycles);
 }
@@ -381,16 +377,17 @@ TEST(CheckpointRestore, MigrateArcRoundTripsAndReconnectsFrontends) {
   const cluster::ArcReport r = cluster::migrate_arc(src, dst, cfg);
   EXPECT_TRUE(r.success);
   EXPECT_TRUE(r.verified);
-  EXPECT_TRUE(r.completed_cleanly());
-  EXPECT_EQ(r.invariant_violations, 0u)
-      << "a round trip must leave no stranded backend connections";
+  // The invariants gate includes the backend connections: a round trip
+  // must leave none stranded.
+  EXPECT_EQ(r.gate_failures(), std::vector<std::string>{});
   EXPECT_FALSE(src.hosts_foreign_guest());
   EXPECT_FALSE(dst.hosts_foreign_guest());
-  // Both legs shipped at least the full image; the dirtier guarantees the
-  // iterative pre-copy had residue to resend.
-  EXPECT_GE(r.pages_sent, r.pages_total);
+  // Both legs shipped at least the full image (a gate); the dirtier
+  // guarantees the iterative pre-copy had residue to resend.
   EXPECT_GE(r.precopy_rounds, 2u);
   EXPECT_GT(r.downtime_cycles, 0u);  // stop-and-copy freeze (cpu-clocked)
+  // The gate allows downtime == window; a live round trip must also have
+  // served outside its freezes.
   EXPECT_LT(r.downtime_cycles, r.window_cycles);
 }
 

@@ -19,10 +19,10 @@
 #include "core/fault_inject.hpp"
 #include "core/mercury.hpp"
 #include "obs/obs.hpp"
-#include "obs/postmortem.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "tests/chrome_events.hpp"
+#include "tests/injector_guard.hpp"
 #include "tests/json_checker.hpp"
 #include "tests/test_seed.hpp"
 
@@ -166,7 +166,6 @@ void expect_ring_matches_ledger(const obs::PauseLedger& ledger) {
     EXPECT_EQ(count[c], ledger.count(cause)) << obs::pause_cause_name(cause);
     EXPECT_EQ(total[c], ledger.total(cause)) << obs::pause_cause_name(cause);
   }
-  EXPECT_EQ(ledger.unattributed(), 0u);
 }
 
 /// Every flight event but a begin record must appear exactly once in the
@@ -242,7 +241,7 @@ TEST(ClusterObs, FlightRingTraceAndLedgerAgreeOnEveryInterval) {
   }
   {
     // A switch rolled back by a fault in a type-and-protect shard.
-    obs::set_postmortem_dir(::testing::TempDir());
+    InjectorGuard guard;
     FullRings rings;
     obs::PauseLedger ledger;
     obs::PauseLedgerScope scope(ledger);
@@ -258,12 +257,8 @@ TEST(ClusterObs, FlightRingTraceAndLedgerAgreeOnEveryInterval) {
     plan.site = core::FaultSite::kShardProtect;
     core::fault_injector().arm(plan);
     m.engine().request(core::ExecMode::kPartialVirtual);
-    const bool idle = m.kernel().run_until([&] { return m.engine().idle(); },
-                                           300 * hw::kCyclesPerMillisecond);
-    core::fault_injector().disarm();
-    if (!::testing::Test::HasFailure()) obs::remove_own_postmortems();
-    obs::set_postmortem_dir("");
-    ASSERT_TRUE(idle);
+    ASSERT_TRUE(m.kernel().run_until([&] { return m.engine().idle(); },
+                                     300 * hw::kCyclesPerMillisecond));
     ASSERT_EQ(m.engine().stats().rollbacks, 1u);
     ASSERT_EQ(m.mode(), core::ExecMode::kNative);
     EXPECT_GT(ledger.count(obs::PauseCause::kRollbackUnwind), 0u);
@@ -298,6 +293,14 @@ TEST(ClusterObs, TimeseriesIsByteIdenticalAcrossRuns) {
     cluster::ClusterSoak soak(small_params());
     ASSERT_TRUE(soak.run());
     first = soak.timeseries_json();
+    // Sampled on node 0's clock, which never runs backward: no series has
+    // a timestamp that decreases.
+    const obs::TimeSeriesSampler& sampler = soak.sampler();
+    for (std::size_t i = 0; i < sampler.series_count(); ++i) {
+      const auto points = sampler.points(i);
+      for (std::size_t j = 1; j < points.size(); ++j)
+        EXPECT_GE(points[j].t, points[j - 1].t) << "series " << i;
+    }
   }
   {
     cluster::ClusterSoak soak(small_params());
@@ -319,6 +322,7 @@ TEST(ClusterObs, FleetReportCarriesPerNodeSections) {
   ASSERT_TRUE(soak.run());
 
   const cluster::SoakReport r = soak.report();
+  EXPECT_EQ(r.gate_failures(), std::vector<std::string>{});
   ASSERT_EQ(r.nodes.size(), p.nodes);
   std::uint64_t committed = 0;
   std::set<std::string> names;
@@ -326,19 +330,15 @@ TEST(ClusterObs, FleetReportCarriesPerNodeSections) {
     EXPECT_FALSE(n.name.empty());
     names.insert(n.name);
     EXPECT_EQ(n.submitted, p.waves);
-    EXPECT_GE(n.availability, 0.0);
-    EXPECT_LE(n.availability, 1.0);
     EXPECT_GT(n.span_cycles, 0u);
     committed += n.committed;
-    // Per-node pause rollups: every interval attributed, and a node that
-    // recorded intervals names its worst cause.
-    EXPECT_EQ(n.pause_unattributed, 0u) << n.name;
+    // Per-node pause rollups: a node that recorded intervals names its
+    // worst cause.
     EXPECT_GT(n.pause_intervals, 0u) << n.name;
     EXPECT_NE(n.pause_worst_cause, "none") << n.name;
   }
   EXPECT_EQ(names.size(), p.nodes);  // distinct node names
   EXPECT_EQ(committed, r.committed);
-  EXPECT_EQ(r.pause_unattributed, 0u);  // fleet rollup of the node gates
 
   const std::string json = cluster::soak_report_json(r);
   EXPECT_TRUE(JsonChecker(json).ok()) << json.substr(0, 400);
@@ -354,7 +354,7 @@ TEST(ClusterObs, DefaultFleetConvergesWithEvenSpans) {
   ASSERT_TRUE(soak.run());
 
   const cluster::SoakReport r = soak.report();
-  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.gate_failures(), std::vector<std::string>{});
   ASSERT_EQ(r.nodes.size(), 4u);
   const double n0 = static_cast<double>(r.nodes[0].span_cycles);
   for (const auto& n : r.nodes)

@@ -1,11 +1,15 @@
 // Cluster fabric + the paper's §6 scenarios, run on the dependability
-// arcs, as integration tests.
+// arcs, as integration tests; and the soak and arc verdict gates.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "cluster/availability.hpp"
 #include "cluster/depend.hpp"
 #include "cluster/fabric.hpp"
 #include "cluster/failure.hpp"
+#include "cluster/soak.hpp"
 #include "kernel/syscalls.hpp"
 
 namespace mercury::testing {
@@ -165,6 +169,7 @@ TEST(ScenarioTest, SelfHealRepairsInjectedCorruption) {
   const cluster::ArcReport report = cluster::self_heal_arc(n);
   EXPECT_TRUE(report.success);
   EXPECT_TRUE(report.verified);
+  EXPECT_EQ(report.gate_failures(), std::vector<std::string>{});
   EXPECT_GE(m.hypervisor().stats().entries_healed - healed_before, 1u);
   EXPECT_EQ(m.hypervisor().stats().domains_crashed, 0u);
   alive = false;
@@ -232,6 +237,169 @@ TEST(FailureInjectorTest, LinkLossDegradesDelivery) {
   hw::Packet pkt;
   (void)a.machine().nic().send(pkt, a.machine().cpu(0).now());
   EXPECT_EQ(f.link_between(a, b)->packets_dropped(), 1u);
+}
+
+// --- verdict gates -------------------------------------------------------------
+//
+// The soak and arc verdicts are written once, in SoakReport::gate_failures()
+// and ArcReport::gate_failures(). Each row feeds one gate, alone, the bad
+// input of the JSON fixture that used to check it after the run, and names
+// the one line it must fail with.
+
+cluster::SoakReport passing_soak() {
+  cluster::SoakReport r;
+  r.availability = 0.958;
+  r.converged = true;
+  r.nodes.resize(2);
+  r.nodes[0].name = "n0";
+  r.nodes[0].availability = 0.99;
+  r.nodes[1].name = "n1";
+  r.nodes[1].availability = 1.0;
+  return r;
+}
+
+TEST(SoakGates, APassingSoakHasNoFailures) {
+  EXPECT_EQ(passing_soak().gate_failures(), std::vector<std::string>{});
+  // A supervisor that quarantined and came to rest native converged too.
+  cluster::SoakReport r = passing_soak();
+  r.final_health = "quarantined";
+  r.nodes.clear();  // a single-machine verdict
+  EXPECT_EQ(r.gate_failures(), std::vector<std::string>{});
+}
+
+/// `base` with `change` applied.
+template <typename Report, typename Change>
+Report with(Report base, Change change) {
+  change(base);
+  return base;
+}
+
+TEST(SoakGates, EachGateFailsAloneWithItsLine) {
+  using S = cluster::SoakReport;
+  const struct {
+    const char* fault;
+    S report;
+    const char* line;
+  } rows[] = {
+      {"stranded", with(passing_soak(), [](S& r) { r.unresolved = 3; }),
+       "3 unresolved request(s): a request was stranded"},
+      {"invariants",
+       with(passing_soak(), [](S& r) { r.invariant_violations = 1; }),
+       "1 invariant violation(s)"},
+      {"corruption",
+       with(passing_soak(), [](S& r) { r.workload_corruptions = 2; }),
+       "2 workload corruption(s)"},
+      {"not converged", with(passing_soak(), [](S& r) { r.converged = false; }),
+       "the run did not converge"},
+      {"availability above 1",
+       with(passing_soak(), [](S& r) { r.availability = 1.2; }),
+       "availability outside [0, 1]"},
+      {"availability below 0",
+       with(passing_soak(), [](S& r) { r.availability = -0.1; }),
+       "availability outside [0, 1]"},
+      {"node availability below 0",
+       with(passing_soak(), [](S& r) { r.nodes[0].availability = -0.8; }),
+       "n0: availability outside [0, 1]"},
+      {"node availability above 1",
+       with(passing_soak(), [](S& r) { r.nodes[1].availability = 1.5; }),
+       "n1: availability outside [0, 1]"},
+  };
+  for (const auto& row : rows)
+    EXPECT_EQ(row.report.gate_failures(), std::vector<std::string>{row.line})
+        << row.fault;
+}
+
+cluster::ArcReport passing_arc() {
+  cluster::ArcReport a;
+  a.service = "migrate";
+  a.success = true;
+  a.verified = true;
+  a.attempts = 2;
+  a.window_cycles = 511321040;
+  a.downtime_cycles = 120000;
+  a.pages_sent = 17000;
+  a.pages_total = 16384;
+  return a;
+}
+
+cluster::ArcReport clean_quarantine() {
+  cluster::ArcReport a = passing_arc();
+  a.success = false;
+  a.verified = false;
+  a.quarantined = true;
+  a.postmortem_path = "mercury-postmortem-1-0.json";
+  return a;
+}
+
+TEST(ArcGates, SuccessAndCleanQuarantineBothPass) {
+  EXPECT_EQ(passing_arc().gate_failures(), std::vector<std::string>{});
+  EXPECT_TRUE(passing_arc().completed_cleanly());
+  EXPECT_EQ(clean_quarantine().gate_failures(), std::vector<std::string>{});
+  // Quarantined at its attach, before the service began: no attempt, no
+  // page stream, and still clean.
+  cluster::ArcReport a = clean_quarantine();
+  a.attempts = 0;
+  a.pages_sent = a.pages_total = 0;
+  EXPECT_EQ(a.gate_failures(), std::vector<std::string>{});
+}
+
+TEST(ArcGates, EachGateFailsAloneWithItsLine) {
+  using A = cluster::ArcReport;
+  const struct {
+    const char* fault;
+    A arc;
+    const char* line;
+  } rows[] = {
+      {"neither", with(passing_arc(), [](A& a) { a.success = false; }),
+       "neither succeeded nor quarantined"},
+      {"both", with(clean_quarantine(), [](A& a) { a.success = true; }),
+       "both succeeded and quarantined"},
+      {"no postmortem",
+       with(clean_quarantine(), [](A& a) { a.postmortem_path.clear(); }),
+       "quarantined without a postmortem"},
+      {"stranded", with(passing_arc(), [](A& a) { a.stranded_requests = 3; }),
+       "stranded a supervised request"},
+      {"invariants",
+       with(passing_arc(), [](A& a) { a.invariant_violations = 1; }),
+       "broke a machine invariant"},
+      {"no attempt", with(passing_arc(), [](A& a) { a.attempts = 0; }),
+       "succeeded with zero service attempts"},
+      {"empty window",
+       with(passing_arc(),
+            [](A& a) { a.window_cycles = a.downtime_cycles = 0; }),
+       "empty dependability window"},
+      {"downtime past window",
+       with(passing_arc(),
+            [](A& a) { a.downtime_cycles = a.window_cycles + 1; }),
+       "downtime exceeds its window"},
+      {"short page stream",
+       with(passing_arc(), [](A& a) { a.pages_sent = a.pages_total - 1; }),
+       "sent fewer pages than the domain holds"},
+  };
+  for (const auto& row : rows) {
+    EXPECT_EQ(row.arc.gate_failures(), std::vector<std::string>{row.line})
+        << row.fault;
+    EXPECT_FALSE(row.arc.completed_cleanly()) << row.fault;
+  }
+}
+
+TEST(DependGates, RunVerdictPrefixesArcsAndHoldsCleanRunsToSuccess) {
+  cluster::DependReport run;
+  EXPECT_EQ(run.gate_failures(), std::vector<std::string>{"no arc ran"});
+
+  cluster::ArcReport stranded = passing_arc();
+  stranded.stranded_requests = 1;
+  run.storm_rate = 0.05;
+  run.arcs = {passing_arc(), clean_quarantine(), stranded};
+  EXPECT_EQ(run.gate_failures(),
+            std::vector<std::string>{"migrate: stranded a supervised request"});
+
+  // Without a storm every service must land, not just quarantine cleanly.
+  run.storm_rate = 0.0;
+  run.arcs = {passing_arc(), clean_quarantine()};
+  EXPECT_EQ(run.gate_failures(),
+            std::vector<std::string>{
+                "migrate: a clean run did not land the service"});
 }
 
 }  // namespace

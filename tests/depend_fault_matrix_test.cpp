@@ -2,10 +2,11 @@
 // sites (checkpoint.capture, restore.apply, migrate.stream,
 // migrate.activate) × fault kind × trigger depth, driven through the full
 // supervised arcs; the two migrate sites run through both the round-trip
-// migrate arc and the one-way evacuate arc. Every row must uphold the
-// completion dichotomy — the service is rendered and verified, or abandoned
-// *cleanly* (state rolled back or left consistent, postmortem written) —
-// with zero stranded requests and zero invariant violations either way.
+// migrate arc and the one-way evacuate arc. Every row must pass the arc
+// gates, ArcReport::gate_failures(): the completion dichotomy — the service
+// is rendered and verified, or abandoned *cleanly* (state rolled back or
+// left consistent, postmortem written) — with zero stranded requests and
+// zero invariant violations either way.
 //
 // Three regimes per site:
 //   single-shot   the plan fires once mid-service; the arc's retry ladder
@@ -16,6 +17,9 @@
 //   uniform 5%    the acceptance storm over every site at once, seeded —
 //                 the dichotomy must hold for all three arcs
 //
+// A fourth table fails every rendezvous, so each arc quarantines at its
+// first attach, before its service begins.
+//
 // The deep-trigger rows at the end call the three per-frame services
 // directly and check that their bulk copy loops fault exactly where the
 // per-frame loop would, and that the faulted phase is still recorded: the
@@ -25,7 +29,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/depend.hpp"
@@ -35,8 +41,8 @@
 #include "kernel/syscalls.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
-#include "obs/postmortem.hpp"
 #include "pv/costs.hpp"
+#include "tests/injector_guard.hpp"
 #include "tests/recording_sink.hpp"
 #include "tests/test_seed.hpp"
 #include "vmm/checkpoint.hpp"
@@ -56,18 +62,6 @@ using core::FaultSite;
 using core::FaultStorm;
 using kernel::Sub;
 using kernel::Sys;
-
-/// Disarm (and stop any storm) on scope exit, and route postmortem bundles
-/// into the test temp dir — same contract as fault_matrix_test's guard.
-struct InjectorGuard {
-  InjectorGuard() { obs::set_postmortem_dir(::testing::TempDir()); }
-  ~InjectorGuard() {
-    core::fault_injector().disarm();
-    core::fault_injector().stop_storm();
-    if (!::testing::Test::HasFailure()) obs::remove_own_postmortems();
-    obs::set_postmortem_dir("");
-  }
-};
 
 cluster::NodeConfig small_node_config() {
   cluster::NodeConfig nc;
@@ -121,20 +115,6 @@ ArcReport run_arc_for_site(FaultSite site, const DependConfig& cfg,
                            dst.mercury().mode() == ExecMode::kNative;
   }
   return r;
-}
-
-void expect_dichotomy(const ArcReport& r, const std::string& ctx) {
-  EXPECT_TRUE(r.completed_cleanly())
-      << ctx << ": neither success nor clean quarantine (success="
-      << r.success << " quarantined=" << r.quarantined << " stranded="
-      << r.stranded_requests << " violations=" << r.invariant_violations
-      << ")";
-  EXPECT_EQ(r.stranded_requests, 0u) << ctx;
-  EXPECT_EQ(r.invariant_violations, 0u) << ctx;
-  if (r.quarantined) {
-    EXPECT_FALSE(r.postmortem_path.empty())
-        << ctx << ": quarantine wrote no postmortem";
-  }
 }
 
 const FaultSite kServiceSites[] = {
@@ -201,7 +181,7 @@ TEST(DependFaultMatrix, SingleShotFaultsRecoverByRetry) {
         ASSERT_TRUE(fi.injected() > injected_before)
             << ctx << ": the plan never fired — the row asserts nothing";
         ++fired;
-        expect_dichotomy(r, ctx);
+        EXPECT_EQ(r.gate_failures(), std::vector<std::string>{}) << ctx;
         // Single-shot: the plan disarms on firing, so the very next retry
         // is clean and the service must land.
         EXPECT_TRUE(r.success) << ctx << ": retry did not recover";
@@ -242,7 +222,7 @@ TEST(DependFaultMatrix, PersistentFaultsQuarantineCleanly) {
     const ArcReport r = run_arc_for_site(site, cfg, row.evacuate, &landing);
     core::fault_injector().stop_storm();
 
-    expect_dichotomy(r, ctx);
+    EXPECT_EQ(r.gate_failures(), std::vector<std::string>{}) << ctx;
     EXPECT_FALSE(r.success) << ctx << ": a rate-1.0 storm cannot succeed";
     EXPECT_TRUE(r.quarantined) << ctx;
     EXPECT_GE(r.faults, cfg.service_max_attempts) << ctx;
@@ -279,14 +259,85 @@ TEST(DependFaultMatrix, UniformStormUpholdsTheDichotomy) {
     core::fault_injector().arm_storm(FaultStorm::uniform(0.05, seed));
     for (const FaultSite site : kServiceSites) {
       const ArcReport r = run_arc_for_site(site, cfg);
-      expect_dichotomy(
-          r, ctx + " " + core::fault_site_name(site) + " (" + r.service + ")");
+      EXPECT_EQ(r.gate_failures(), std::vector<std::string>{})
+          << ctx << " " << core::fault_site_name(site) << " (" << r.service
+          << ")";
       if (::testing::Test::HasFatalFailure()) {
         core::fault_injector().stop_storm();
         return;
       }
     }
     core::fault_injector().stop_storm();
+  }
+}
+
+// --- attach-time quarantine ---------------------------------------------------
+//
+// A storm that fails every rendezvous means no switch ever commits, so each
+// arc quarantines at its first attach, before its service begins. That is
+// a clean abandonment: zero service attempts, a postmortem written, every
+// node still native, and no gate failed (only a *successful* arc must have
+// made a service attempt).
+//
+// One known defect stays visible here: the migrate arc times its window on
+// the source's clock, and its receiver attaches first, on its own clock. A
+// receiver that never attaches leaves the source's clock where it was, so
+// the window reads zero and the empty-window gate refuses the arc. The gate
+// is right; the window needs the receiver's time, and the fix that adds it
+// empties `known` below.
+
+TEST(DependFaultMatrix, AttachThatNeverCommitsQuarantinesBeforeTheService) {
+  InjectorGuard guard;
+  DependConfig cfg;
+  cfg.supervisor.seed = test_seed(0xD3F40004ull);
+  cfg.supervisor.backoff_base_ms = 0.5;
+  using Arc = std::function<ArcReport(cluster::Node&, cluster::Node&)>;
+  const std::pair<std::string, Arc> rows[] = {
+      {"live-update",
+       [&](cluster::Node& n, cluster::Node&) {
+         cluster::KernelPatch patch;
+         patch.apply_fn = [](kernel::Kernel&) {};
+         return cluster::live_update_arc(n, patch, cfg);
+       }},
+      {"self-heal",
+       [&](cluster::Node& n, cluster::Node&) {
+         return cluster::self_heal_arc(n, cfg);
+       }},
+      {"checkpoint-restart",
+       [&](cluster::Node& n, cluster::Node&) {
+         return cluster::checkpoint_restart_arc(n, cfg);
+       }},
+      {"migrate",
+       [&](cluster::Node& src, cluster::Node& dst) {
+         return cluster::migrate_arc(src, dst, cfg);
+       }},
+  };
+  for (const auto& [service, arc] : rows) {
+    SCOPED_TRACE(service);
+    cluster::Fabric f;
+    cluster::Node& a = f.add_node("a", small_node_config());
+    cluster::Node& b = f.add_node("b", small_node_config());
+    f.connect(a, b);
+    spawn_dirtier(a);
+    FaultStorm storm;
+    storm.rate[static_cast<std::size_t>(FaultSite::kRendezvous)] = 1.0;
+    storm.max_trigger_depth = 1;
+    storm.seed = cfg.supervisor.seed;
+    core::fault_injector().arm_storm(storm);
+    const ArcReport r = arc(a, b);
+    core::fault_injector().stop_storm();
+
+    const std::vector<std::string> known =
+        service == "migrate"
+            ? std::vector<std::string>{"empty dependability window"}
+            : std::vector<std::string>{};
+    EXPECT_EQ(r.service, service);
+    // The gates also hold a quarantined arc to its postmortem.
+    EXPECT_EQ(r.gate_failures(), known);
+    EXPECT_TRUE(r.quarantined);
+    EXPECT_EQ(r.attempts, 0u) << "the service began";
+    EXPECT_EQ(a.mercury().mode(), ExecMode::kNative);
+    EXPECT_EQ(b.mercury().mode(), ExecMode::kNative);
   }
 }
 

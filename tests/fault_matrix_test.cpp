@@ -21,6 +21,7 @@
 #include "obs/obs.hpp"
 #include "obs/postmortem.hpp"
 #include "pv/costs.hpp"
+#include "tests/injector_guard.hpp"
 #include "tests/json_checker.hpp"
 #include "vmm/page_info.hpp"
 
@@ -35,39 +36,6 @@ using core::FaultSite;
 using core::Mercury;
 using kernel::Sub;
 using kernel::Sys;
-
-/// Disarm (and stop any storm) on scope exit so one trial can never leak a
-/// fault regime into the next. Also routes postmortem bundles into the test
-/// temp dir (instead of the working directory) and restores the default on
-/// exit — and reports how many plans this scope armed without ever firing:
-/// a sweep whose plans all miss is asserting much less than it looks like.
-struct InjectorGuard {
-  std::uint64_t arms_before;
-  std::uint64_t unfired_before;
-
-  InjectorGuard()
-      : arms_before(core::fault_injector().arms()),
-        unfired_before(core::fault_injector().unfired_disarms()) {
-    obs::set_postmortem_dir(::testing::TempDir());
-  }
-  ~InjectorGuard() {
-    FaultInjector& fi = core::fault_injector();
-    fi.disarm();
-    fi.stop_storm();
-    const std::uint64_t armed = fi.arms() - arms_before;
-    const std::uint64_t unfired = fi.unfired_disarms() - unfired_before;
-    if (unfired > 0) {
-      std::printf("[ INJECTOR ] %llu of %llu armed plan(s) never fired\n",
-                  static_cast<unsigned long long>(unfired),
-                  static_cast<unsigned long long>(armed));
-      ::testing::Test::RecordProperty("unfired_fault_plans",
-                                      std::to_string(unfired));
-    }
-    // A passing test's bundles are no evidence of anything: drop them.
-    if (!::testing::Test::HasFailure()) obs::remove_own_postmortems();
-    obs::set_postmortem_dir("");
-  }
-};
 
 std::string read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");

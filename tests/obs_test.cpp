@@ -23,6 +23,7 @@
 #include "obs/timeseries.hpp"
 #include "tests/chrome_events.hpp"
 #include "tests/json_checker.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -65,7 +66,15 @@ TEST(MetricsRegistry, HistogramRecordsMomentsAndQuantiles) {
   EXPECT_DOUBLE_EQ(h.stats().min(), 100.0);
   EXPECT_DOUBLE_EQ(h.stats().max(), 400.0);
   EXPECT_GT(h.quantile(0.5), 0u);
-  EXPECT_GE(h.quantile(0.99), h.quantile(0.5));
+  // The snapshot a mercury.metrics.v1 document prints keeps its moments
+  // and quantiles in order.
+  const obs::Snapshot snap = obs::snapshot();
+  const obs::InstrumentSample* s = snap.find("test.obs.hist_a");
+  ASSERT_NE(s, nullptr);
+  EXPECT_LE(s->min, s->mean);
+  EXPECT_LE(s->mean, s->max);
+  EXPECT_LE(s->p50, s->p90);
+  EXPECT_LE(s->p90, s->p99);
 }
 
 TEST(MetricsRegistry, SnapshotFindsInstrumentsByNameAndLabel) {
@@ -509,10 +518,15 @@ TEST(FlightRecorder, TailMergeMatchesCopyAndSortReference) {
       all.erase(all.begin(), all.end() - static_cast<std::ptrdiff_t>(n));
     return all;
   };
+  // Postmortem bundles and pause ledgers embed tail(n): its seq must rise
+  // strictly, as the reference's does.
   const auto expect_matches = [&](const std::vector<obs::FlightEvent>& got,
                                   const std::vector<obs::FlightEvent>& want) {
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
+      if (i > 0) {
+        EXPECT_GT(got[i].seq, got[i - 1].seq) << "at " << i;
+      }
       EXPECT_EQ(got[i].seq, want[i].seq) << "at " << i;
       EXPECT_EQ(got[i].cpu, want[i].cpu) << "at " << i;
       EXPECT_EQ(got[i].arg0, want[i].arg0) << "at " << i;
@@ -724,8 +738,12 @@ TEST(EngineProfiler, NestedScopesReportSelfTimeAndFractionsSumToOne) {
   double sum = 0.0;
   const std::string key = "\"wall_fraction\":";
   for (std::size_t at = json.find(key); at != std::string::npos;
-       at = json.find(key, at + 1))
-    sum += std::stod(json.substr(at + key.size()));
+       at = json.find(key, at + 1)) {
+    const double fraction = std::stod(json.substr(at + key.size()));
+    EXPECT_GE(fraction, 0.0);
+    EXPECT_LE(fraction, 1.0);
+    sum += fraction;
+  }
   EXPECT_NEAR(sum, 1.0, 1e-5);  // six significant digits each
   EXPECT_NE(json.find("\"self_ns\""), std::string::npos);
   prof.reset();
@@ -938,6 +956,49 @@ TEST(PauseLedger, InvertedIntervalClampsToZeroSpan) {
   pl.record(obs::PauseCause::kRendezvousParked, 0, 900, 100);
   EXPECT_EQ(pl.count(obs::PauseCause::kRendezvousParked), 1u);
   EXPECT_EQ(pl.total(obs::PauseCause::kRendezvousParked), 0u);
+  // The worst interval is clamped the same way: it never ends before it
+  // begins, and the document's span is end - begin.
+  ASSERT_TRUE(pl.worst().valid);
+  EXPECT_EQ(pl.worst().begin, 900u);
+  EXPECT_EQ(pl.worst().end, 900u);
+  const std::string json = pl.to_json();
+  EXPECT_NE(json.find("\"begin\":900,\"end\":900,\"span\":0"),
+            std::string::npos)
+      << json.substr(0, 200);
+}
+
+// Per cause, p50 <= p99 (log2 bucket bounds, which may exceed the exact
+// max), and a cause with no interval has no cycles.
+TEST(PauseLedger, QuantilesOrderAndSilentCausesHaveNoCycles) {
+  obs::PauseLedger pl;
+  util::Rng rng(5);
+  for (int i = 0; i < 300; ++i)
+    pl.record(i % 2 ? obs::PauseCause::kRendezvousParked
+                    : obs::PauseCause::kCrewShardWork,
+              static_cast<std::uint32_t>(i % 4), 0, 1 + rng.below(1u << 20));
+  for (std::size_t i = 0; i < obs::kPauseCauseCount; ++i) {
+    const auto cause = static_cast<obs::PauseCause>(i);
+    SCOPED_TRACE(obs::pause_cause_name(cause));
+    EXPECT_LE(pl.quantile(cause, 0.5), pl.quantile(cause, 0.99));
+    if (pl.count(cause) == 0) {
+      EXPECT_EQ(pl.total(cause), 0u);
+    }
+  }
+  EXPECT_EQ(pl.count(obs::PauseCause::kRendezvousParked), 150u);
+  EXPECT_EQ(pl.count(obs::PauseCause::kTlbShootdown), 0u);
+}
+
+// Every stop has a cause: a record without one fails a MERC_CHECK instead of
+// being counted, so `unattributed` reads 0 by construction.
+TEST(PauseLedger, RecordWithoutACauseFailsACheck) {
+  const util::InvariantFailureHook hook =
+      util::set_invariant_failure_hook(nullptr);
+  obs::PauseLedger pl;
+  EXPECT_THROW(pl.record(obs::PauseCause::kCauseCount, 1, 0, 5, "stray"),
+               util::InvariantError);
+  util::set_invariant_failure_hook(hook);
+  EXPECT_EQ(pl.intervals(), 0u);
+  EXPECT_FALSE(pl.worst().valid);
 }
 
 TEST(PauseLedger, MergeFoldsCountsCpuTotalsAndWorst) {
@@ -946,13 +1007,11 @@ TEST(PauseLedger, MergeFoldsCountsCpuTotalsAndWorst) {
   a.record(obs::PauseCause::kRendezvousParked, 0, 0, 1000);
   b.record(obs::PauseCause::kRendezvousParked, 0, 0, 7000);
   b.record(obs::PauseCause::kTlbShootdown, 3, 0, 50);
-  b.record(obs::PauseCause::kCauseCount, 1, 0, 5);  // unattributed, b's
   a.merge(b);
   EXPECT_EQ(a.intervals(), 3u);
   EXPECT_EQ(a.count(obs::PauseCause::kRendezvousParked), 2u);
   EXPECT_EQ(a.cpu_total(0), 8000u);
   EXPECT_EQ(a.cpu_total(3), 50u);
-  EXPECT_EQ(a.unattributed(), 1u);
   ASSERT_TRUE(a.worst().valid);
   EXPECT_EQ(a.worst().span(), 7000u);  // b's worst displaced a's
   // The exact max folds through the moments merge, not the bucket bound.

@@ -1,24 +1,24 @@
 // Chaos soak (tier-2 / soak): hundreds of supervised attach/detach cycles
 // on a 4-CPU machine under a seeded fault storm, with a file-writing
 // workload running throughout. Every request must terminate (committed
-// after retries, or cleanly failed), the machine-state invariants must stay
-// green, the workload must see zero corruption, and the run must emit a
-// schema-valid mercury.soak.v1 verdict — the artifact the soak CI job gates
-// on (set MERCURY_SOAK_JSON to keep it).
+// after retries, or cleanly failed), and the verdict's gates must all pass:
+// no stranded request, no invariant violation, no workload corruption, a
+// converged run. Each run also writes its mercury.soak.v1 verdict (set
+// MERCURY_SOAK_JSON to keep it).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cluster/soak.hpp"
 #include "core/fault_inject.hpp"
 #include "core/mercury.hpp"
 #include "core/switch_supervisor.hpp"
 #include "kernel/syscalls.hpp"
-#include "obs/obs.hpp"
-#include "obs/postmortem.hpp"
+#include "tests/injector_guard.hpp"
 #include "tests/json_checker.hpp"
 #include "tests/test_seed.hpp"
 
@@ -39,24 +39,6 @@ using core::SupervisorHealth;
 using core::SwitchSupervisor;
 using kernel::Sub;
 using kernel::Sys;
-
-struct InjectorGuard {
-  // The CI soak job sets MERCURY_POSTMORTEM_DIR to collect the storm's
-  // bundles as build artifacts; keep them in the test temp dir otherwise
-  // (and drop them there once the test has passed).
-  const bool in_temp_dir = std::getenv("MERCURY_POSTMORTEM_DIR") == nullptr;
-
-  InjectorGuard() {
-    if (in_temp_dir) obs::set_postmortem_dir(::testing::TempDir());
-  }
-  ~InjectorGuard() {
-    core::fault_injector().disarm();
-    core::fault_injector().stop_storm();
-    if (in_temp_dir && !::testing::Test::HasFailure())
-      obs::remove_own_postmortems();
-    obs::set_postmortem_dir("");
-  }
-};
 
 constexpr int kWriters = 3;
 
@@ -182,7 +164,9 @@ void expect_valid_soak_json(const SoakReport& report, const char* name) {
 }
 
 TEST(SwitchSoak, SeededStormSoakConvergesWithoutCorruption) {
-  InjectorGuard guard;
+  // The CI soak job sets MERCURY_POSTMORTEM_DIR to keep the storm's
+  // bundles as build artifacts; elsewhere they go to the temp dir.
+  InjectorGuard guard(InjectorGuard::Bundles::kEnvOrTemp);
   const std::uint64_t seed = test_seed(0x50AC5EEDull);
 
   SupervisorConfig scfg;
@@ -227,7 +211,6 @@ TEST(SwitchSoak, SeededStormSoakConvergesWithoutCorruption) {
   // The storm actually bit, and the supervisor retried through it.
   EXPECT_GT(core::fault_injector().storm_fires(), 0u);
   EXPECT_GT(box.sup.stats().retries, 0u);
-  EXPECT_EQ(driver.invariant_violations(), 0u);
   // The warm/cold interleave exercised the warm path — but whether any
   // storm-era attach actually *went* warm is trajectory-dependent (an
   // unlucky storm can poison retention at every warm-enabled detach), so
@@ -251,25 +234,22 @@ TEST(SwitchSoak, SeededStormSoakConvergesWithoutCorruption) {
       << "post-storm warm re-attach did not take the dirty-set path";
 
   const std::uint64_t corruptions = box.audit_corruptions();
-  EXPECT_EQ(corruptions, 0u);
   EXPECT_GT(box.ops, 0u) << "the workload made no progress under the soak";
 
   driver.note_workload(box.ops, box.total_bytes(), corruptions);
   const SoakReport report = driver.report(seed);
-  EXPECT_TRUE(report.converged);
-  EXPECT_EQ(report.unresolved, 0u);
+  EXPECT_EQ(report.gate_failures(), std::vector<std::string>{});
   EXPECT_DOUBLE_EQ(report.storm_rate, 0.05)
       << "the verdict must quote the armed storm rate, not the decayed one";
   EXPECT_EQ(report.submitted, box.sup.stats().submitted)
       << "report must count every supervised request, internals included";
   EXPECT_GE(report.submitted, driver.submitted());
   EXPECT_GT(report.availability, 0.5);
-  EXPECT_LE(report.availability, 1.0);
   expect_valid_soak_json(report, "soak_storm.json");
 }
 
 TEST(SwitchSoak, PersistentStormQuarantinesCleanly) {
-  InjectorGuard guard;
+  InjectorGuard guard(InjectorGuard::Bundles::kEnvOrTemp);
   const std::uint64_t seed = test_seed(0xDEADC10Dull);
 
   SupervisorConfig scfg;
@@ -304,22 +284,19 @@ TEST(SwitchSoak, PersistentStormQuarantinesCleanly) {
     EXPECT_TRUE(core::request_state_terminal(r.state))
         << "request " << r.id << " stranded in state "
         << core::request_state_name(r.state);
-  EXPECT_EQ(driver.invariant_violations(), 0u);
 
   const std::uint64_t corruptions = box.audit_corruptions();
-  EXPECT_EQ(corruptions, 0u);
-
   driver.note_workload(box.ops, box.total_bytes(), corruptions);
   const SoakReport report = driver.report(seed);
-  EXPECT_TRUE(report.converged) << "clean quarantine still converges";
-  EXPECT_EQ(report.unresolved, 0u);
+  // A clean quarantine passes every gate.
+  EXPECT_EQ(report.gate_failures(), std::vector<std::string>{});
   EXPECT_EQ(report.final_health, "quarantined");
   EXPECT_EQ(report.final_mode, "native");
   expect_valid_soak_json(report, "soak_quarantine.json");
 }
 
 TEST(SwitchSoak, InternalProbeInFlightDoesNotReadAsStranded) {
-  InjectorGuard guard;
+  InjectorGuard guard(InjectorGuard::Bundles::kEnvOrTemp);
   const std::uint64_t seed = test_seed(0xBAD9205Eull);
 
   SupervisorConfig scfg;
@@ -354,8 +331,7 @@ TEST(SwitchSoak, InternalProbeInFlightDoesNotReadAsStranded) {
       10'000 * hw::kCyclesPerMillisecond))
       << "no supervisor-internal request ever went live";
   const SoakReport report = driver.report(seed);
-  EXPECT_EQ(report.unresolved, 0u);
-  EXPECT_TRUE(report.converged);
+  EXPECT_EQ(report.gate_failures(), std::vector<std::string>{});
   core::fault_injector().stop_storm();
 }
 

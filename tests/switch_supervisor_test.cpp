@@ -15,6 +15,7 @@
 #include "kernel/syscalls.hpp"
 #include "obs/obs.hpp"
 #include "obs/postmortem.hpp"
+#include "tests/injector_guard.hpp"
 #include "tests/test_seed.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -39,18 +40,6 @@ using core::SupervisorHealth;
 using core::SwitchSupervisor;
 using kernel::Sub;
 using kernel::Sys;
-
-/// Leave the global injector quiet (no plan, no storm) and route postmortem
-/// bundles into the test temp dir (dropped again if the test passed).
-struct InjectorGuard {
-  InjectorGuard() { obs::set_postmortem_dir(::testing::TempDir()); }
-  ~InjectorGuard() {
-    core::fault_injector().disarm();
-    core::fault_injector().stop_storm();
-    if (!::testing::Test::HasFailure()) obs::remove_own_postmortems();
-    obs::set_postmortem_dir("");
-  }
-};
 
 struct MercuryBox {
   explicit MercuryBox(MercuryConfig cfg = {}, std::size_t mem_mb = 128,
