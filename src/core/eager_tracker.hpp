@@ -7,8 +7,11 @@
 // both are implemented here so bench_ablation_tracking can reproduce that
 // trade-off.
 //
-// Decorator over the NativeVo: memory-management ops update the hypervisor's
-// PageInfoTable (charging the bookkeeping cost); everything else delegates.
+// The native VO of an eager-tracking Mercury: a NativeVo whose four
+// memory-management ops first update the hypervisor's PageInfoTable
+// (charging the bookkeeping cost) and then run the plain native op. The
+// kernel boots on it before its dom0 record exists; until bind() it acts
+// exactly like a plain NativeVo.
 #pragma once
 
 #include "core/native_vo.hpp"
@@ -16,58 +19,28 @@
 
 namespace mercury::core {
 
-class EagerTrackingVo : public VirtObject {
+class EagerTrackingVo : public NativeVo {
  public:
-  EagerTrackingVo(NativeVo& inner, vmm::Hypervisor& hv,
-                  vmm::DomainId tracked_dom)
-      : inner_(inner), hv_(hv), dom_(tracked_dom) {}
+  EagerTrackingVo(hw::Machine& machine, vmm::Hypervisor& hv)
+      : NativeVo(machine), hv_(hv) {}
 
-  /// Initialize the table as an attach-time rebuild would (boot-time cost,
-  /// off every measured path).
-  void prime(hw::Cpu& cpu, kernel::Kernel& k);
-
-  const char* mode_name() const override { return "mercury-native-eager"; }
-  bool is_virtual() const override { return false; }
-  hw::Ring kernel_ring() const override { return hw::Ring::kRing0; }
-
-  void write_cr3(hw::Cpu& cpu, hw::Pfn root) override;
-  void load_idt(hw::Cpu& cpu, hw::TableToken t) override;
-  void load_gdt(hw::Cpu& cpu, hw::TableToken t) override;
-  void irq_disable(hw::Cpu& cpu) override;
-  void irq_enable(hw::Cpu& cpu) override;
-  void stack_switch(hw::Cpu& cpu) override;
-  void syscall_entered(hw::Cpu& cpu) override;
-  void syscall_exiting(hw::Cpu& cpu) override;
+  /// Start tracking for the kernel's domain `dom`, initializing the table as
+  /// an attach-time rebuild would (boot-time cost, off every measured path).
+  void bind(hw::Cpu& cpu, kernel::Kernel& k, vmm::DomainId dom);
 
   void pte_write(hw::Cpu& cpu, hw::PhysAddr pte_addr, hw::Pte value) override;
   void pte_write_batch(hw::Cpu& cpu,
                        std::span<const pv::PteUpdate> updates) override;
   void pin_page_table(hw::Cpu& cpu, hw::Pfn pfn, pv::PtLevel level) override;
   void unpin_page_table(hw::Cpu& cpu, hw::Pfn pfn) override;
-  void flush_tlb(hw::Cpu& cpu) override;
-  void flush_tlb_page(hw::Cpu& cpu, hw::VirtAddr va) override;
-
-  void send_ipi(hw::Cpu& cpu, std::uint32_t dst_cpu, std::uint8_t vector,
-                std::uint32_t payload) override;
-
-  void disk_read(hw::Cpu& cpu, std::uint64_t block,
-                 std::span<std::uint8_t> out) override;
-  void disk_write(hw::Cpu& cpu, std::uint64_t block,
-                  std::span<const std::uint8_t> in) override;
-  void disk_flush(hw::Cpu& cpu) override;
-  void net_send(hw::Cpu& cpu, hw::Packet pkt) override;
-  std::optional<hw::Packet> net_poll(hw::Cpu& cpu) override;
-  void sensors_read(hw::Cpu& cpu, hw::SensorReadings& out) override;
-
-  void state_transfer_in(hw::Cpu& cpu, kernel::Kernel& k) override;
-  void reload_hw_state(hw::Cpu& cpu, kernel::Kernel& k) override;
 
   std::uint64_t tracked_updates() const { return tracked_; }
 
  private:
-  NativeVo& inner_;
+  bool bound() const { return dom_ != vmm::kDomInvalid; }
+
   vmm::Hypervisor& hv_;
-  vmm::DomainId dom_;
+  vmm::DomainId dom_ = vmm::kDomInvalid;
   std::uint64_t tracked_ = 0;
 };
 

@@ -16,7 +16,13 @@ Mercury::Mercury(hw::Machine& machine, MercuryConfig config)
   hv_ = std::make_unique<vmm::Hypervisor>(machine_);
   hv_->warm_up();
 
-  native_vo_ = std::make_unique<NativeVo>(machine_);
+  if (config_.switch_config.eager_page_tracking) {
+    auto eager = std::make_unique<EagerTrackingVo>(machine_, *hv_);
+    eager_vo_ = eager.get();
+    native_vo_ = std::move(eager);
+  } else {
+    native_vo_ = std::make_unique<NativeVo>(machine_);
+  }
   driver_vo_ = std::make_unique<VirtualVo>(*hv_, VirtualVo::Role::kDriverDomain);
   guest_vo_ = std::make_unique<VirtualVo>(*hv_, VirtualVo::Role::kGuestDomain);
   // A Mercury-built kernel pays the VO dispatch costs in every mode.
@@ -41,21 +47,17 @@ Mercury::Mercury(hw::Machine& machine, MercuryConfig config)
   kernel_->boot(first, grant, hv_->vmm_pdes());
   machine_.install_trap_sink(kernel_.get());
 
-  if (config_.switch_config.eager_page_tracking) {
-    // Eager tracking needs a dom0 record + primed table before first attach.
+  if (eager_vo_ != nullptr) {
+    // Eager tracking needs a dom0 record + primed table before first attach;
+    // boot ran untracked, as it would on a plain native VO.
     const vmm::DomainId dom = hv_->create_domain(
         config_.kernel_name, kernel_.get(), kernel_->base_pfn(),
         kernel_->pool().owned_count(), /*privileged=*/true,
         machine_.num_cpus());
-    eager_vo_ = std::make_unique<EagerTrackingVo>(*native_vo_, *hv_, dom);
-    eager_vo_->prime(machine_.cpu(0), *kernel_);
-    kernel_->set_ops(*eager_vo_);
+    eager_vo_->bind(machine_.cpu(0), *kernel_, dom);
   }
 
-  VirtObject& native_face =
-      eager_vo_ ? static_cast<VirtObject&>(*eager_vo_)
-                : static_cast<VirtObject&>(*native_vo_);
-  engine_ = std::make_unique<SwitchEngine>(*kernel_, *hv_, native_face,
+  engine_ = std::make_unique<SwitchEngine>(*kernel_, *hv_, *native_vo_,
                                            *driver_vo_, *guest_vo_,
                                            config_.switch_config);
 }

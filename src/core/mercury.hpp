@@ -39,10 +39,12 @@ class Mercury {
   kernel::Kernel& kernel() { return *kernel_; }
   vmm::Hypervisor& hypervisor() { return *hv_; }
   SwitchEngine& engine() { return *engine_; }
+  /// The one native VO: the kernel boots on it and the engine gates on it.
   NativeVo& native_vo() { return *native_vo_; }
   VirtualVo& driver_vo() { return *driver_vo_; }
   VirtualVo& guest_vo() { return *guest_vo_; }
-  EagerTrackingVo* eager_vo() { return eager_vo_.get(); }
+  /// The native VO itself under eager page tracking, null otherwise.
+  EagerTrackingVo* eager_vo() { return eager_vo_; }
 
   ExecMode mode() const { return engine_->mode(); }
 
@@ -57,9 +59,9 @@ class Mercury {
   MercuryConfig config_;
   std::unique_ptr<vmm::Hypervisor> hv_;
   std::unique_ptr<NativeVo> native_vo_;
+  EagerTrackingVo* eager_vo_ = nullptr;
   std::unique_ptr<VirtualVo> driver_vo_;
   std::unique_ptr<VirtualVo> guest_vo_;
-  std::unique_ptr<EagerTrackingVo> eager_vo_;
   std::unique_ptr<kernel::Kernel> kernel_;
   std::unique_ptr<SwitchEngine> engine_;
 };

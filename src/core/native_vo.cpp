@@ -7,91 +7,96 @@ namespace mercury::core {
 
 void NativeVo::write_cr3(hw::Cpu& cpu, hw::Pfn root) {
   OpGuard g(*this, cpu);
-  direct_.write_cr3(cpu, root);
+  cpu.write_cr3(root);
 }
 void NativeVo::load_idt(hw::Cpu& cpu, hw::TableToken t) {
   OpGuard g(*this, cpu);
-  direct_.load_idt(cpu, t);
+  cpu.load_idt(t);
 }
 void NativeVo::load_gdt(hw::Cpu& cpu, hw::TableToken t) {
   OpGuard g(*this, cpu);
-  direct_.load_gdt(cpu, t);
+  cpu.load_gdt(t);
 }
 void NativeVo::irq_disable(hw::Cpu& cpu) {
   OpGuard g(*this, cpu);
-  direct_.irq_disable(cpu);
+  cpu.set_interrupts_enabled(false);
 }
 void NativeVo::irq_enable(hw::Cpu& cpu) {
   OpGuard g(*this, cpu);
-  direct_.irq_enable(cpu);
+  cpu.set_interrupts_enabled(true);
 }
 void NativeVo::stack_switch(hw::Cpu& cpu) {
   OpGuard g(*this, cpu);
-  direct_.stack_switch(cpu);
+  cpu.charge(hw::costs::kPrivRegWrite);  // TSS esp0 update
 }
 void NativeVo::syscall_entered(hw::Cpu& cpu) {
   OpGuard g(*this, cpu);
-  direct_.syscall_entered(cpu);
+  cpu.charge(hw::costs::kSyscallEntry);
 }
 void NativeVo::syscall_exiting(hw::Cpu& cpu) {
   OpGuard g(*this, cpu);
-  direct_.syscall_exiting(cpu);
+  cpu.charge(hw::costs::kSyscallReturn);
+}
+void NativeVo::store_pte(hw::Cpu& cpu, hw::PhysAddr pte_addr, hw::Pte value) {
+  cpu.charge(hw::costs::kMemAccess);
+  machine_.memory().write_u32(pte_addr, value.raw);
 }
 void NativeVo::pte_write(hw::Cpu& cpu, hw::PhysAddr pte_addr, hw::Pte value) {
   OpGuard g(*this, cpu);
-  direct_.pte_write(cpu, pte_addr, value);
+  store_pte(cpu, pte_addr, value);
 }
 void NativeVo::pte_write_batch(hw::Cpu& cpu,
                                std::span<const pv::PteUpdate> updates) {
   OpGuard g(*this, cpu);
-  direct_.pte_write_batch(cpu, updates);
+  for (const auto& u : updates) store_pte(cpu, u.pte_addr, u.value);
 }
-void NativeVo::pin_page_table(hw::Cpu& cpu, hw::Pfn pfn, pv::PtLevel level) {
+void NativeVo::pin_page_table(hw::Cpu& cpu, hw::Pfn, pv::PtLevel) {
   OpGuard g(*this, cpu);
-  direct_.pin_page_table(cpu, pfn, level);
 }
-void NativeVo::unpin_page_table(hw::Cpu& cpu, hw::Pfn pfn) {
+void NativeVo::unpin_page_table(hw::Cpu& cpu, hw::Pfn) {
   OpGuard g(*this, cpu);
-  direct_.unpin_page_table(cpu, pfn);
 }
 void NativeVo::flush_tlb(hw::Cpu& cpu) {
   OpGuard g(*this, cpu);
-  direct_.flush_tlb(cpu);
+  cpu.charge(hw::costs::kTlbFlushAll);
+  cpu.tlb().flush_all();
 }
 void NativeVo::flush_tlb_page(hw::Cpu& cpu, hw::VirtAddr va) {
   OpGuard g(*this, cpu);
-  direct_.flush_tlb_page(cpu, va);
+  cpu.invlpg(va);
 }
 void NativeVo::send_ipi(hw::Cpu& cpu, std::uint32_t dst_cpu, std::uint8_t vector,
                         std::uint32_t payload) {
   OpGuard g(*this, cpu);
-  direct_.send_ipi(cpu, dst_cpu, vector, payload);
+  machine_.interrupts().send_ipi(cpu, dst_cpu, vector, payload);
 }
 void NativeVo::disk_read(hw::Cpu& cpu, std::uint64_t block,
                          std::span<std::uint8_t> out) {
   OpGuard g(*this, cpu);
-  direct_.disk_read(cpu, block, out);
+  cpu.charge(machine_.disk().read(block, out));
 }
 void NativeVo::disk_write(hw::Cpu& cpu, std::uint64_t block,
                           std::span<const std::uint8_t> in) {
   OpGuard g(*this, cpu);
-  direct_.disk_write(cpu, block, in);
+  cpu.charge(machine_.disk().write(block, in));
 }
 void NativeVo::disk_flush(hw::Cpu& cpu) {
   OpGuard g(*this, cpu);
-  direct_.disk_flush(cpu);
+  cpu.charge(machine_.disk().flush());
 }
 void NativeVo::net_send(hw::Cpu& cpu, hw::Packet pkt) {
   OpGuard g(*this, cpu);
-  direct_.net_send(cpu, std::move(pkt));
+  cpu.charge(machine_.nic().send(std::move(pkt), cpu.now()));
 }
 std::optional<hw::Packet> NativeVo::net_poll(hw::Cpu& cpu) {
   OpGuard g(*this, cpu);
-  return direct_.net_poll(cpu);
+  auto pkt = machine_.nic().poll(cpu.now());
+  if (pkt) cpu.charge(machine_.nic().rx_overhead());
+  return pkt;
 }
 void NativeVo::sensors_read(hw::Cpu& cpu, hw::SensorReadings& out) {
   OpGuard g(*this, cpu);
-  direct_.sensors_read(cpu, out);
+  cpu.charge(machine_.sensors().read(out));
 }
 
 void NativeVo::state_transfer_in(hw::Cpu& cpu, kernel::Kernel& k) {

@@ -69,7 +69,7 @@ const char* switch_outcome_name(SwitchOutcome o) {
 }
 
 SwitchEngine::SwitchEngine(kernel::Kernel& k, vmm::Hypervisor& hv,
-                           VirtObject& native_vo, VirtualVo& driver_vo,
+                           NativeVo& native_vo, VirtualVo& driver_vo,
                            VirtualVo& guest_vo, SwitchConfig config)
     : kernel_(k),
       hv_(hv),
@@ -294,7 +294,7 @@ void SwitchEngine::commit(hw::Cpu& cpu, ExecMode target) {
     // §5.4: park every CPU at the barrier, run the transfer as crew phases
     // on the parked cores (the CP alone when the crew has no helper), and
     // release only when the transfer is done.
-    Rendezvous rv(kernel_.machine(), cpu, config_.rendezvous);
+    Rendezvous rv(kernel_.machine(), cpu, RendezvousProtocol::kIpiSharedVar);
     SwitchCrew crew(kernel_.machine(), cpu, config_.crew_workers);
     try {
       rv.park();
@@ -648,22 +648,8 @@ void SwitchEngine::attach(hw::Cpu& cpu, SwitchCrew& crew, ExecMode target) {
   }
   transfer.page_info_cycles = cpu.now() - t0;
 
-  if (config_.eager_selector_fixup) {
-    t0 = cpu.now();
-    const obs::Interval phase(cpu, obs::IntervalKind::kEagerFixup);
-    std::vector<kernel::Task*> tasks;
-    kernel_.for_each_task([&](kernel::Task& t) { tasks.push_back(&t); });
-    const std::span<kernel::Task* const> all_tasks(tasks);
-    FixupStats fs;
-    crew.run_phase("switch.crew.fixup", tasks.size(),
-                   [&](hw::Cpu& w, std::size_t b, std::size_t e) {
-                     fix_saved_contexts_range(w, all_tasks.subspan(b, e - b),
-                                              hw::Ring::kRing1, fs);
-                   });
-    MERC_COUNT_N("fixup.tasks_scanned", fs.tasks_scanned);
-    MERC_COUNT_N("fixup.selectors_fixed", fs.selectors_fixed);
-    transfer.fixup_cycles = cpu.now() - t0;
-  }
+  if (config_.eager_selector_fixup)
+    transfer.fixup_cycles = eager_fixup(cpu, crew, hw::Ring::kRing1);
 
   t0 = cpu.now();
   {
@@ -686,6 +672,24 @@ void SwitchEngine::attach(hw::Cpu& cpu, SwitchCrew& crew, ExecMode target) {
   // window is consumed. A fault above unwinds past this point, leaving the
   // tracker armed so a supervised retry can still go warm.
   if (dirty_tracker_) dirty_tracker_->disarm();
+}
+
+hw::Cycles SwitchEngine::eager_fixup(hw::Cpu& cpu, SwitchCrew& crew,
+                                     hw::Ring target) {
+  const hw::Cycles t0 = cpu.now();
+  const obs::Interval phase(cpu, obs::IntervalKind::kEagerFixup);
+  std::vector<kernel::Task*> tasks;
+  kernel_.for_each_task([&](kernel::Task& t) { tasks.push_back(&t); });
+  const std::span<kernel::Task* const> all_tasks(tasks);
+  FixupStats fs;
+  crew.run_phase("switch.crew.fixup", tasks.size(),
+                 [&](hw::Cpu& w, std::size_t b, std::size_t e) {
+                   fix_saved_contexts_range(w, all_tasks.subspan(b, e - b),
+                                            target, fs);
+                 });
+  MERC_COUNT_N("fixup.tasks_scanned", fs.tasks_scanned);
+  MERC_COUNT_N("fixup.selectors_fixed", fs.selectors_fixed);
+  return cpu.now() - t0;
 }
 
 void SwitchEngine::detach(hw::Cpu& cpu, SwitchCrew& crew) {
@@ -719,22 +723,8 @@ void SwitchEngine::detach(hw::Cpu& cpu, SwitchCrew& crew) {
   }
   transfer.protection_cycles = cpu.now() - t0;
 
-  if (config_.eager_selector_fixup) {
-    t0 = cpu.now();
-    const obs::Interval phase(cpu, obs::IntervalKind::kEagerFixup);
-    std::vector<kernel::Task*> tasks;
-    kernel_.for_each_task([&](kernel::Task& t) { tasks.push_back(&t); });
-    const std::span<kernel::Task* const> all_tasks(tasks);
-    FixupStats fs;
-    crew.run_phase("switch.crew.fixup", tasks.size(),
-                   [&](hw::Cpu& w, std::size_t b, std::size_t e) {
-                     fix_saved_contexts_range(w, all_tasks.subspan(b, e - b),
-                                              hw::Ring::kRing0, fs);
-                   });
-    MERC_COUNT_N("fixup.tasks_scanned", fs.tasks_scanned);
-    MERC_COUNT_N("fixup.selectors_fixed", fs.selectors_fixed);
-    transfer.fixup_cycles = cpu.now() - t0;
-  }
+  if (config_.eager_selector_fixup)
+    transfer.fixup_cycles = eager_fixup(cpu, crew, hw::Ring::kRing0);
 
   t0 = cpu.now();
   {

@@ -58,7 +58,6 @@ const char* switch_outcome_name(SwitchOutcome o);
 struct SwitchConfig {
   bool eager_page_tracking = false;  // §5.1.2 alternative 1
   bool eager_selector_fixup = false; // walk tasks at switch time vs resume stub
-  RendezvousProtocol rendezvous = RendezvousProtocol::kIpiSharedVar;
   bool validate_before_commit = false;  // failure-resistant switch (§8)
   /// Number of rendezvous-parked CPUs recruited as shard workers for the
   /// bulk switch phases (page-info rebuild, type-and-protect, validation,
@@ -129,7 +128,7 @@ struct SwitchStats {
 
 class SwitchEngine {
  public:
-  SwitchEngine(kernel::Kernel& k, vmm::Hypervisor& hv, VirtObject& native_vo,
+  SwitchEngine(kernel::Kernel& k, vmm::Hypervisor& hv, NativeVo& native_vo,
                VirtualVo& driver_vo, VirtualVo& guest_vo,
                SwitchConfig config = {});
   ~SwitchEngine();
@@ -184,7 +183,7 @@ class SwitchEngine {
   bool switch_now(ExecMode target,
                   hw::Cycles budget = 500 * hw::kCyclesPerMillisecond);
 
-  VirtObject& native_vo() { return native_vo_; }
+  NativeVo& native_vo() { return native_vo_; }
   VirtualVo& driver_vo() { return driver_vo_; }
   VirtualVo& guest_vo() { return guest_vo_; }
   VirtObject& current_vo();
@@ -204,6 +203,9 @@ class SwitchEngine {
   /// shards across `crew` (the CP alone when it has no helper).
   void attach(hw::Cpu& cpu, SwitchCrew& crew, ExecMode target);
   void detach(hw::Cpu& cpu, SwitchCrew& crew);
+  /// The eager selector-fixup phase (§5.1.3): move every suspended task's
+  /// saved kernel selectors to `target` as crew shards; returns its cycles.
+  hw::Cycles eager_fixup(hw::Cpu& cpu, SwitchCrew& crew, hw::Ring target);
   /// partial <-> full transition: re-role the virtual VO in place.
   void rerole(hw::Cpu& cpu, ExecMode target);
   bool validate_for_switch(hw::Cpu& cpu, ExecMode target);
@@ -229,7 +231,7 @@ class SwitchEngine {
 
   kernel::Kernel& kernel_;
   vmm::Hypervisor& hv_;
-  VirtObject& native_vo_;
+  NativeVo& native_vo_;
   VirtualVo& driver_vo_;
   VirtualVo& guest_vo_;
   SwitchConfig config_;

@@ -14,7 +14,6 @@ namespace mercury::hw::costs {
 // --- memory hierarchy ---
 inline constexpr Cycles kCacheHit = 2;           // L1 access
 inline constexpr Cycles kMemAccess = 90;         // DRAM access (cache miss)
-inline constexpr Cycles kCacheLinePull = 24;     // refill one 64 B line from L2/DRAM mix
 inline constexpr Cycles kPageCopy = 3200;        // copy 4 KB (64 lines, streamed)
 inline constexpr Cycles kPageZero = 1400;        // clear 4 KB
 
@@ -29,14 +28,11 @@ inline constexpr Cycles kTrapEntry = 350;        // fault/interrupt into ring 0
 inline constexpr Cycles kTrapReturn = 250;       // IRET
 inline constexpr Cycles kSyscallEntry = 150;     // fast system call entry
 inline constexpr Cycles kSyscallReturn = 120;
-inline constexpr Cycles kRingCross = 200;        // extra ring 1 <-> 0 bounce
 inline constexpr Cycles kPrivRegWrite = 30;      // MOV to CRx / LIDT / LGDT etc.
-inline constexpr Cycles kPrivRegRead = 10;
 
 // --- interrupts ---
 inline constexpr Cycles kIpiSendLatency = 900;   // APIC ICR write -> remote pin
 inline constexpr Cycles kIpiAck = 120;
-inline constexpr Cycles kTimerTickWork = 2400;   // 100 Hz tick bookkeeping
 
 // --- devices ---
 inline constexpr Cycles kDiskOverhead = 5 * kCyclesPerMicrosecond;    // controller+DMA setup

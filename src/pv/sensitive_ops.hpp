@@ -2,11 +2,13 @@
 // the kernel performs goes through this table (paravirt-ops/VMI style,
 // paper §4.2/§5.3).
 //
-// Implementations:
-//   pv::DirectOps       — inlined bare-hardware ops, no indirection charge
-//                         (the unmodified "native Linux" build, N-L).
-//   core::NativeVo      — direct ops behind Mercury's VO dispatch with
-//                         entry/exit reference counting (M-N).
+// Implementations, both virtualization objects (core/virt_object.hpp) that
+// reference count every op's entry and exit:
+//   core::NativeVo      — direct hardware ops. Mercury's native mode (M-N)
+//                         charges its VO dispatch per op; unmodified native
+//                         Linux (N-L) runs on one whose charge is 0.
+//                         core::EagerTrackingVo is a NativeVo that also keeps
+//                         the dormant VMM's page-info table fresh.
 //   core::VirtualVo     — hypercalls into the (pre-cached) VMM (M-V, and the
 //                         kernels of X-0/X-U/M-U).
 #pragma once

@@ -42,10 +42,11 @@ std::unique_ptr<Sut> Sut::create(SystemId id, SutParams params) {
 
   switch (id) {
     case SystemId::kNL: {
-      // Unmodified native Linux: inlined sensitive ops, no reserved region.
-      sut->direct_ = std::make_unique<pv::DirectOps>(m);
+      // Unmodified native Linux: direct sensitive ops with no VO dispatch
+      // charge, no reserved region.
+      sut->native_vo_ = std::make_unique<core::NativeVo>(m);
       sut->primary_kernel_ =
-          std::make_unique<kernel::Kernel>(m, *sut->direct_, "native-linux");
+          std::make_unique<kernel::Kernel>(m, *sut->native_vo_, "native-linux");
       hw::Pfn first = 0;
       MERC_CHECK(m.frames().alloc_contiguous(kernel_frames, first));
       sut->primary_kernel_->boot(first, kernel_frames);

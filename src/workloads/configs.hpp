@@ -1,5 +1,5 @@
 // Builders for the six systems the paper evaluates (§7):
-//   N-L  native Linux                      (no VO indirection at all)
+//   N-L  native Linux                      (a NativeVo charging no VO dispatch)
 //   M-N  Mercury-Linux, native mode        (NativeVo active, VMM dormant)
 //   X-0  Xen domain0                       (always-on VMM, driver domain)
 //   M-V  Mercury-Linux, partial-virtual    (attached on demand, driver role)
@@ -13,7 +13,6 @@
 #include "core/mercury.hpp"
 #include "hw/machine.hpp"
 #include "kernel/kernel.hpp"
-#include "pv/direct_ops.hpp"
 #include "vmm/hypervisor.hpp"
 
 namespace mercury::workloads {
@@ -55,7 +54,7 @@ class Sut {
   SystemId id_;
   std::unique_ptr<hw::Machine> machine_;
   // N-L / X-* plumbing:
-  std::unique_ptr<pv::DirectOps> direct_;
+  std::unique_ptr<core::NativeVo> native_vo_;
   std::unique_ptr<vmm::Hypervisor> hv_;
   std::unique_ptr<core::VirtualVo> dom0_vo_;
   std::unique_ptr<core::VirtualVo> domu_vo_;

@@ -18,8 +18,8 @@ PeerHost::PeerHost(std::uint32_t addr) {
   mc.nic_addr = addr;
   machine_ = std::make_unique<hw::Machine>(mc);
   machine_->nic().bind_irq(&machine_->interrupts(), 0);
-  direct_ = std::make_unique<pv::DirectOps>(*machine_);
-  kernel_ = std::make_unique<Kernel>(*machine_, *direct_, "peer-host");
+  native_vo_ = std::make_unique<core::NativeVo>(*machine_);
+  kernel_ = std::make_unique<Kernel>(*machine_, *native_vo_, "peer-host");
   hw::Pfn first = 0;
   MERC_CHECK(machine_->frames().alloc_contiguous(16384, first));
   kernel_->boot(first, 16384);

@@ -8,8 +8,8 @@
 
 #include <memory>
 
+#include "core/native_vo.hpp"
 #include "kernel/kernel.hpp"
-#include "pv/direct_ops.hpp"
 
 namespace mercury::workloads {
 
@@ -38,7 +38,7 @@ class PeerHost {
 
  private:
   std::unique_ptr<hw::Machine> machine_;
-  std::unique_ptr<pv::DirectOps> direct_;
+  std::unique_ptr<core::NativeVo> native_vo_;
   std::unique_ptr<kernel::Kernel> kernel_;
   std::unique_ptr<hw::Link> link_;
 };

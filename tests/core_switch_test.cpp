@@ -109,29 +109,38 @@ TEST(SwitchEngine, PageTablesWritableOnlyInNativeMode) {
 }
 
 TEST(SwitchEngine, RefcountDefersCommit) {
-  MercuryBox box;
-  Mercury& m = *box.mercury;
-  // Hold a VO section across sleeps: the paper's rare long-sensitive-path.
-  bool release_now = false;
-  m.kernel().spawn("holder", [&](Sys& s) -> Sub<void> {
-    core::VirtObject::Section section(m.native_vo());
-    while (!release_now) co_await s.sleep_us(2'000.0);
-    section.release();
-    for (;;) co_await s.sleep_us(10'000.0);
-  });
-  m.kernel().run_for(hw::kCyclesPerMillisecond);
-  ASSERT_EQ(m.native_vo().active_refs(), 1);
+  // Eager page tracking changes the native VO's class, not the gate: the
+  // engine must count on the object the kernel runs on in both.
+  for (const bool eager : {false, true}) {
+    SCOPED_TRACE(eager ? "eager page tracking" : "lazy rebuild");
+    MercuryConfig cfg;
+    cfg.switch_config.eager_page_tracking = eager;
+    MercuryBox box(cfg);
+    Mercury& m = *box.mercury;
+    ASSERT_EQ(&m.native_vo(), &m.engine().native_vo());
+    ASSERT_EQ(&m.native_vo(), &m.kernel().ops());
+    // Hold a VO section across sleeps: the paper's rare long-sensitive-path.
+    bool release_now = false;
+    m.kernel().spawn("holder", [&](Sys& s) -> Sub<void> {
+      core::VirtObject::Section section(m.native_vo());
+      while (!release_now) co_await s.sleep_us(2'000.0);
+      section.release();
+      for (;;) co_await s.sleep_us(10'000.0);
+    });
+    m.kernel().run_for(hw::kCyclesPerMillisecond);
+    ASSERT_EQ(m.native_vo().active_refs(), 1);
 
-  m.engine().request(ExecMode::kPartialVirtual);
-  m.kernel().run_for(25 * hw::kCyclesPerMillisecond);
-  EXPECT_EQ(m.mode(), ExecMode::kNative) << "switch must not land while held";
-  EXPECT_GE(m.engine().stats().deferrals, 1u) << "10ms retry timer armed";
+    m.engine().request(ExecMode::kPartialVirtual);
+    m.kernel().run_for(25 * hw::kCyclesPerMillisecond);
+    EXPECT_EQ(m.mode(), ExecMode::kNative) << "switch must not land while held";
+    EXPECT_GE(m.engine().stats().deferrals, 1u) << "10ms retry timer armed";
 
-  release_now = true;
-  EXPECT_TRUE(m.kernel().run_until(
-      [&] { return m.mode() == ExecMode::kPartialVirtual; },
-      200 * hw::kCyclesPerMillisecond))
-      << "switch commits once the reference count drains";
+    release_now = true;
+    EXPECT_TRUE(m.kernel().run_until(
+        [&] { return m.mode() == ExecMode::kPartialVirtual; },
+        200 * hw::kCyclesPerMillisecond))
+        << "switch commits once the reference count drains";
+  }
 }
 
 TEST(SwitchEngine, BudgetExhaustedSwitchNowCancelsTheStaleRequest) {
@@ -713,6 +722,38 @@ TEST(SwitchEngine, CycleIdentityProbe) {
                 " dirty=%" PRIu64 "\n",
                 st.last_attach_cycles, st.last_detach_cycles,
                 st.last_dirty_frames);
+  }
+  {
+    // Eager page tracking, the one configuration whose native VO is not a
+    // plain NativeVo: a fixed mmap, touch and fork pay the tracking on every
+    // PTE write and pin, and the attach skips the page-info rebuild.
+    MercuryConfig cfg;
+    cfg.switch_config.eager_page_tracking = true;
+    MercuryBox box(cfg, /*mem_mb=*/128);
+    Mercury& m = *box.mercury;
+    hw::Cycles work = 0;
+    bool done = false;
+    m.kernel().spawn("eager-work", [&](kernel::Sys& s) -> kernel::Sub<void> {
+      const hw::Cycles t0 = s.cpu().now();
+      const auto va = s.mmap(32 * hw::kPageSize, true);
+      s.touch_pages(va, 32, true);
+      const auto child = s.fork([](kernel::Sys& cs) -> kernel::Sub<void> {
+        cs.exit(0);
+        co_return;
+      });
+      co_await s.wait_pid(child);
+      work = s.cpu().now() - t0;
+      done = true;
+    });
+    ASSERT_TRUE(m.kernel().run_until([&] { return done; },
+                                     500 * hw::kCyclesPerMillisecond));
+    ASSERT_TRUE(m.switch_to(ExecMode::kPartialVirtual));
+    ASSERT_TRUE(m.switch_to(ExecMode::kNative));
+    const core::SwitchStats& st = m.engine().stats();
+    std::printf("CYCLE_IDENTITY eager attach=%" PRIu64 " detach=%" PRIu64
+                " work=%" PRIu64 " tracked=%" PRIu64 "\n",
+                st.last_attach_cycles, st.last_detach_cycles, work,
+                m.eager_vo()->tracked_updates());
   }
 }
 

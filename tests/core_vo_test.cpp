@@ -1,13 +1,17 @@
-// Virtualization objects: reference counting, dispatch charges, eager
-// tracking equivalence, rendezvous protocols, stack fixup walk.
+// Virtualization objects: reference counting, dispatch charges, one guard
+// per batch, eager tracking equivalence, rendezvous protocols, stack fixup
+// walk.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "core/mercury.hpp"
 #include "core/rendezvous.hpp"
 #include "core/stack_fixup.hpp"
+#include "hw/costs.hpp"
 #include "kernel/syscalls.hpp"
+#include "workloads/configs.hpp"
 
 namespace mercury::testing {
 namespace {
@@ -20,6 +24,13 @@ using core::RendezvousProtocol;
 using core::VirtObject;
 using kernel::Sub;
 using kernel::Sys;
+
+workloads::SutParams tiny_sut() {
+  workloads::SutParams p;
+  p.machine_mem_kb = 256 * 1024;
+  p.kernel_mem_kb = 96 * 1024;
+  return p;
+}
 
 struct Box {
   explicit Box(MercuryConfig cfg = {}, std::size_t cpus = 1) {
@@ -67,14 +78,69 @@ TEST(VirtObject, SectionHoldsAcrossRelease) {
 
 TEST(VirtObject, MercuryVosChargePerOpButDirectOpsDoNot) {
   Box box;
-  EXPECT_GT(box.mercury->native_vo().per_op_charge(), 0u);
-  EXPECT_GT(box.mercury->driver_vo().per_op_charge(), 0u);
-  // Every kernel op goes through a guard: cycles move on each call.
-  hw::Cpu& cpu = box.machine->cpu(0);
-  const hw::Cycles before = cpu.now();
-  box.mercury->native_vo().stack_switch(cpu);
-  EXPECT_GE(cpu.now() - before,
-            box.mercury->native_vo().per_op_charge());
+  EXPECT_EQ(box.mercury->native_vo().per_op_charge(),
+            pv::costs::kVoPerOpOverhead);
+  EXPECT_EQ(box.mercury->driver_vo().per_op_charge(),
+            pv::costs::kVoPerOpOverhead);
+  // N-L drives the hardware directly: its NativeVo counts entries like
+  // Mercury's but charges no dispatch.
+  auto nl = workloads::Sut::create(workloads::SystemId::kNL, tiny_sut());
+  auto& nl_vo = dynamic_cast<core::NativeVo&>(nl->kernel().ops());
+  EXPECT_EQ(nl_vo.per_op_charge(), 0u);
+  // Every kernel op goes through a guard: the same op costs exactly the
+  // dispatch charge more on M-N than on N-L.
+  const auto stack_switch_cost = [](VirtObject& vo, hw::Cpu& cpu) {
+    const auto entries = vo.total_entries();
+    const hw::Cycles before = cpu.now();
+    vo.stack_switch(cpu);
+    EXPECT_EQ(vo.total_entries(), entries + 1);
+    return cpu.now() - before;
+  };
+  EXPECT_EQ(stack_switch_cost(nl_vo, nl->machine().cpu(0)),
+            hw::costs::kPrivRegWrite);
+  EXPECT_EQ(stack_switch_cost(box.mercury->native_vo(), box.machine->cpu(0)),
+            hw::costs::kPrivRegWrite + pv::costs::kVoPerOpOverhead);
+}
+
+TEST(VirtObject, PteBatchIsOneOp) {
+  // A batch takes one guard however many entries it carries: one dispatch
+  // charge and one entry on each native VO, plus the eager VO's tracking
+  // per entry, charged once.
+  const auto batch_cost = [](VirtObject& vo, kernel::Kernel& k, hw::Cpu& cpu) {
+    const hw::PhysAddr l1 = hw::addr_of(k.kernel_l1_frames().back());
+    const std::array<pv::PteUpdate, 3> batch{{
+        {l1 + 4000, hw::Pte{}},  // high, unused entries
+        {l1 + 4004, hw::Pte{}},
+        {l1 + 4008, hw::Pte{}},
+    }};
+    const auto entries = vo.total_entries();
+    const hw::Cycles before = cpu.now();
+    vo.pte_write_batch(cpu, batch);
+    EXPECT_EQ(vo.total_entries(), entries + 1);
+    return cpu.now() - before;
+  };
+  const hw::Cycles stores = 3 * hw::costs::kMemAccess;
+
+  auto nl = workloads::Sut::create(workloads::SystemId::kNL, tiny_sut());
+  EXPECT_EQ(batch_cost(dynamic_cast<core::NativeVo&>(nl->kernel().ops()),
+                       nl->kernel(), nl->machine().cpu(0)),
+            stores);
+
+  Box mn;
+  EXPECT_EQ(batch_cost(mn.mercury->native_vo(), mn.mercury->kernel(),
+                       mn.machine->cpu(0)),
+            stores + pv::costs::kVoPerOpOverhead);
+
+  MercuryConfig eager_cfg;
+  eager_cfg.switch_config.eager_page_tracking = true;
+  Box eager(eager_cfg);
+  core::EagerTrackingVo& vo = *eager.mercury->eager_vo();
+  ASSERT_EQ(&vo, &eager.mercury->native_vo());
+  const auto tracked = vo.tracked_updates();
+  EXPECT_EQ(batch_cost(vo, eager.mercury->kernel(), eager.machine->cpu(0)),
+            stores + pv::costs::kVoPerOpOverhead +
+                3 * pv::costs::kEagerTrackPerPte);
+  EXPECT_EQ(vo.tracked_updates(), tracked + 3);
 }
 
 TEST(EagerTracking, TableMatchesLazyRebuildAfterActivity) {

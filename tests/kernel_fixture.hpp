@@ -5,16 +5,17 @@
 
 #include <memory>
 
+#include "core/native_vo.hpp"
 #include "hw/machine.hpp"
 #include "kernel/fs/minifs.hpp"
 #include "kernel/kernel.hpp"
 #include "kernel/net/stack.hpp"
 #include "kernel/syscalls.hpp"
-#include "pv/direct_ops.hpp"
 
 namespace mercury::testing {
 
-/// A freestanding small native-kernel environment (instantiable anywhere).
+/// A freestanding small native-kernel environment (instantiable anywhere),
+/// on a NativeVo that charges no VO dispatch, as N-L's kernel does.
 struct MiniKernel {
   explicit MiniKernel(std::size_t cpus = 1, std::size_t mem_mb = 64) {
     hw::MachineConfig mc;
@@ -22,7 +23,7 @@ struct MiniKernel {
     mc.mem_kb = mem_mb * 1024;
     machine = std::make_unique<hw::Machine>(mc);
     machine->nic().bind_irq(&machine->interrupts(), 0);
-    ops = std::make_unique<pv::DirectOps>(*machine);
+    ops = std::make_unique<core::NativeVo>(*machine);
     k = std::make_unique<kernel::Kernel>(*machine, *ops, "test-kernel");
     hw::Pfn first = 0;
     const std::size_t frames = (mem_mb - 8) * 256;  // leave headroom
@@ -45,7 +46,7 @@ struct MiniKernel {
   }
 
   std::unique_ptr<hw::Machine> machine;
-  std::unique_ptr<pv::DirectOps> ops;
+  std::unique_ptr<core::NativeVo> ops;
   std::unique_ptr<kernel::Kernel> k;
 };
 

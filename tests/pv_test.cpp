@@ -1,13 +1,14 @@
-// The sensitive-operation interface: DirectOps (bare hardware) semantics
-// and the cost asymmetries the whole evaluation relies on.
+// The sensitive-operation interface: the semantics of direct (bare
+// hardware) ops on N-L's NativeVo, and the cost asymmetries the whole
+// evaluation relies on.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <deque>
 
+#include "core/native_vo.hpp"
 #include "hw/machine.hpp"
 #include "pv/costs.hpp"
-#include "pv/direct_ops.hpp"
 #include "tests/kernel_fixture.hpp"
 #include "workloads/configs.hpp"
 
@@ -18,6 +19,7 @@ using workloads::Sut;
 using workloads::SutParams;
 using workloads::SystemId;
 
+// N-L's direct ops: a NativeVo whose per-op charge stays 0.
 struct DirectFixture : ::testing::Test {
   DirectFixture() : machine(cfg()), ops(machine) {
     machine.install_trap_sink(&sink);
@@ -31,10 +33,11 @@ struct DirectFixture : ::testing::Test {
     void on_trap(hw::Cpu&, const hw::TrapInfo&) override {}
   } sink;
   hw::Machine machine;
-  pv::DirectOps ops;
+  core::NativeVo ops;
 };
 
 TEST_F(DirectFixture, IdentifiesAsNativeRing0) {
+  EXPECT_EQ(ops.per_op_charge(), 0u);
   EXPECT_FALSE(ops.is_virtual());
   EXPECT_EQ(ops.kernel_ring(), hw::Ring::kRing0);
   EXPECT_EQ(ops.copy_tax_per_kb(), 0u);
