@@ -60,12 +60,6 @@ class NativeVo : public VirtObject {
   void store_pte(hw::Cpu& cpu, hw::PhysAddr pte_addr, hw::Pte value);
 
   hw::Machine& machine_;
-  /// Unused: keeps sizeof(NativeVo) at 48 bytes. perfbench's setup_s hangs
-  /// on glibc's heap layout (ROADMAP item 9), and with a 40-byte NativeVo
-  /// glibc trims and re-faults about 5 MB of the heap in every switch-churn
-  /// iteration, which reads as a third more setup time. Delete it once
-  /// machine setup no longer depends on the heap layout.
-  std::uint64_t heap_layout_pad_ = 0;
 };
 
 }  // namespace mercury::core

@@ -71,7 +71,7 @@ class PhysicalMemory {
   std::span<const std::uint8_t> chunk_for(PhysAddr pa) const;
 
   std::size_t total_frames_;
-  mutable std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
+  std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
   DirtySink* dirty_sink_ = nullptr;
 };
 

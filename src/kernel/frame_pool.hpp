@@ -19,14 +19,16 @@ class FramePool {
  public:
   FramePool() = default;
 
-  /// Grant a frame range/list to this pool (boot-time).
+  /// Grant a frame range to this pool (boot-time).
   void grant(hw::Pfn first, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) grant_one(first + static_cast<hw::Pfn>(i));
-  }
-  void grant_one(hw::Pfn pfn) {
-    owned_.push_back(pfn);
-    free_.push_back(pfn);
-    if (dirty_sink_) dirty_sink_->note_dirty(pfn);
+    owned_.reserve(owned_.size() + count);
+    free_.reserve(free_.size() + count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const hw::Pfn pfn = first + static_cast<hw::Pfn>(i);
+      owned_.push_back(pfn);
+      free_.push_back(pfn);
+      if (dirty_sink_) dirty_sink_->note_dirty(pfn);
+    }
   }
 
   bool alloc(hw::Pfn& out) {

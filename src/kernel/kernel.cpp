@@ -1,6 +1,7 @@
 #include "kernel/kernel.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "hw/costs.hpp"
 #include "kernel/fs/minifs.hpp"
@@ -61,15 +62,15 @@ void Kernel::build_kernel_mappings() {
   for (std::size_t t = 0; t < l1_count; ++t) {
     hw::Pfn l1 = 0;
     MERC_CHECK(pool_.alloc(l1));
-    mem.zero_frame(l1);
     kernel_l1s_.push_back(l1);
+    std::array<std::uint32_t, hw::kPtEntries> table{};
     for (std::uint32_t e = 0; e < hw::kPtEntries && mapped < frame_count_;
          ++e, ++mapped) {
-      const hw::Pfn target = base_pfn_ + static_cast<hw::Pfn>(mapped);
-      hw::Pte pte = hw::make_pte(target, /*writable=*/true, /*user=*/false,
-                                 /*global=*/true);
-      mem.write_u32(hw::addr_of(l1) + e * 4, pte.raw);
+      table[e] = hw::make_pte(base_pfn_ + static_cast<hw::Pfn>(mapped),
+                              /*writable=*/true, /*user=*/false,
+                              /*global=*/true).raw;
     }
+    mem.write_frame(l1, reinterpret_cast<const std::uint8_t*>(table.data()));
     const std::uint32_t pde_idx = 768 + static_cast<std::uint32_t>(t);
     MERC_CHECK_MSG(pde_idx < 1008, "kernel too large for direct-map window");
     kernel_pdes_[pde_idx - 768] =
@@ -78,13 +79,14 @@ void Kernel::build_kernel_mappings() {
 
   // The boot page directory (used when no task address space is loaded).
   MERC_CHECK(pool_.alloc(kernel_pd_));
-  mem.zero_frame(kernel_pd_);
-  for (std::size_t i = 0; i < kernel_pdes_.size(); ++i) {
-    if (!kernel_pdes_[i].present()) continue;
-    mem.write_u32(hw::addr_of(kernel_pd_) + (768 + i) * 4, kernel_pdes_[i].raw);
+  std::array<std::uint32_t, hw::kPtEntries> pd{};
+  for (std::size_t i = 0; i < kernel_pdes_.size(); ++i)
+    pd[768 + i] = kernel_pdes_[i].raw;
+  for (const auto& [idx, pde] : extra_pdes_) {
+    MERC_CHECK(idx < hw::kPtEntries);
+    pd[idx] = pde.raw;
   }
-  for (const auto& [idx, pde] : extra_pdes_)
-    mem.write_u32(hw::addr_of(kernel_pd_) + idx * 4, pde.raw);
+  mem.write_frame(kernel_pd_, reinterpret_cast<const std::uint8_t*>(pd.data()));
 }
 
 void Kernel::boot(hw::Pfn first_frame, std::size_t frame_count,

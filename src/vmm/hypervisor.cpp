@@ -1,6 +1,7 @@
 #include "vmm/hypervisor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "hw/costs.hpp"
@@ -83,15 +84,16 @@ void Hypervisor::warm_up() {
   std::size_t mapped = 0;
   for (std::size_t t = 0; t < l1_needed; ++t) {
     const hw::Pfn l1 = reserved_first_ + static_cast<hw::Pfn>(t);
-    mem.zero_frame(l1);
+    std::array<std::uint32_t, hw::kPtEntries> table{};
     for (std::uint32_t e = 0; e < hw::kPtEntries && mapped < reserved_count_;
          ++e, ++mapped) {
       hw::Pte pte = hw::make_pte(reserved_first_ + static_cast<hw::Pfn>(mapped),
                                  /*writable=*/true, /*user=*/false,
                                  /*global=*/true);
       pte.set_flag(hw::Pte::kVmmOnly, true);
-      mem.write_u32(hw::addr_of(l1) + e * 4, pte.raw);
+      table[e] = pte.raw;
     }
+    mem.write_frame(l1, reinterpret_cast<const std::uint8_t*>(table.data()));
     hw::Pte pde = hw::make_pte(l1, /*writable=*/true, /*user=*/false,
                                /*global=*/true);
     pde.set_flag(hw::Pte::kVmmOnly, true);

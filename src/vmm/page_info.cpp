@@ -18,7 +18,7 @@ const char* page_type_name(PageType t) {
 }
 
 PageInfoTable::PageInfoTable(std::size_t total_frames)
-    : info_(total_frames),
+    : size_(total_frames),
       shards_((total_frames + kFramesPerShard - 1) / kFramesPerShard) {}
 
 hw::Pfn PageInfoTable::shard_first(std::size_t shard) const {
@@ -27,7 +27,7 @@ hw::Pfn PageInfoTable::shard_first(std::size_t shard) const {
 
 hw::Pfn PageInfoTable::shard_end(std::size_t shard) const {
   return static_cast<hw::Pfn>(
-      std::min((shard + 1) * kFramesPerShard, info_.size()));
+      std::min((shard + 1) * kFramesPerShard, size_));
 }
 
 const PageInfo* PageInfoTable::uniform_value(std::size_t shard) const {
@@ -38,8 +38,9 @@ const PageInfo* PageInfoTable::uniform_value(std::size_t shard) const {
 
 void PageInfoTable::materialize(std::size_t shard) {
   Shard& s = shards_[shard];
-  std::fill(info_.begin() + shard_first(shard), info_.begin() + shard_end(shard),
-            s.value);
+  const std::size_t n = shard_end(shard) - shard_first(shard);
+  if (!s.entries) s.entries = std::make_unique_for_overwrite<PageInfo[]>(n);
+  std::fill_n(s.entries.get(), n, s.value);
   s.uniform = false;
   s.run_lo = s.run_hi = 0;
 }
@@ -58,7 +59,8 @@ void PageInfoTable::fill_stretch(std::size_t shard, hw::Pfn lo, hw::Pfn hi,
     if (s.value == value) return;
     materialize(shard);
   }
-  std::fill(info_.begin() + lo, info_.begin() + hi, value);
+  std::fill(s.entries.get() + (lo - first), s.entries.get() + (hi - first),
+            value);
   // Extend the fill run when this stretch touches or overlaps it with the
   // same value: every frame of the union then holds `value`.
   const auto rlo = static_cast<std::uint32_t>(lo - first);
@@ -79,7 +81,7 @@ void PageInfoTable::fill(std::span<const hw::Pfn> frames, const PageInfo& value,
                          Note note) {
   for (std::size_t i = 0; i < frames.size();) {
     const hw::Pfn lo = frames[i];
-    if (lo >= info_.size()) [[unlikely]] out_of_range(lo);
+    if (lo >= size_) [[unlikely]] out_of_range(lo);
     const std::size_t shard = shard_of(lo);
     // The stretch: frames lo, lo+1, ... up to the shard's end.
     const std::size_t limit =
@@ -112,7 +114,7 @@ void PageInfoTable::fill(hw::Pfn first, std::size_t count,
                          const PageInfo& value) {
   if (count == 0) return;
   const std::size_t end = first + count;
-  if (end > info_.size()) [[unlikely]] out_of_range(static_cast<hw::Pfn>(end - 1));
+  if (end > size_) [[unlikely]] out_of_range(static_cast<hw::Pfn>(end - 1));
   for (hw::Pfn lo = first; lo < end;) {
     const std::size_t shard = shard_of(lo);
     const hw::Pfn hi = std::min(shard_end(shard), static_cast<hw::Pfn>(end));
@@ -146,7 +148,7 @@ void PageInfoTable::reset_shard_counters() {
 void PageInfoTable::out_of_range(hw::Pfn pfn) const {
   std::ostringstream msg;
   msg << "page info out of range: pfn " << pfn;
-  util::invariant_failure("pfn < info_.size()", __FILE__, __LINE__, msg.str());
+  util::invariant_failure("pfn < size()", __FILE__, __LINE__, msg.str());
 }
 
 void PageInfoTable::note_typed(
@@ -176,11 +178,16 @@ std::size_t PageInfoTable::shards_carried_over() const {
 }
 
 std::vector<PageInfo> PageInfoTable::snapshot() const {
-  std::vector<PageInfo> out = info_;
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard)
-    if (shards_[shard].uniform)
-      std::fill(out.begin() + shard_first(shard), out.begin() + shard_end(shard),
-                shards_[shard].value);
+  std::vector<PageInfo> out(size_);
+  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
+    const Shard& s = shards_[shard];
+    const auto first = out.begin() + shard_first(shard);
+    const auto end = out.begin() + shard_end(shard);
+    if (s.uniform)
+      std::fill(first, end, s.value);
+    else
+      std::copy_n(s.entries.get(), end - first, first);
+  }
   return out;
 }
 
@@ -222,10 +229,11 @@ std::optional<std::string> PageInfoTable::check_invariants() const {
       if (!consistent(s.value)) return violation(shard_first(shard), s.value);
       continue;
     }
+    const hw::Pfn first = shard_first(shard);
     const hw::Pfn end = shard_end(shard);
-    for (hw::Pfn pfn = shard_first(shard); pfn < end; ++pfn)
-      if (!consistent(info_[pfn])) [[unlikely]]
-        return violation(pfn, info_[pfn]);
+    for (hw::Pfn pfn = first; pfn < end; ++pfn)
+      if (!consistent(s.entries[pfn - first])) [[unlikely]]
+        return violation(pfn, s.entries[pfn - first]);
   }
   return std::nullopt;
 }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -49,21 +50,21 @@ class PageInfoTable {
   /// reference land. The reference goes stale once a later fill() changes
   /// the shard's state.
   PageInfo& at(hw::Pfn pfn) {
-    if (pfn >= info_.size()) [[unlikely]] out_of_range(pfn);
+    if (pfn >= size_) [[unlikely]] out_of_range(pfn);
     Shard& s = shards_[shard_of(pfn)];
     if (s.uniform) [[unlikely]] materialize(shard_of(pfn));
     // The caller may write anything: the shard's fill run is broken.
     s.run_lo = s.run_hi = 0;
-    return info_[pfn];
+    return s.entries[pfn % kFramesPerShard];
   }
   /// A frame's entry, by value: a uniform shard answers from its one
   /// PageInfo without reading the entries.
   PageInfo at(hw::Pfn pfn) const {
-    if (pfn >= info_.size()) [[unlikely]] out_of_range(pfn);
+    if (pfn >= size_) [[unlikely]] out_of_range(pfn);
     const Shard& s = shards_[shard_of(pfn)];
-    return s.uniform ? s.value : info_[pfn];
+    return s.uniform ? s.value : s.entries[pfn % kFramesPerShard];
   }
-  std::size_t size() const { return info_.size(); }
+  std::size_t size() const { return size_; }
 
   // --- shards (parallel switch pipeline) ---
   //
@@ -71,13 +72,17 @@ class PageInfoTable {
   // cache-line-padded block: counters, dirty stamp and state. A shard is
   // *uniform* (one PageInfo stands for every frame and the per-frame
   // entries are not read) or *materialized* (the entries hold the frames).
-  // Bulk writers go through fill(), which makes a whole-shard stretch
-  // uniform in O(1); the attach's rebuild of ~all of memory therefore
-  // costs one step per shard, not per frame, on the host. Crew workers
-  // rebuild disjoint frame ranges, so the entries they touch are disjoint;
-  // a shard the crew cuts in two has its block written by both workers.
-  // That is safe because the host-side simulator executes shards one at a
-  // time, which also makes the blocks exact per-range telemetry.
+  // Every shard starts uniform. Its entries are allocated the first time it
+  // is materialized and kept from then on, so building a table costs one
+  // step per shard, and the host holds entries (64 KB a shard) only for
+  // shards that were ever materialized. Bulk writers go through fill(),
+  // which makes a whole-shard stretch uniform in O(1); the attach's rebuild
+  // of ~all of memory therefore costs one step per shard, not per frame, on
+  // the host. Crew workers rebuild disjoint frame ranges, so the entries
+  // they touch are disjoint; a shard the crew cuts in two has its block
+  // written by both workers. That is safe because the host-side simulator
+  // executes shards one at a time, which also makes the blocks exact
+  // per-range telemetry.
 
   /// Frames per shard (16 MB of physical memory at 4 KB pages).
   static constexpr std::size_t kFramesPerShard = 4096;
@@ -180,6 +185,9 @@ class PageInfoTable {
     std::uint32_t run_lo = 0;
     std::uint32_t run_hi = 0;
     bool uniform = true;
+    /// The shard's per-frame entries: null until the first materialize(),
+    /// then kept (a later uniform spell leaves them unread, not freed).
+    std::unique_ptr<PageInfo[]> entries;
   };
 
   /// Report an at() past the end (MERC_CHECK failure: throws).
@@ -187,13 +195,14 @@ class PageInfoTable {
   /// First frame of `shard` and one past its last.
   hw::Pfn shard_first(std::size_t shard) const;
   hw::Pfn shard_end(std::size_t shard) const;
-  /// Copy a uniform shard's value into its entries; the run starts empty.
+  /// Copy a uniform shard's value into its entries, allocating them on the
+  /// shard's first materialization; the run starts empty.
   void materialize(std::size_t shard);
   /// fill() of frames [lo, hi), all in `shard`.
   void fill_stretch(std::size_t shard, hw::Pfn lo, hw::Pfn hi,
                     const PageInfo& value);
 
-  std::vector<PageInfo> info_;
+  std::size_t size_;
   std::vector<Shard> shards_;
   bool valid_ = false;
   bool retained_ = false;

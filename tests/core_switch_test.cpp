@@ -11,6 +11,7 @@
 
 #include "core/mercury.hpp"
 #include "core/switch_supervisor.hpp"
+#include "kernel/layout.hpp"
 #include "kernel/syscalls.hpp"
 #include "obs/obs.hpp"
 
@@ -37,6 +38,69 @@ struct MercuryBox {
   std::unique_ptr<hw::Machine> machine;
   std::unique_ptr<Mercury> mercury;
 };
+
+TEST(SwitchEngine, BootTablesReadBackEntryByEntryBeforeAnyAttach) {
+  // 36 MB: the VMM reserves 9 216 / 8 = 1 152 frames, two L1s of which the
+  // second maps 128; the kernel's 5 000 frames take five L1s, the last
+  // mapping 904. Neither count is a multiple of 1 024.
+  MercuryConfig cfg;
+  cfg.kernel_frames = 5000;
+  MercuryBox box(cfg, /*mem_mb=*/36);
+  Mercury& m = *box.mercury;
+  ASSERT_EQ(m.mode(), ExecMode::kNative);
+  ASSERT_EQ(m.engine().stats().attaches, 0u);
+  const hw::PhysicalMemory& mem = m.machine().memory();
+  auto entry = [&](hw::Pfn table, std::size_t e) {
+    return mem.read_u32(hw::addr_of(table) + e * 4);
+  };
+  auto kernel_pte = [](hw::Pfn pfn) {
+    return hw::make_pte(pfn, /*writable=*/true, /*user=*/false,
+                        /*global=*/true);
+  };
+  auto vmm_pte = [&](hw::Pfn pfn) {
+    hw::Pte pte = kernel_pte(pfn);
+    pte.set_flag(hw::Pte::kVmmOnly, true);
+    return pte;
+  };
+
+  // The direct map: entry i maps the kernel's frame i; the rest are empty.
+  const kernel::Kernel& k = m.kernel();
+  const std::vector<hw::Pfn>& l1s = k.kernel_l1_frames();
+  ASSERT_EQ(l1s.size(), 5u);
+  for (std::size_t i = 0; i < l1s.size() * hw::kPtEntries; ++i) {
+    const hw::Pte want = i < 5000 ? kernel_pte(k.base_pfn() + i) : hw::Pte{};
+    ASSERT_EQ(entry(l1s[i / hw::kPtEntries], i % hw::kPtEntries), want.raw)
+        << "direct-map entry " << i;
+  }
+
+  // The VMM's reserved region: entry i maps reserved frame i, ring-0 only;
+  // its L1s are its own first frames.
+  const vmm::Hypervisor& hv = m.hypervisor();
+  const hw::Pfn reserved = hv.reserved_first();
+  ASSERT_EQ(mem.total_frames() - reserved, 1152u);
+  const auto& vmm_pdes = hv.vmm_pdes();
+  ASSERT_EQ(vmm_pdes.size(), 2u);
+  for (std::size_t t = 0; t < vmm_pdes.size(); ++t) {
+    EXPECT_EQ(vmm_pdes[t].first, hw::pde_index(kernel::kVmmBase) + t);
+    EXPECT_EQ(vmm_pdes[t].second, vmm_pte(reserved + t));
+  }
+  for (std::size_t i = 0; i < vmm_pdes.size() * hw::kPtEntries; ++i) {
+    const hw::Pte want = i < 1152 ? vmm_pte(reserved + i) : hw::Pte{};
+    ASSERT_EQ(entry(reserved + i / hw::kPtEntries, i % hw::kPtEntries),
+              want.raw)
+        << "reserved-region entry " << i;
+  }
+
+  // The boot page directory: the direct map's five PDEs from 768, the
+  // VMM's two, nothing else.
+  for (std::uint32_t e = 0; e < hw::kPtEntries; ++e) {
+    hw::Pte want{};
+    if (e >= 768 && e < 768 + l1s.size()) want = kernel_pte(l1s[e - 768]);
+    for (const auto& [idx, pde] : vmm_pdes)
+      if (idx == e) want = pde;
+    ASSERT_EQ(entry(k.kernel_pd(), e), want.raw) << "PDE " << e;
+  }
+}
 
 TEST(SwitchEngine, RoundTripThroughAllModes) {
   MercuryBox box;

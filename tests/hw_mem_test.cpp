@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "hw/frame_alloc.hpp"
 #include "hw/phys_mem.hpp"
 #include "tests/recording_sink.hpp"
+#include "tests/test_seed.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace mercury::hw {
 namespace {
@@ -148,26 +153,26 @@ TEST(FrameAllocator, AllocatesDistinctFrames) {
   std::set<Pfn> seen;
   Pfn f = 0;
   for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(fa.alloc(f));
+    ASSERT_TRUE(fa.alloc_contiguous(1, f));
     EXPECT_TRUE(seen.insert(f).second) << "duplicate frame " << f;
   }
-  EXPECT_FALSE(fa.alloc(f)) << "allocated beyond capacity";
+  EXPECT_FALSE(fa.alloc_contiguous(1, f)) << "allocated beyond capacity";
 }
 
 TEST(FrameAllocator, FreeMakesReusable) {
   FrameAllocator fa(4);
   Pfn f[4];
-  for (auto& x : f) ASSERT_TRUE(fa.alloc(x));
+  for (auto& x : f) ASSERT_TRUE(fa.alloc_contiguous(1, x));
   fa.free(f[2]);
   Pfn again = 0;
-  ASSERT_TRUE(fa.alloc(again));
+  ASSERT_TRUE(fa.alloc_contiguous(1, again));
   EXPECT_EQ(again, f[2]);
 }
 
 TEST(FrameAllocator, DoubleFreeIsInvariantError) {
   FrameAllocator fa(4);
   Pfn f = 0;
-  ASSERT_TRUE(fa.alloc(f));
+  ASSERT_TRUE(fa.alloc_contiguous(1, f));
   fa.free(f);
   EXPECT_THROW(fa.free(f), util::InvariantError);
 }
@@ -176,7 +181,7 @@ TEST(FrameAllocator, ReserveRangeExcludedFromAllocation) {
   FrameAllocator fa(32);
   fa.reserve_range(0, 16);
   Pfn f = 0;
-  while (fa.alloc(f)) EXPECT_GE(f, 16u);
+  while (fa.alloc_contiguous(1, f)) EXPECT_GE(f, 16u);
   EXPECT_EQ(fa.frames_in_use(), 32u);
 }
 
@@ -202,9 +207,112 @@ TEST(FrameAllocator, Counters) {
   FrameAllocator fa(10);
   EXPECT_EQ(fa.frames_free(), 10u);
   Pfn f = 0;
-  fa.alloc(f);
+  fa.alloc_contiguous(1, f);
   EXPECT_EQ(fa.frames_in_use(), 1u);
   EXPECT_EQ(fa.frames_free(), 9u);
+}
+
+/// The bit-at-a-time first fit that the word bitmap replaced, kept as the
+/// reference the allocator must agree with.
+struct BitScanModel {
+  explicit BitScanModel(std::size_t frames) : allocated(frames, false) {}
+
+  bool alloc_contiguous(std::size_t count, Pfn& first_out) {
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < allocated.size(); ++i) {
+      run = allocated[i] ? 0 : run + 1;
+      if (run == count) {
+        const Pfn first = static_cast<Pfn>(i + 1 - count);
+        for (std::size_t j = 0; j < count; ++j) allocated[first + j] = true;
+        in_use += count;
+        first_out = first;
+        return true;
+      }
+    }
+    return false;
+  }
+  bool range_free(Pfn first, std::size_t count) const {
+    for (std::size_t i = first; i < first + count; ++i)
+      if (allocated[i]) return false;
+    return true;
+  }
+  void reserve_range(Pfn first, std::size_t count) {
+    for (std::size_t i = first; i < first + count; ++i) allocated[i] = true;
+    in_use += count;
+  }
+  void free(Pfn pfn) {
+    allocated[pfn] = false;
+    --in_use;
+  }
+
+  std::vector<bool> allocated;
+  std::size_t in_use = 0;
+};
+
+TEST(FrameAllocator, BitmapAgreesWithBitScanModel) {
+  util::Rng rng(mercury::testing::test_seed(0xB17'5CA4));
+  // One word short, one word, one frame over a word, a 65-word map with a
+  // 17-frame tail, and a 128 MB node.
+  for (const std::size_t size : {1u, 63u, 64u, 65u, 4113u, 32768u}) {
+    SCOPED_TRACE("frames=" + std::to_string(size));
+    FrameAllocator fa(size);
+    BitScanModel model(size);
+    const std::size_t lengths[] = {1, 63, 64, 65, 200, size};
+    auto agree = [&](const std::string& op) {
+      ASSERT_EQ(fa.frames_free(), size - model.in_use) << op;
+      for (std::size_t p = 0; p < size; ++p)
+        if (fa.is_allocated(static_cast<Pfn>(p)) != model.allocated[p])
+          FAIL() << op << ": pfn " << p << " allocated="
+                 << fa.is_allocated(static_cast<Pfn>(p));
+    };
+    // Each operation is followed by a scan of every frame: fewer operations
+    // on the larger maps keep the test near 100 ms.
+    const std::size_t ops =
+        std::clamp<std::size_t>(6'000'000 / size, 400, 3000);
+    for (std::size_t done = 0; done < ops;) {
+      const std::uint64_t kind = rng.below(20);
+      if (kind < 9) {
+        const std::size_t len = lengths[rng.below(std::size(lengths))];
+        Pfn got = 0xDEAD;
+        Pfn want = 0xDEAD;
+        const bool ok = fa.alloc_contiguous(len, got);
+        const std::string op = "alloc_contiguous(" + std::to_string(len) + ")";
+        ASSERT_EQ(ok, model.alloc_contiguous(len, want)) << op;
+        ASSERT_EQ(got, want) << op;
+        ASSERT_NO_FATAL_FAILURE(agree(op));
+        ++done;
+      } else if (kind < 11) {
+        const Pfn first = static_cast<Pfn>(rng.below(size));
+        const std::size_t len = std::min<std::size_t>(
+            lengths[rng.below(std::size(lengths))], size - first);
+        const std::string op = "reserve_range(" + std::to_string(first) +
+                               ", " + std::to_string(len) + ")";
+        if (model.range_free(first, len)) {
+          fa.reserve_range(first, len);
+          model.reserve_range(first, len);
+        } else {
+          // An overlap throws and reserves nothing.
+          EXPECT_THROW(fa.reserve_range(first, len), util::InvariantError)
+              << op;
+        }
+        ASSERT_NO_FATAL_FAILURE(agree(op));
+        ++done;
+      } else {
+        // Free a stretch of up to 70 allocated frames from the first one at
+        // or after a random frame, one free() at a time.
+        std::size_t p = rng.below(size);
+        std::size_t seen = 0;
+        while (!model.allocated[p] && seen++ < size) p = (p + 1) % size;
+        if (!model.allocated[p]) continue;
+        for (std::size_t n = 1 + rng.below(70);
+             n > 0 && p < size && model.allocated[p]; --n, ++p, ++done) {
+          fa.free(static_cast<Pfn>(p));
+          model.free(static_cast<Pfn>(p));
+          ASSERT_NO_FATAL_FAILURE(agree("free(" + std::to_string(p) + ")"));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
