@@ -1,10 +1,8 @@
 #include "cluster/depend.hpp"
 
 #include <cstdio>
-#include <memory>
 #include <sstream>
 
-#include "core/dirty_tracker.hpp"
 #include "core/fault_inject.hpp"
 #include "core/invariants.hpp"
 #include "obs/postmortem.hpp"
@@ -23,51 +21,6 @@ constexpr hw::Cycles kSwitchBudget = 2000 * hw::kCyclesPerMillisecond;
 /// restore must undo), and on the migration destination (the service the
 /// migrated OS renders before coming home).
 constexpr hw::Cycles kServiceRun = 10 * hw::kCyclesPerMillisecond;
-
-/// Arm a content-dirty window on `node`'s machine for the duration of a
-/// migration leg: reuses the engine's warm-reattach DirtyFrameTracker when
-/// one exists (it is already the machine's dirty sink), otherwise installs
-/// a scope-local tracker. harvest() drains the content set into `out` and
-/// restarts the window — one call per pre-copy round.
-class ContentDirtyScope {
- public:
-  explicit ContentDirtyScope(Node& node) : mem_(node.machine().memory()) {
-    tracker_ = node.mercury().engine().dirty_tracker();
-    if (tracker_ == nullptr) {
-      // Capacity = all frames: overflow ("warm rebuild not worth it") is a
-      // warm-reattach policy, not a migration one — membership stays exact.
-      own_ = std::make_unique<core::DirtyFrameTracker>(mem_.total_frames(),
-                                                       mem_.total_frames());
-      prev_sink_ = mem_.dirty_sink();
-      mem_.set_dirty_sink(own_.get());
-      tracker_ = own_.get();
-    }
-    tracker_->arm();
-  }
-  ~ContentDirtyScope() {
-    if (own_) {
-      mem_.set_dirty_sink(prev_sink_);
-    } else {
-      // The engine's tracker: leave it disarmed, exactly as an attach
-      // leaves it — the next warm window starts at the next detach.
-      tracker_->disarm();
-    }
-  }
-  ContentDirtyScope(const ContentDirtyScope&) = delete;
-  ContentDirtyScope& operator=(const ContentDirtyScope&) = delete;
-
-  void harvest(std::vector<hw::Pfn>& out) {
-    const std::vector<hw::Pfn> content = tracker_->collect_content();
-    out.insert(out.end(), content.begin(), content.end());
-    tracker_->arm();  // clear for the next round
-  }
-
- private:
-  hw::PhysicalMemory& mem_;
-  core::DirtyFrameTracker* tracker_ = nullptr;
-  std::unique_ptr<core::DirtyFrameTracker> own_;
-  hw::DirtySink* prev_sink_ = nullptr;
-};
 
 /// The service-step retry ladder. `step` returns true on success and may
 /// throw core::FaultInjected (an injected service fault aborts the step
@@ -369,8 +322,7 @@ ArcReport checkpoint_restart_arc(Node& node, const DependConfig& cfg) {
 namespace {
 
 /// One migration leg: move the OS running on `from` to `to` under the
-/// service retry ladder, with `from`'s content-dirty frames harvested every
-/// pre-copy round. A mid-stream fault unwinds inside LiveMigration
+/// service retry ladder. A mid-stream fault unwinds inside LiveMigration
 /// (destination reservation dropped, source untouched and running), so each
 /// retry restarts from a clean source. On success the OS is rebound to
 /// `to`'s guest VO and the two nodes swap active kernels, which is the
@@ -379,17 +331,12 @@ bool migrate_leg(ArcReport& r, const DependConfig& cfg, const char* label,
                  Node& from, Node& to, core::FaultInjected* last) {
   core::Mercury& fm = from.mercury();
   core::Mercury& tm = to.mercury();
-  ContentDirtyScope content(from);
-  vmm::MigrationConfig mig = cfg.migration;
-  mig.harvest_content_dirty = [&content](std::vector<hw::Pfn>& o) {
-    content.harvest(o);
-  };
   vmm::MigrationStats stats;
   const bool ok = run_service_step(
       r, cfg, label,
       [&] {
         stats = vmm::LiveMigration::run(fm.hypervisor(), fm.guest_vo().dom(),
-                                        tm.hypervisor(), mig);
+                                        tm.hypervisor(), cfg.migration);
         return stats.success;
       },
       last);

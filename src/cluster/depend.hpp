@@ -14,9 +14,9 @@
 //                       retry → undo-snapshot rollback → quarantine, never
 //                       a half-restored machine
 //   migrate             two fabric nodes; the loaded OS goes full-virtual,
-//                       live-migrates out over iterative pre-copy (riding
-//                       the warm-reattach DirtyFrameTracker for
-//                       content-dirty frames), serves on the destination
+//                       live-migrates out over iterative pre-copy (the
+//                       domain's log-dirty bitmap records every store to
+//                       the source memory), serves on the destination
 //                       with reconnected split-I/O frontends while an
 //                       optional maintenance step runs on the emptied
 //                       source, migrates home, and both nodes return to
@@ -57,8 +57,7 @@ struct KernelPatch {
 struct DependConfig {
   /// Supervisor settings for the arc-scoped switch supervisors.
   core::SupervisorConfig supervisor;
-  /// Migration tuning for the migration arcs (harvest_content_dirty is
-  /// wired by the arc itself; anything set here is overridden).
+  /// Migration tuning for the migration arcs, passed to every leg as is.
   vmm::MigrationConfig migration;
   /// Retry budget for the service step (capture, restore, one migration
   /// leg). Exhaustion escalates to rollback + quarantine.

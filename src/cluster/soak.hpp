@@ -253,7 +253,6 @@ class ClusterSoak {
 
   Fabric& fabric() { return fabric_; }
   const obs::TimeSeriesSampler& sampler() const { return sampler_; }
-  hw::Cycles sample_interval() const { return sample_interval_; }
   std::uint64_t waves_run() const { return waves_run_; }
 
   /// Fleet verdict: summed rollups + per-node sections.

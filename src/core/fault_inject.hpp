@@ -2,10 +2,11 @@
 // tooling, paper §8's failure-resistant switch made testable).
 //
 // A FaultPlan names one injection site threaded through the switch engine,
-// the rendezvous, the state-transfer phases, the stack fixup, and the
-// VMM's adopt/release loops, plus a trigger count: the plan fires on the
-// Nth visit to that site after arming, then disarms itself (single-shot, so
-// recovery code that re-traverses the same sites cannot re-fault). Firing
+// the rendezvous, the state-transfer phases, the stack fixup, the VMM's
+// adopt/release loops and its checkpoint and migration services, plus a
+// trigger count: the plan fires on the Nth visit to that site after arming,
+// then disarms itself (single-shot, so recovery code that re-traverses the
+// same sites cannot re-fault). Firing
 // throws FaultInjected; SwitchEngine catches it at the commit level and
 // rolls the machine back to its pre-switch mode.
 //
@@ -268,6 +269,27 @@ inline void fault_point(FaultSite site, hw::Cpu* cpu = nullptr) {
 inline std::uint64_t fault_pass(FaultSite site, std::uint64_t n) {
   FaultInjector& fi = fault_injector();
   return fi.live() ? fi.pass(site, n) : n;
+}
+
+/// Drive a probed per-item loop over `n` items on `cpu`: one visit to
+/// `site` before each item, with the same visit ordinals, the same item
+/// on which a fault fires, and the same clock at the fault as the loop
+/// `for (i) { fault_point(site, &cpu); body(i); }`. Stretches no fault can
+/// interrupt go to `run(first, count)` whole; the visit that fires is
+/// taken per item, so a per-item loop is just a run of length one.
+template <typename Run>
+void probed_runs(hw::Cpu& cpu, FaultSite site, std::size_t n, Run&& run) {
+  for (std::size_t i = 0; i < n;) {
+    std::size_t len = static_cast<std::size_t>(fault_pass(site, n - i));
+    if (len == 0) {
+      // The next visit fires: take it per item, before its item, as the
+      // per-item loop would.
+      fault_point(site, &cpu);
+      len = 1;
+    }
+    run(i, len);
+    i += len;
+  }
 }
 
 /// Derive a plan from a seeded Rng (the fuzzer's source of variety): any

@@ -22,14 +22,6 @@ constexpr hw::Cycles kSpinVisibilityLag = 120;   // store-to-load latency
 
 }  // namespace
 
-const char* rendezvous_protocol_name(RendezvousProtocol p) {
-  switch (p) {
-    case RendezvousProtocol::kIpiSharedVar: return "ipi+shared-var";
-    case RendezvousProtocol::kTree: return "tree";
-  }
-  return "?";
-}
-
 Rendezvous::Rendezvous(hw::Machine& machine, hw::Cpu& cp,
                        RendezvousProtocol protocol)
     : machine_(machine), cp_(cp), protocol_(protocol) {}

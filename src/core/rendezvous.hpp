@@ -23,8 +23,6 @@ enum class RendezvousProtocol : std::uint8_t {
   kTree,          // hierarchical pairwise signalling (future-work variant)
 };
 
-const char* rendezvous_protocol_name(RendezvousProtocol p);
-
 struct RendezvousStats {
   std::size_t cpus = 0;
   hw::Cycles entry_time = 0;       // CP clock when the rendezvous began
@@ -53,7 +51,6 @@ class Rendezvous {
   /// time (max over the crew's clocks plus the release handshake).
   RendezvousStats release();
 
-  hw::Cycles release_cycles() const { return release_cycles_; }
   /// Coordination cost excluding any work done while parked: the park
   /// handshake plus the release handshake. Equal to latency() when nothing
   /// ran between park() and release().

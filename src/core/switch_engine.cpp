@@ -1,7 +1,6 @@
 #include "core/switch_engine.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <span>
 #include <utility>
 #include <vector>
@@ -24,27 +23,6 @@ namespace {
 /// this timer interval.
 constexpr hw::Cycles kDeferRetry = 10 * hw::kCyclesPerMillisecond;
 
-/// The injection site behind each hypervisor probe point, indexed by
-/// HvFaultPoint. Both halves of the probe (per-visit and bulk) map here.
-constexpr FaultSite kHvFaultSites[] = {
-    FaultSite::kAdoptRebuild,       // kAdoptRebuild
-    FaultSite::kAdoptProtect,       // kAdoptProtect
-    FaultSite::kShardRebuild,       // kShardRebuild
-    FaultSite::kShardProtect,       // kShardProtect
-    FaultSite::kShardUnprotect,     // kShardUnprotect
-    FaultSite::kDirtyRebuild,       // kDirtyRebuild
-    FaultSite::kCheckpointCapture,  // kCheckpointCapture
-    FaultSite::kRestoreApply,       // kRestoreApply
-    FaultSite::kMigrateStream,      // kMigrateStream
-    FaultSite::kMigrateActivate,    // kMigrateActivate
-};
-static_assert(std::size(kHvFaultSites) ==
-              static_cast<std::size_t>(vmm::HvFaultPoint::kNumPoints));
-
-FaultSite site_of(vmm::HvFaultPoint p) {
-  return kHvFaultSites[static_cast<std::size_t>(p)];
-}
-
 }  // namespace
 
 const char* exec_mode_name(ExecMode m) {
@@ -52,18 +30,6 @@ const char* exec_mode_name(ExecMode m) {
     case ExecMode::kNative: return "native";
     case ExecMode::kPartialVirtual: return "partial-virtual";
     case ExecMode::kFullVirtual: return "full-virtual";
-  }
-  return "?";
-}
-
-const char* switch_outcome_name(SwitchOutcome o) {
-  switch (o) {
-    case SwitchOutcome::kNone: return "none";
-    case SwitchOutcome::kCommitted: return "committed";
-    case SwitchOutcome::kNoOp: return "no-op";
-    case SwitchOutcome::kValidationAbort: return "validation-abort";
-    case SwitchOutcome::kRolledBack: return "rolled-back";
-    case SwitchOutcome::kCancelled: return "cancelled";
   }
   return "?";
 }
@@ -81,19 +47,6 @@ SwitchEngine::SwitchEngine(kernel::Kernel& k, vmm::Hypervisor& hv,
       [this](hw::Cpu& cpu, std::uint8_t vector, std::uint32_t payload) {
         on_interrupt(cpu, vector, payload);
       });
-  // The hypervisor links below core/ and cannot name the fault injector;
-  // bridge its probe points to the engine's injection sites. The hypervisor
-  // reports the CPU executing the probed loop — the crew member running the
-  // shard, or the control processor outside one — so injected latency
-  // charges the clock that was actually running.
-  hv_.set_fault_probe(vmm::FaultProbe{
-      [this](vmm::HvFaultPoint p, hw::Cpu* cpu) {
-        fault_point(site_of(p),
-                    cpu != nullptr ? cpu : &kernel_.machine().cpu(0));
-      },
-      [](vmm::HvFaultPoint p, std::size_t n) {
-        return static_cast<std::size_t>(fault_pass(site_of(p), n));
-      }});
   // Black box: a failed MERC_CHECK anywhere in the simulator should leave a
   // postmortem bundle behind once a switch engine exists. Idempotent.
   obs::install_assert_postmortem_hook();

@@ -53,8 +53,6 @@ enum class SwitchOutcome : std::uint8_t {
   kCancelled,        // the request was revoked before it could commit
 };
 
-const char* switch_outcome_name(SwitchOutcome o);
-
 struct SwitchConfig {
   bool eager_page_tracking = false;  // §5.1.2 alternative 1
   bool eager_selector_fixup = false; // walk tasks at switch time vs resume stub

@@ -100,7 +100,6 @@ class Cpu {
   /// to (the paper's §5.1.3: a mode switch rewrites the privilege level in
   /// the interrupt return frame).
   void set_trap_return_cpl(Ring r) { trap_return_cpl_ = r; }
-  Ring trap_return_cpl() const { return trap_return_cpl_; }
 
   Tlb& tlb() { return tlb_; }
   const Tlb& tlb() const { return tlb_; }

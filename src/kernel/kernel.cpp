@@ -43,11 +43,6 @@ hw::VirtAddr Kernel::kva_of_frame(hw::Pfn pfn) const {
   return kKernelBase + static_cast<hw::VirtAddr>(pfn - base_pfn_) * hw::kPageSize;
 }
 
-hw::PhysAddr Kernel::pa_of_kva(hw::VirtAddr va) const {
-  MERC_CHECK(is_kernel_va(va));
-  return hw::addr_of(base_pfn_) + (va - kKernelBase);
-}
-
 void Kernel::build_kernel_mappings() {
   // Direct map: kernel VA 0xC0000000+i*4K -> frame base_pfn_+i, one L1 table
   // per 4 MB. Built at boot time with plain memory writes (pre-paravirt

@@ -96,7 +96,6 @@ class Kernel : public hw::TrapSink {
 
   /// Direct-map address arithmetic (guest frames may not start at 0).
   hw::VirtAddr kva_of_frame(hw::Pfn pfn) const;
-  hw::PhysAddr pa_of_kva(hw::VirtAddr va) const;
 
   // --- tasks ---
   Pid spawn(std::string name, ProcMain body, std::size_t working_set_kb = 64,

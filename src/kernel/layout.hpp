@@ -15,16 +15,8 @@ inline constexpr hw::VirtAddr kKernelBase = 0xC000'0000;  // direct map of phys
 inline constexpr hw::VirtAddr kVmmBase = 0xFC00'0000;     // reserved 64 MB
 inline constexpr std::size_t kVmmRegionBytes = 64ull << 20;
 
-/// Direct-map translation for kernel-owned frames.
-inline constexpr hw::VirtAddr kernel_va_of(hw::PhysAddr pa) {
-  return kKernelBase + static_cast<hw::VirtAddr>(pa);
-}
-
 inline constexpr bool is_user_va(hw::VirtAddr va) {
   return va >= kUserBase && va < kUserTop;
-}
-inline constexpr bool is_kernel_va(hw::VirtAddr va) {
-  return va >= kKernelBase && va < kVmmBase;
 }
 
 // User-space region conventions used by the workloads.

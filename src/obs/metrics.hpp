@@ -167,7 +167,6 @@ class ScopedMetrics {
   }
 
   const std::string& label() const { return label_; }
-  MetricsRegistry& registry_ref() { return *reg_; }
 
  private:
   MetricsRegistry* reg_;

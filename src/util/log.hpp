@@ -68,9 +68,5 @@ template <typename... Args>
 void log_warn(std::string_view sub, const Args&... a) {
   log(LogLevel::kWarn, sub, a...);
 }
-template <typename... Args>
-void log_error(std::string_view sub, const Args&... a) {
-  log(LogLevel::kError, sub, a...);
-}
 
 }  // namespace mercury::util

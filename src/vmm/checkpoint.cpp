@@ -3,6 +3,7 @@
 #include <array>
 #include <cstring>
 
+#include "core/fault_inject.hpp"
 #include "hw/costs.hpp"
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
@@ -44,8 +45,8 @@ Snapshot Checkpointer::take(hw::Cpu& cpu, Hypervisor& hv, DomainId dom) {
   // trivially safe.
   const obs::Interval capture(cpu, obs::IntervalKind::kCheckpointCapture,
                               snap.frame_count);
-  hv.probed_runs(
-      cpu, HvFaultPoint::kCheckpointCapture, snap.frame_count,
+  core::probed_runs(
+      cpu, core::FaultSite::kCheckpointCapture, snap.frame_count,
       [&](std::size_t first, std::size_t n) {
         cpu.charge(n * hw::costs::kPageCopy);
         for (std::size_t i = first; i < first + n; ++i) {
@@ -75,13 +76,14 @@ void Checkpointer::restore(hw::Cpu& cpu, Hypervisor& hv, const Snapshot& snap) {
   // the domain never wrote stays unmaterialized.
   const obs::Interval apply(cpu, obs::IntervalKind::kRestoreApply,
                             snap.frame_count);
-  hv.probed_runs(cpu, HvFaultPoint::kRestoreApply, snap.frame_count,
-                 [&](std::size_t first, std::size_t n) {
-                   cpu.charge(n * hw::costs::kPageCopy);
-                   for (std::size_t i = first; i < first + n; ++i)
-                     mem.write_frame(snap.first_frame + static_cast<hw::Pfn>(i),
-                                     snap.frame(i));
-                 });
+  core::probed_runs(cpu, core::FaultSite::kRestoreApply, snap.frame_count,
+                    [&](std::size_t first, std::size_t n) {
+                      cpu.charge(n * hw::costs::kPageCopy);
+                      for (std::size_t i = first; i < first + n; ++i)
+                        mem.write_frame(
+                            snap.first_frame + static_cast<hw::Pfn>(i),
+                            snap.frame(i));
+                    });
   for (std::size_t v = 0; v < snap.vcpus.size() && v < d.num_vcpus(); ++v)
     d.vcpu(v) = snap.vcpus[v];
   // Every cached translation may now be stale.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "hw/cpu.hpp"
+#include "hw/pte.hpp"
 #include "hw/types.hpp"
 #include "vmm/page_info.hpp"
 
@@ -25,7 +26,9 @@ struct VcpuContext {
   bool virq_enabled = true;
 };
 
-class Domain {
+/// A domain is a dirty sink so that live migration can point its source
+/// memory's stores at the domain's log-dirty bitmap.
+class Domain final : public hw::DirtySink {
  public:
   Domain(DomainId id, std::string name, kernel::Kernel* guest, hw::Pfn first_frame,
          std::size_t frame_count, bool privileged, std::size_t num_vcpus);
@@ -47,7 +50,10 @@ class Domain {
   // --- log-dirty mode (live migration) ---
   bool log_dirty() const { return log_dirty_; }
   void set_log_dirty(bool on);
+  /// Set `pfn`'s bit; a no-op while log-dirty is off or for a frame the
+  /// domain does not own.
   void mark_dirty(hw::Pfn pfn);
+  void note_dirty(hw::Pfn pfn) override { mark_dirty(pfn); }
   /// Dirty frame list since last harvest; clears the bitmap.
   std::vector<hw::Pfn> harvest_dirty();
   std::size_t dirty_count() const { return dirty_count_; }

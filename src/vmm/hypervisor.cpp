@@ -14,6 +14,7 @@
 
 namespace mercury::vmm {
 
+using core::probed_runs;
 using kernel::Kernel;
 
 namespace {
@@ -295,7 +296,7 @@ void Hypervisor::init_reserved_page_info() {
 
 void Hypervisor::adopt_rebuild_shard(hw::Cpu& cpu, DomainId id,
                                      std::span<const hw::Pfn> frames,
-                                     HvFaultPoint site) {
+                                     core::FaultSite site) {
   if (!frames.empty())
     MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_rebuild_shard", frames.size(),
                 frames.front(), frames.back());
@@ -308,7 +309,7 @@ void Hypervisor::adopt_rebuild_shard(hw::Cpu& cpu, DomainId id,
 
 void Hypervisor::adopt_dirty_rebuild_shard(hw::Cpu& cpu, DomainId id,
                                            std::span<const hw::Pfn> frames,
-                                           HvFaultPoint site) {
+                                           core::FaultSite site) {
   if (!frames.empty())
     MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_dirty_rebuild_shard",
                 frames.size(), frames.front(), frames.back());
@@ -363,7 +364,8 @@ std::vector<std::pair<hw::Pfn, PageType>> Hypervisor::collect_tables(Kernel& k) 
 
 void Hypervisor::adopt_protect_shard(
     hw::Cpu& cpu, DomainId id, Kernel& k,
-    std::span<const std::pair<hw::Pfn, PageType>> tables, HvFaultPoint site) {
+    std::span<const std::pair<hw::Pfn, PageType>> tables,
+    core::FaultSite site) {
   (void)id;
   if (!tables.empty())
     MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_protect_shard", tables.size(),
@@ -426,7 +428,7 @@ std::vector<hw::Pfn> Hypervisor::protected_frames_snapshot() const {
 
 void Hypervisor::release_unprotect_shard(hw::Cpu& cpu, Kernel& k,
                                          std::span<const hw::Pfn> frames,
-                                         HvFaultPoint site) {
+                                         core::FaultSite site) {
   if (!frames.empty())
     MERC_FLIGHT(cpu, kShardRange, "vmm.release_unprotect_shard", frames.size(),
                 frames.front(), frames.back());
@@ -458,7 +460,7 @@ void Hypervisor::rebuild_page_info(hw::Cpu& cpu, Domain& d) {
   // paper's dominant attach cost.
   init_reserved_page_info();
   adopt_rebuild_shard(cpu, d.id(), k->pool().owned(),
-                      HvFaultPoint::kAdoptRebuild);
+                      core::FaultSite::kAdoptRebuild);
   MERC_COUNT_N("vmm.page_info.frames_reconstructed", k->pool().owned().size());
 }
 
@@ -468,7 +470,7 @@ void Hypervisor::type_and_protect_tables(hw::Cpu& cpu, Domain& d, Kernel& k) {
   // writable direct-map mapping. Protection must precede validation so the
   // "no writable mapping of a PT frame" rule holds when pass 2 checks it.
   const auto tables = collect_tables(k);
-  adopt_protect_shard(cpu, d.id(), k, tables, HvFaultPoint::kAdoptProtect);
+  adopt_protect_shard(cpu, d.id(), k, tables, core::FaultSite::kAdoptProtect);
   // One shootdown closes the batch of flips; protection must be globally
   // effective before validation checks it.
   if (!tables.empty()) tlb_shootdown_all(cpu);

@@ -10,13 +10,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "core/fault_inject.hpp"
 #include "hw/machine.hpp"
 #include "pv/sensitive_ops.hpp"
 #include "vmm/blkif.hpp"
@@ -46,44 +46,6 @@ struct HvStats {
   std::uint64_t releases = 0;
   std::uint64_t adopt_rollbacks = 0;
   std::uint64_t reprotects = 0;
-};
-
-/// Probe points inside the adopt/release loops. The hypervisor sits below
-/// core/ in the link graph, so it cannot name core's fault injector; the
-/// switch engine installs a probe that maps these to its injection sites.
-/// A probe may throw to abort the surrounding operation mid-flight — that
-/// is the point: the engine's rollback must unwind the partial mutation.
-enum class HvFaultPoint : std::uint8_t {
-  // Whole-range adoption outside a switch: migration admission, eager
-  // priming and the re-adopt/reprotect of a detach rollback.
-  kAdoptRebuild,      // once per frame during the page-info rebuild
-  kAdoptProtect,      // once per page-table frame during type-and-protect
-  // The switch's bulk loops, run as crew shards (on the control processor
-  // alone when the crew has no helper).
-  kShardRebuild,      // crew shard of the page-info rebuild
-  kShardProtect,      // crew shard of type-and-protect
-  kShardUnprotect,    // crew shard of the writability restore
-  kDirtyRebuild,      // once per frame during a warm (dirty-set) rebuild
-  // Service-side points: the dependability services (checkpoint/restart,
-  // live migration) that run against an attached hypervisor. Fired by
-  // Checkpointer and LiveMigration (friends below) through the same probe,
-  // so a supervising arc sees them as first-class fault surfaces.
-  kCheckpointCapture,  // once per frame captured into a Snapshot
-  kRestoreApply,       // once per frame written back during restore
-  kMigrateStream,      // once per page sent during pre-copy / stop-and-copy
-  kMigrateActivate,    // destination admission steps, before the
-                       // irreversible protect/rewire point
-  kNumPoints,
-};
-
-/// The probe the switch engine installs at the HvFaultPoint sites. `visit`
-/// reports one visit and may throw. `pass` counts up to `n` visits that
-/// cannot fire and returns how many it counted, so a per-item loop runs
-/// every stretch no fault can interrupt without a per-item call, and sends
-/// only the visit that fires through `visit`.
-struct FaultProbe {
-  std::function<void(HvFaultPoint, hw::Cpu*)> visit;
-  std::function<std::size_t(HvFaultPoint, std::size_t)> pass;
 };
 
 class Hypervisor : public hw::TrapSink {
@@ -140,11 +102,6 @@ class Hypervisor : public hw::TrapSink {
   /// and re-validate every page table and re-take the traps, restoring the
   /// fully attached state (detach rollback).
   void reprotect_os(hw::Cpu& cpu, DomainId id, kernel::Kernel& k);
-  /// Install a fault probe called at the HvFaultPoint sites (tests; unset in
-  /// production paths). The probe may throw. `visit`'s second argument is
-  /// the CPU executing the probed loop (for a switch shard, the crew member
-  /// running it), so injected latency charges the right clock.
-  void set_fault_probe(FaultProbe probe) { fault_probe_ = std::move(probe); }
   /// Make the hypervisor the machine's trap owner (or stop being it).
   void take_traps();
 
@@ -168,14 +125,16 @@ class Hypervisor : public hw::TrapSink {
   /// Rebuild owner/type/count for `frames`, charging `cpu` per frame.
   void adopt_rebuild_shard(hw::Cpu& cpu, DomainId id,
                            std::span<const hw::Pfn> frames,
-                           HvFaultPoint site = HvFaultPoint::kShardRebuild);
+                           core::FaultSite site =
+                               core::FaultSite::kShardRebuild);
   /// Warm-path variant: reconstruct owner/type/count for exactly the dirty
   /// `frames` against the retained table, charging `cpu` per frame. Frames
   /// inside the hypervisor's reserved region are re-canonicalized as
   /// hypervisor-owned (defense in depth; the engine filters them out).
   void adopt_dirty_rebuild_shard(hw::Cpu& cpu, DomainId id,
                                  std::span<const hw::Pfn> frames,
-                                 HvFaultPoint site = HvFaultPoint::kDirtyRebuild);
+                                 core::FaultSite site =
+                                     core::FaultSite::kDirtyRebuild);
   /// Eager-tracking cross-check sweep over `frames` frames (1 cycle each).
   void adopt_trusted_sweep_shard(hw::Cpu& cpu, std::size_t frames);
   /// Discover every page-table frame of `k` (uncharged discovery walk).
@@ -183,7 +142,8 @@ class Hypervisor : public hw::TrapSink {
   /// Type + pin + write-protect the given tables, charging `cpu`.
   void adopt_protect_shard(hw::Cpu& cpu, DomainId id, kernel::Kernel& k,
                            std::span<const std::pair<hw::Pfn, PageType>> tables,
-                           HvFaultPoint site = HvFaultPoint::kShardProtect);
+                           core::FaultSite site =
+                               core::FaultSite::kShardProtect);
   /// Validate the tables of `level` in the span (L1s must all be typed —
   /// i.e. every protect shard done — before any L2 shard validates).
   void adopt_validate_shard(hw::Cpu& cpu, DomainId id,
@@ -198,7 +158,8 @@ class Hypervisor : public hw::TrapSink {
   /// Restore writability of `frames`, charging `cpu` per frame.
   void release_unprotect_shard(hw::Cpu& cpu, kernel::Kernel& k,
                                std::span<const hw::Pfn> frames,
-                               HvFaultPoint site = HvFaultPoint::kShardUnprotect);
+                               core::FaultSite site =
+                                   core::FaultSite::kShardUnprotect);
   /// Flip to kDormant: accounting dropped O(1). With `retain_page_info`
   /// the entry contents survive and the table is marked retained.
   void finish_release(bool retain_page_info = false);
@@ -224,7 +185,6 @@ class Hypervisor : public hw::TrapSink {
   /// (clearing them so demand paging re-establishes the mapping) instead of
   /// crashing the domain.
   void set_heal_mode(bool on) { heal_mode_ = on; }
-  bool heal_mode() const { return heal_mode_; }
   bool validate_l2(hw::Cpu& cpu, Domain& d, hw::Pfn table, hw::Cycles per_pte,
                    std::size_t* present_out);
 
@@ -257,37 +217,6 @@ class Hypervisor : public hw::TrapSink {
   HvStats& stats() { return stats_; }
 
  private:
-  friend class LiveMigration;
-  friend class Checkpointer;
-
-  /// Fire the installed fault probe (if any) at a service-side point. The
-  /// friends above call this for single steps (migration admission) and
-  /// drive their copy loops through probed_runs; the probe may throw to
-  /// abort the service mid-flight.
-  void probe_fault(HvFaultPoint p, hw::Cpu* cpu) {
-    if (fault_probe_.visit) fault_probe_.visit(p, cpu);
-  }
-  /// Drive a probed per-item loop over `n` items on `cpu`: one visit to
-  /// `site` before each item, with the same visit ordinals, the same item
-  /// on which a fault fires, and the same clock at the fault as the loop
-  /// `for (i) { probe_fault(site, &cpu); body(i); }`. Stretches no fault can
-  /// interrupt go to `run(first, count)` whole; the visit that fires is
-  /// taken per item, so a per-item loop is just a run of length one.
-  template <typename Run>
-  void probed_runs(hw::Cpu& cpu, HvFaultPoint site, std::size_t n, Run&& run) {
-    for (std::size_t i = 0; i < n;) {
-      std::size_t len =
-          fault_probe_.pass ? fault_probe_.pass(site, n - i) : n - i;
-      if (len == 0) {
-        // The next visit fires: take it per item, before its item, as the
-        // per-item loop would.
-        fault_probe_.visit(site, &cpu);
-        len = 1;
-      }
-      run(i, len);
-      i += len;
-    }
-  }
   /// Point the direct-map PTE of `pfn` at `writable` and track the frame
   /// in protected_frames_ (uncharged: the callers charge the flip).
   void rewrite_direct_map_pte(kernel::Kernel& k, hw::Pfn pfn, bool writable);
@@ -335,7 +264,6 @@ class Hypervisor : public hw::TrapSink {
 
   std::unordered_set<hw::Pfn> protected_frames_;
   bool heal_mode_ = false;
-  FaultProbe fault_probe_;
   HvStats stats_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "core/fault_inject.hpp"
 #include "hw/costs.hpp"
 #include "kernel/kernel.hpp"
 #include "obs/obs.hpp"
@@ -10,6 +11,27 @@
 #include "util/log.hpp"
 
 namespace mercury::vmm {
+
+namespace {
+
+/// Makes `sink` the memory's dirty sink for the guard's lifetime, and puts
+/// the previous one back however the scope ends.
+class DirtySinkScope {
+ public:
+  DirtySinkScope(hw::PhysicalMemory& mem, hw::DirtySink* sink)
+      : mem_(mem), prev_(mem.dirty_sink()) {
+    mem_.set_dirty_sink(sink);
+  }
+  ~DirtySinkScope() { mem_.set_dirty_sink(prev_); }
+  DirtySinkScope(const DirtySinkScope&) = delete;
+  DirtySinkScope& operator=(const DirtySinkScope&) = delete;
+
+ private:
+  hw::PhysicalMemory& mem_;
+  hw::DirtySink* prev_;
+};
+
+}  // namespace
 
 MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst,
                                   const MigrationConfig& config) {
@@ -41,17 +63,17 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
                               pv::costs::kGrantMapPerPage / 2 +
                               config.wire_cycles_per_page;
   const auto send = [&](std::size_t n, auto&& pfn_at) {
-    src.probed_runs(scpu, HvFaultPoint::kMigrateStream, n,
-                    [&](std::size_t first, std::size_t count) {
-                      scpu.charge(count * per_page);
-                      for (std::size_t i = first; i < first + count; ++i) {
-                        const hw::Pfn pfn = pfn_at(i);
-                        dst_m.memory().write_frame(
-                            new_base + (pfn - old_base),
-                            src_m.memory().frame_bytes(pfn));
-                      }
-                      stats.pages_sent += count;
-                    });
+    core::probed_runs(scpu, core::FaultSite::kMigrateStream, n,
+                      [&](std::size_t first, std::size_t count) {
+                        scpu.charge(count * per_page);
+                        for (std::size_t i = first; i < first + count; ++i) {
+                          const hw::Pfn pfn = pfn_at(i);
+                          dst_m.memory().write_frame(
+                              new_base + (pfn - old_base),
+                              src_m.memory().frame_bytes(pfn));
+                        }
+                        stats.pages_sent += count;
+                      });
   };
   const auto send_dirty = [&](const std::vector<hw::Pfn>& dirty) {
     send(dirty.size(), [&](std::size_t i) { return dirty[i]; });
@@ -65,6 +87,9 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
   DomainId new_dom = kDomInvalid;
   hw::Cycles down0 = 0;
   try {
+    // Until the try block ends, on success and on abort alike, every store
+    // to the source memory marks the domain's log-dirty bitmap.
+    const DirtySinkScope log_stores(src_m.memory(), &d);
     {
       // Pre-copy. Round 0: full copy with log-dirty armed.
       const obs::Interval precopy(scpu, obs::IntervalKind::kMigratePrecopy,
@@ -79,21 +104,13 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
       while (stats.rounds < config.max_rounds) {
         guest->run_for(config.guest_run_per_round);
         // Page-table-visible dirty bits (hardware-set) join the log-dirty
-        // set.
+        // set; the stores themselves are already in it.
         guest->for_each_task([&](kernel::Task& t) {
           if (!t.aspace) return;
           std::vector<hw::Pfn> dirty_pfns;
           t.aspace->collect_and_clear_dirty(scpu, &dirty_pfns);
           for (const hw::Pfn pfn : dirty_pfns) d.mark_dirty(pfn);
         });
-        // Content-dirty frames (direct-map stores that never touch a PTE
-        // dirty bit) come from the caller's tracker, when wired.
-        if (config.harvest_content_dirty) {
-          std::vector<hw::Pfn> content;
-          config.harvest_content_dirty(content);
-          for (const hw::Pfn pfn : content)
-            if (d.owns_frame(pfn)) d.mark_dirty(pfn);
-        }
         // Converged, or out of round budget? Leave the outstanding set in
         // the bitmap: the stop-and-copy below ships it inside the freeze.
         // (Harvesting before this test would clear pages that were then
@@ -125,14 +142,14 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
     // run to completion.
     hw::Cpu& dcpu = dst_m.cpu(0);
     dcpu.advance_to(scpu.now());
-    dst.probe_fault(HvFaultPoint::kMigrateActivate, &dcpu);
+    core::fault_point(core::FaultSite::kMigrateActivate, &dcpu);
     guest->migrate_to(dst_m, new_base, dst.vmm_pdes());
     moved = true;
-    dst.probe_fault(HvFaultPoint::kMigrateActivate, &dcpu);
+    core::fault_point(core::FaultSite::kMigrateActivate, &dcpu);
     new_dom = dst.create_domain(
         guest->name() + "-migrated", guest, new_base, d.frame_count(),
         /*privileged=*/false, dst_m.num_cpus());
-    dst.probe_fault(HvFaultPoint::kMigrateActivate, &dcpu);
+    core::fault_point(core::FaultSite::kMigrateActivate, &dcpu);
     Domain& nd = dst.domain(new_dom);
     dst.rebuild_page_info(dcpu, nd);
     dst.type_and_protect_tables(dcpu, nd, *guest);

@@ -6,11 +6,16 @@
 // final stop-and-copy freezes the guest (the downtime the stats report),
 // ships the residue and the vcpu state, and re-homes the kernel on the
 // target via Kernel::migrate_to.
+//
+// The log-dirty set is the domain's own bitmap, fed from two sources: the
+// PTE dirty bits of the guest's user mappings, harvested each round, and
+// every store to the source memory, which reaches the domain as the
+// memory's dirty sink while the migration runs. The second catches what no
+// PTE dirty bit shows: kernel writes through the direct map, page-table
+// updates among them, and device stores.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "hw/devices/nic.hpp"
 #include "vmm/hypervisor.hpp"
@@ -22,12 +27,6 @@ struct MigrationConfig {
   std::size_t stop_threshold_pages = 64;  // residue small enough to stop
   hw::Cycles guest_run_per_round = 20 * hw::kCyclesPerMillisecond;
   hw::Cycles wire_cycles_per_page = 4096 * 3 + 40 * hw::kCyclesPerMicrosecond / 10;
-  /// Optional per-round source of *content*-dirty frames: stores that land
-  /// through the direct map and never set a PTE dirty bit (DMA completions,
-  /// kernel-space writes). The cluster layer wires a DirtyFrameTracker's
-  /// collect_content() here — the vmm cannot name core's tracker directly.
-  /// Called once per pre-copy round; append PFNs to the vector.
-  std::function<void(std::vector<hw::Pfn>&)> harvest_content_dirty;
 };
 
 struct MigrationStats {

@@ -6,11 +6,13 @@
 #include <array>
 #include <memory>
 
+#include "core/fault_inject.hpp"
 #include "core/mercury.hpp"
 #include "core/rendezvous.hpp"
 #include "core/stack_fixup.hpp"
 #include "hw/costs.hpp"
 #include "kernel/syscalls.hpp"
+#include "tests/injector_guard.hpp"
 #include "workloads/configs.hpp"
 
 namespace mercury::testing {
@@ -190,6 +192,25 @@ TEST(EagerTracking, TableMatchesLazyRebuildAfterActivity) {
     EXPECT_EQ(lt.type, et.type);
     EXPECT_EQ(lt.pinned, et.pinned);
   }
+}
+
+// Eager tracking primes its table in Mercury's constructor, before any
+// switch engine exists: the whole-range rebuild visits kAdoptRebuild once
+// per kernel frame, so a plan or storm at that site can fault the priming.
+TEST(EagerTracking, PrimingVisitsAdoptRebuildOncePerKernelFrame) {
+  InjectorGuard guard;
+  // Live, so visits are counted, at a site construction never reaches.
+  core::FaultPlan plan;
+  plan.site = core::FaultSite::kMigrateActivate;
+  core::fault_injector().arm(plan);
+  MercuryConfig cfg;
+  cfg.switch_config.eager_page_tracking = true;
+  Box box(cfg);
+  const std::size_t frames = box.mercury->kernel().pool().owned_count();
+  ASSERT_GT(frames, 0u);
+  EXPECT_EQ(core::fault_injector().visits(core::FaultSite::kAdoptRebuild),
+            frames);
+  EXPECT_TRUE(core::fault_injector().armed()) << "construction fired nothing";
 }
 
 TEST(EagerTracking, AttachIsCheaperButNativeOpsAreDearer) {

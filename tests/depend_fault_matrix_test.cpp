@@ -344,7 +344,7 @@ TEST(DependFaultMatrix, AttachThatNeverCommitsQuarantinesBeforeTheService) {
 // --- deep triggers inside the service copy loops ----------------------------
 //
 // Capture, restore and the migration stream run every stretch of frames no
-// fault can interrupt as one bulk run (Hypervisor::probed_runs) and take
+// fault can interrupt as one bulk run (core::probed_runs) and take
 // only the firing visit per frame. These rows fire deep inside such a run
 // and check it is exact: the fault lands on the trigger-th visit, with the
 // clock the per-frame loop would have had there, after exactly trigger-1
@@ -601,6 +601,7 @@ TEST(DependFaultMatrix, DeepTriggerInsideMigrateStreamRun) {
 
     hw::Cpu& scpu = src.machine().cpu(0);
     RecordingSink sink(dst.machine().memory());
+    hw::DirtySink* const src_sink = src.machine().memory().dirty_sink();
     arm_deep(FaultSite::kMigrateStream, row);
     const hw::Cycles t0 = scpu.now();
     EXPECT_THROW(
@@ -608,6 +609,8 @@ TEST(DependFaultMatrix, DeepTriggerInsideMigrateStreamRun) {
         FaultInjected)
         << ctx;
     core::fault_injector().disarm();
+    EXPECT_EQ(src.machine().memory().dirty_sink(), src_sink)
+        << ctx << ": the abort restores the source memory's dirty sink";
     expect_exact_fault(FaultSite::kMigrateStream, row, t0, scpu.now(),
                        per_page, ctx);
     expect_unwound_phase(obs::IntervalKind::kMigratePrecopy, t0, scpu.now(),

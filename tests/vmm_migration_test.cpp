@@ -179,13 +179,17 @@ TEST(MigrationTest, SourceFramesAreFreedAfterMigration) {
 
 // A guest that maps and touches a fresh page every 200 µs while it is
 // migrated. Each mapping is a kernel page-table write through the direct
-// map: it sets no PTE dirty bit, so log-dirty pre-copy never resends the
-// table page, and only the content-dirty harvest carries the new entry to
-// the target. Without it, most of the pages mapped during pre-copy have no
-// PTE on the machine the guest lands on.
+// map: it sets no PTE dirty bit, so only the store itself, which reaches
+// the domain's log-dirty bitmap through the source memory's dirty sink,
+// resends the table page. Without it, most of the pages mapped during
+// pre-copy have no PTE on the machine the guest lands on. The direct row
+// runs LiveMigration::run with no arc around it.
 TEST(MigrationTest, PageTableWritesDuringPrecopyReachTheTarget) {
-  for (const bool round_trip : {false, true}) {
-    SCOPED_TRACE(round_trip ? "migrate_arc" : "evacuate_arc");
+  enum class Row { kEvacuateArc, kMigrateArc, kDirectRun };
+  for (const Row row : {Row::kEvacuateArc, Row::kMigrateArc, Row::kDirectRun}) {
+    SCOPED_TRACE(row == Row::kEvacuateArc  ? "evacuate_arc"
+                 : row == Row::kMigrateArc ? "migrate_arc"
+                                           : "LiveMigration::run");
     TwoNodes t;
     std::vector<hw::VirtAddr> mapped;
     kernel::Kernel& os = t.a->mercury().kernel();
@@ -199,12 +203,31 @@ TEST(MigrationTest, PageTableWritesDuringPrecopyReachTheTarget) {
     });
     os.run_for(5 * hw::kCyclesPerMillisecond);
     const std::size_t before = mapped.size();
+    hw::DirtySink* const a_sink = t.a->machine().memory().dirty_sink();
+    hw::DirtySink* const b_sink = t.b->machine().memory().dirty_sink();
 
-    const cluster::ArcReport r = round_trip
-                                     ? cluster::migrate_arc(*t.a, *t.b)
-                                     : cluster::evacuate_arc(*t.a, *t.b);
-    ASSERT_TRUE(r.success);
-    hw::Machine& now_on = round_trip ? t.a->machine() : t.b->machine();
+    switch (row) {
+      case Row::kEvacuateArc:
+        ASSERT_TRUE(cluster::evacuate_arc(*t.a, *t.b).success);
+        break;
+      case Row::kMigrateArc:
+        ASSERT_TRUE(cluster::migrate_arc(*t.a, *t.b).success);
+        break;
+      case Row::kDirectRun: {
+        ASSERT_TRUE(t.b->mercury().switch_to(core::ExecMode::kPartialVirtual));
+        ASSERT_TRUE(t.a->mercury().switch_to(core::ExecMode::kFullVirtual));
+        const auto stats = vmm::LiveMigration::run(
+            t.a->mercury().hypervisor(), t.a->mercury().guest_vo().dom(),
+            t.b->mercury().hypervisor());
+        ASSERT_TRUE(stats.success);
+        break;
+      }
+    }
+    EXPECT_EQ(t.a->machine().memory().dirty_sink(), a_sink)
+        << "the migration restores the source memory's dirty sink";
+    EXPECT_EQ(t.b->machine().memory().dirty_sink(), b_sink);
+    hw::Machine& now_on =
+        row == Row::kMigrateArc ? t.a->machine() : t.b->machine();
     ASSERT_EQ(&os.machine(), &now_on);
     ASSERT_GT(mapped.size(), before + 100) << "the guest mapped during pre-copy";
 
