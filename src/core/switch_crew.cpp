@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "core/fault_inject.hpp"
 #include "obs/obs.hpp"
@@ -22,6 +23,18 @@ constexpr hw::Cycles kJoinHandshake = 250;  // arrival count + done flag
 // to absorb uneven shard costs, small enough that grab overhead stays in
 // the noise against the per-frame work.
 constexpr std::size_t kShardsPerMember = 4;
+
+/// The "<phase>.worker_cycles" histogram: the full name is built once per
+/// phase name, not once per phase run.
+[[maybe_unused]] obs::Hist& worker_cycles_hist(const char* phase) {
+  static std::vector<std::pair<std::string, obs::Hist*>> known;
+  for (const auto& [name, hist] : known)
+    if (name == phase) return *hist;
+  obs::Hist& hist =
+      obs::registry().histogram(std::string(phase) + ".worker_cycles");
+  known.emplace_back(phase, &hist);
+  return hist;
+}
 
 }  // namespace
 
@@ -48,6 +61,12 @@ CrewPhaseStats SwitchCrew::run_phase(const char* name, std::size_t items,
   if (items == 0) return stats;
 
   hw::Cpu& cp = *members_[0];
+#if MERCURY_OBS_ENABLED
+  // The phase's host time, in a profiler bucket named after the phase that
+  // nests under switch.commit; looked up only while the profiler is on.
+  obs::EngineProfiler& prof = obs::profiler();
+  const obs::ProfScope host(prof.enabled() ? prof.bucket(name) : nullptr, &cp);
+#endif
   const hw::Cycles phase_start = cp.now();
 
   // Without a helper the CP runs the phase as one shard and pays no
@@ -115,8 +134,7 @@ CrewPhaseStats SwitchCrew::run_phase(const char* name, std::size_t items,
   span_total_ += stats.span;
   ++phases_;
 #if MERCURY_OBS_ENABLED
-  obs::Hist& worker_hist =
-      obs::registry().histogram(std::string(name) + ".worker_cycles");
+  obs::Hist& worker_hist = worker_cycles_hist(name);
   for (const hw::Cycles b : member_busy) worker_hist.record(b);
   MERC_COUNT_N("switch.crew.shards", stats.shards);
 #endif

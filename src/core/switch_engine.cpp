@@ -536,13 +536,14 @@ void SwitchEngine::attach(hw::Cpu& cpu, SwitchCrew& crew, ExecMode target) {
       // The paper's dominant attach cost, sharded across the parked CPUs:
       // each shard rebuilds owner/type/count for a disjoint frame range.
       hv_.init_reserved_page_info();
-      const std::vector<hw::Pfn>& frames = kernel_.pool().owned();
-      const std::span<const hw::Pfn> all(frames);
-      crew.run_phase("switch.crew.rebuild", frames.size(),
+      const hw::Pfn base = kernel_.base_pfn();
+      const std::size_t frames = kernel_.pool().owned_count();
+      crew.run_phase("switch.crew.rebuild", frames,
                      [&](hw::Cpu& w, std::size_t b, std::size_t e) {
-                       hv_.adopt_rebuild_shard(w, dom, all.subspan(b, e - b));
+                       hv_.adopt_rebuild_shard(
+                           w, dom, base + static_cast<hw::Pfn>(b), e - b);
                      });
-      MERC_COUNT_N("vmm.page_info.frames_reconstructed", frames.size());
+      MERC_COUNT_N("vmm.page_info.frames_reconstructed", frames);
     } else {
       MERC_CHECK_MSG(hv_.page_info().valid(),
                      "eager attach without a primed page-info table");

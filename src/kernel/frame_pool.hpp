@@ -1,9 +1,9 @@
 // The kernel's pool of physical frames.
 //
-// A native kernel is granted (almost) all of RAM at boot; a guest domain is
-// granted the frame list its domain was built with. The pool remembers every
-// frame it owns — this is the set the VMM walks when rebuilding its
-// owner/type/count table during a Mercury attach.
+// A kernel is granted one frame range at boot: (almost) all of RAM for a
+// native kernel, its domain's frames for a guest. The pool keeps the range,
+// which the VMM resets when it rebuilds its owner/type/count table during a
+// Mercury attach, and the range's free frames.
 #pragma once
 
 #include <cstddef>
@@ -17,15 +17,14 @@ namespace mercury::kernel {
 
 class FramePool {
  public:
-  FramePool() = default;
-
-  /// Grant a frame range to this pool (boot-time).
+  /// Grant the pool its one frame range [first, first + count) at boot.
   void grant(hw::Pfn first, std::size_t count) {
-    owned_.reserve(owned_.size() + count);
-    free_.reserve(free_.size() + count);
+    MERC_CHECK_MSG(count_ == 0, "frame pool granted twice");
+    first_ = first;
+    count_ = count;
+    free_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       const hw::Pfn pfn = first + static_cast<hw::Pfn>(i);
-      owned_.push_back(pfn);
       free_.push_back(pfn);
       if (dirty_sink_) dirty_sink_->note_dirty(pfn);
     }
@@ -46,19 +45,18 @@ class FramePool {
     if (dirty_sink_) dirty_sink_->note_dirty(pfn);
   }
 
-  std::size_t owned_count() const { return owned_.size(); }
+  /// First frame of the granted range (owner-table rebuild walks the range;
+  /// migration moves it).
+  hw::Pfn first() const { return first_; }
+  std::size_t owned_count() const { return count_; }
   std::size_t free_count() const { return free_.size(); }
-  std::size_t used_count() const { return owned_.size() - free_.size(); }
+  std::size_t used_count() const { return count_ - free_.size(); }
 
-  /// Every frame this kernel was ever granted (owner-table rebuild walks
-  /// this; migration transfers it).
-  const std::vector<hw::Pfn>& owned() const { return owned_; }
-
-  /// Rewrite all pfns through a translation table (migration restore).
-  template <typename Fn>
-  void remap(Fn&& translate) {
-    for (auto& p : owned_) p = translate(p);
-    for (auto& p : free_) p = translate(p);
+  /// Move the range to start at `first`, every frame keeping its offset
+  /// (migration restore).
+  void rebase(hw::Pfn first) {
+    for (auto& p : free_) p = first + (p - first_);
+    first_ = first;
   }
 
   /// Dirty-frame observer for warm re-attach: allocation-state changes mark
@@ -66,7 +64,8 @@ class FramePool {
   void set_dirty_sink(hw::DirtySink* sink) { dirty_sink_ = sink; }
 
  private:
-  std::vector<hw::Pfn> owned_;
+  hw::Pfn first_ = 0;
+  std::size_t count_ = 0;
   std::vector<hw::Pfn> free_;
   hw::DirtySink* dirty_sink_ = nullptr;
 };

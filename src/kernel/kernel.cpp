@@ -38,17 +38,19 @@ Kernel::Kernel(hw::Machine& machine, pv::SensitiveOps& initial_ops,
 Kernel::~Kernel() = default;
 
 hw::VirtAddr Kernel::kva_of_frame(hw::Pfn pfn) const {
-  MERC_CHECK_MSG(pfn >= base_pfn_ && pfn < base_pfn_ + frame_count_,
+  const hw::Pfn base = pool_.first();
+  MERC_CHECK_MSG(pfn >= base && pfn < base + pool_.owned_count(),
                  "frame outside kernel direct map");
-  return kKernelBase + static_cast<hw::VirtAddr>(pfn - base_pfn_) * hw::kPageSize;
+  return kKernelBase + static_cast<hw::VirtAddr>(pfn - base) * hw::kPageSize;
 }
 
 void Kernel::build_kernel_mappings() {
-  // Direct map: kernel VA 0xC0000000+i*4K -> frame base_pfn_+i, one L1 table
+  // Direct map: kernel VA 0xC0000000+i*4K -> frame base_pfn()+i, one L1 table
   // per 4 MB. Built at boot time with plain memory writes (pre-paravirt
   // bootstrap, not on any measured path).
   auto& mem = machine_->memory();
-  const std::size_t l1_count = (frame_count_ + hw::kPtEntries - 1) / hw::kPtEntries;
+  const std::size_t frame_count = pool_.owned_count();
+  const std::size_t l1_count = (frame_count + hw::kPtEntries - 1) / hw::kPtEntries;
   kernel_pdes_.assign(256, hw::Pte{});
   kernel_l1s_.clear();
   kernel_l1s_.reserve(l1_count);
@@ -59,9 +61,9 @@ void Kernel::build_kernel_mappings() {
     MERC_CHECK(pool_.alloc(l1));
     kernel_l1s_.push_back(l1);
     std::array<std::uint32_t, hw::kPtEntries> table{};
-    for (std::uint32_t e = 0; e < hw::kPtEntries && mapped < frame_count_;
+    for (std::uint32_t e = 0; e < hw::kPtEntries && mapped < frame_count;
          ++e, ++mapped) {
-      table[e] = hw::make_pte(base_pfn_ + static_cast<hw::Pfn>(mapped),
+      table[e] = hw::make_pte(pool_.first() + static_cast<hw::Pfn>(mapped),
                               /*writable=*/true, /*user=*/false,
                               /*global=*/true).raw;
     }
@@ -87,8 +89,6 @@ void Kernel::build_kernel_mappings() {
 void Kernel::boot(hw::Pfn first_frame, std::size_t frame_count,
                   std::vector<std::pair<std::uint32_t, hw::Pte>> extra_pdes) {
   MERC_CHECK_MSG(!booted_, "double boot");
-  base_pfn_ = first_frame;
-  frame_count_ = frame_count;
   extra_pdes_ = std::move(extra_pdes);
   pool_.grant(first_frame, frame_count);
   build_kernel_mappings();
@@ -695,15 +695,15 @@ void Kernel::migrate_state(hw::Machine& dst, hw::Pfn new_base,
                            bool rewrite_image) {
   MERC_CHECK_MSG(&dst != machine_, "migrate_to the same machine");
   hw::Cpu& dcpu = dst.cpu(0);
-  const hw::Pfn old_base = base_pfn_;
+  const hw::Pfn old_base = pool_.first();
   const auto translate = [&](hw::Pfn pfn) -> hw::Pfn {
-    MERC_CHECK_MSG(pfn >= old_base && pfn < old_base + frame_count_,
+    MERC_CHECK_MSG(pfn >= old_base && pfn < old_base + pool_.owned_count(),
                    "migrating kernel references foreign frame " << pfn);
     return new_base + (pfn - old_base);
   };
 
   // Rewrite the frame pool and COW reference table.
-  pool_.remap(translate);
+  pool_.rebase(new_base);
   std::unordered_map<hw::Pfn, std::uint32_t> new_refs;
   for (const auto& [pfn, n] : frame_refs_) new_refs[translate(pfn)] = n;
   frame_refs_ = std::move(new_refs);
@@ -749,7 +749,6 @@ void Kernel::migrate_state(hw::Machine& dst, hw::Pfn new_base,
     }
   }
 
-  base_pfn_ = new_base;
   extra_pdes_ = std::move(new_extra_pdes);
   machine_ = &dst;
   MERC_CHECK(runqueues_.size() <= dst.num_cpus() || dst.num_cpus() >= 1);

@@ -81,7 +81,7 @@ class Kernel : public hw::TrapSink {
   void set_ops(pv::SensitiveOps& ops) { ops_ = &ops; }
   const std::string& name() const { return name_; }
   FramePool& pool() { return pool_; }
-  hw::Pfn base_pfn() const { return base_pfn_; }
+  hw::Pfn base_pfn() const { return pool_.first(); }
   hw::TableToken idt_token() const { return idt_token_; }
   hw::TableToken gdt_token() const { return gdt_token_; }
   hw::Pfn kernel_pd() const { return kernel_pd_; }
@@ -223,8 +223,6 @@ class Kernel : public hw::TrapSink {
   bool booted_ = false;
 
   FramePool pool_;
-  hw::Pfn base_pfn_ = 0;
-  std::size_t frame_count_ = 0;
   hw::TableToken idt_token_{};
   hw::TableToken gdt_token_{};
   hw::Pfn kernel_pd_ = 0;

@@ -165,19 +165,6 @@ void Hypervisor::set_guest_on_cpu(std::uint32_t cpu, Kernel* k, DomainId dom) {
 
 // --- validation ----------------------------------------------------------------
 
-const char* Hypervisor::pte_value_violation(const Domain& d,
-                                            hw::Pte value) const {
-  if (!value.present()) return nullptr;
-  const hw::Pfn target = value.pfn();
-  if (target >= page_info_.size()) return "PTE targets nonexistent frame";
-  const PageInfo pi = page_info_.at(target);
-  if (pi.owner == kDomHypervisor) return "PTE maps a hypervisor frame";
-  if (pi.owner != d.id()) return "PTE maps a frame owned by another domain";
-  if (value.writable() && (pi.type == PageType::kL1 || pi.type == PageType::kL2))
-    return "writable mapping of a page-table frame";
-  return nullptr;
-}
-
 // The scans charge per_pte for every entry up to the one they stop at; the
 // clock is not read in between, so the charge is taken in one piece.
 
@@ -294,15 +281,14 @@ void Hypervisor::init_reserved_page_info() {
   page_info_.reset_shard_counters();
 }
 
-void Hypervisor::adopt_rebuild_shard(hw::Cpu& cpu, DomainId id,
-                                     std::span<const hw::Pfn> frames,
-                                     core::FaultSite site) {
-  if (!frames.empty())
-    MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_rebuild_shard", frames.size(),
-                frames.front(), frames.back());
-  probed_runs(cpu, site, frames.size(), [&](std::size_t first, std::size_t n) {
+void Hypervisor::adopt_rebuild_shard(hw::Cpu& cpu, DomainId id, hw::Pfn first,
+                                     std::size_t count, core::FaultSite site) {
+  if (count != 0)
+    MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_rebuild_shard", count, first,
+                first + static_cast<hw::Pfn>(count - 1));
+  probed_runs(cpu, site, count, [&](std::size_t i, std::size_t n) {
     cpu.charge(n * pv::costs::kPerFrameInfoRebuild);
-    page_info_.fill(frames.subspan(first, n), plain_ram(id),
+    page_info_.fill(first + static_cast<hw::Pfn>(i), n, plain_ram(id),
                     PageInfoTable::Note::kRebuilt);
   });
 }
@@ -455,13 +441,13 @@ void Hypervisor::rebuild_page_info(hw::Cpu& cpu, Domain& d) {
   Kernel* k = d.guest();
   MERC_CHECK(k != nullptr);
   const obs::Interval phase(cpu, obs::IntervalKind::kVmmRebuildPageInfo);
-  // Hypervisor's own frames, then every frame the kernel was ever granted:
-  // reset to plain writable RAM. This linear pass over ~all of memory is the
-  // paper's dominant attach cost.
+  // Hypervisor's own frames, then the kernel's whole frame range: reset to
+  // plain writable RAM. This linear pass over ~all of memory is the paper's
+  // dominant attach cost.
   init_reserved_page_info();
-  adopt_rebuild_shard(cpu, d.id(), k->pool().owned(),
+  adopt_rebuild_shard(cpu, d.id(), k->base_pfn(), k->pool().owned_count(),
                       core::FaultSite::kAdoptRebuild);
-  MERC_COUNT_N("vmm.page_info.frames_reconstructed", k->pool().owned().size());
+  MERC_COUNT_N("vmm.page_info.frames_reconstructed", k->pool().owned_count());
 }
 
 void Hypervisor::type_and_protect_tables(hw::Cpu& cpu, Domain& d, Kernel& k) {

@@ -122,9 +122,10 @@ class Hypervisor : public hw::TrapSink {
   /// Reset the hypervisor's own reserved frames' accounting (CP-side, O(64MB
   /// of frames), uncharged) and zero shard counters.
   void init_reserved_page_info();
-  /// Rebuild owner/type/count for `frames`, charging `cpu` per frame.
-  void adopt_rebuild_shard(hw::Cpu& cpu, DomainId id,
-                           std::span<const hw::Pfn> frames,
+  /// Rebuild owner/type/count for frames [first, first + count), charging
+  /// `cpu` per frame.
+  void adopt_rebuild_shard(hw::Cpu& cpu, DomainId id, hw::Pfn first,
+                           std::size_t count,
                            core::FaultSite site =
                                core::FaultSite::kShardRebuild);
   /// Warm-path variant: reconstruct owner/type/count for exactly the dirty
@@ -231,8 +232,19 @@ class Hypervisor : public hw::TrapSink {
     cpu.set_cpl(prev);
   }
   /// Why `value` may not be installed as an L1 PTE for `d`, or nullptr if
-  /// it may.
-  const char* pte_value_violation(const Domain& d, hw::Pte value) const;
+  /// it may. Inline: validate_l1's per-entry loop asks it of every entry.
+  const char* pte_value_violation(const Domain& d, hw::Pte value) const {
+    if (!value.present()) return nullptr;
+    const hw::Pfn target = value.pfn();
+    if (target >= page_info_.size()) return "PTE targets nonexistent frame";
+    const PageInfo pi = page_info_.at(target);
+    if (pi.owner == kDomHypervisor) return "PTE maps a hypervisor frame";
+    if (pi.owner != d.id()) return "PTE maps a frame owned by another domain";
+    if (value.writable() &&
+        (pi.type == PageType::kL1 || pi.type == PageType::kL2))
+      return "writable mapping of a page-table frame";
+    return nullptr;
+  }
   /// Level-aware validation of a single table update: the rules differ for
   /// entries inside an L1 (ownership, no writable PT mappings) and an L2
   /// (must reference validated L1s / the hypervisor's reserved template).

@@ -176,8 +176,12 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
     // Mid-stream abort: put the source back exactly as it was. The guest
     // kernel object either never moved or is re-homed onto its original
     // frames (which were never freed or overwritten); the destination's
-    // reservation and any half-admitted domain record are dropped.
-    if (new_dom != kDomInvalid) dst.destroy_domain(new_dom);
+    // reservation and any half-admitted domain record are dropped, along
+    // with the tables its protect pass may already have write-protected.
+    if (new_dom != kDomInvalid) {
+      dst.forget_frame_range(new_base, d.frame_count());
+      dst.destroy_domain(new_dom);
+    }
     // rehome_to, not migrate_to: the source image is still homed at
     // old_base (its frames were never freed or overwritten), so only the
     // kernel's bookkeeping pfns are translated back — rewriting the PTE

@@ -81,37 +81,15 @@ void PageInfoTable::fill(std::span<const hw::Pfn> frames, const PageInfo& value,
                          Note note) {
   for (std::size_t i = 0; i < frames.size();) {
     const hw::Pfn lo = frames[i];
-    if (lo >= size_) [[unlikely]] out_of_range(lo);
-    const std::size_t shard = shard_of(lo);
-    // The stretch: frames lo, lo+1, ... up to the shard's end.
-    const std::size_t limit =
-        std::min(frames.size(), i + (shard_end(shard) - lo));
-    // Whole blocks first: a branch-free compare of a block vectorizes, where
-    // the early-exit loop below cannot. An attach rebuilds ~230 000 frames
-    // in switch-churn, and the block pass cuts its run_s by about a quarter
-    // (ROADMAP item 7).
-    constexpr std::size_t kBlock = 64;
     std::size_t j = i + 1;
-    while (j + kBlock <= limit) {
-      const hw::Pfn* block = frames.data() + j;
-      const hw::Pfn expect = static_cast<hw::Pfn>(lo + (j - i));
-      std::uint32_t mismatch = 0;
-      for (std::uint32_t k = 0; k < kBlock; ++k)
-        mismatch |= block[k] ^ (expect + k);
-      if (mismatch != 0) break;
-      j += kBlock;
-    }
-    while (j < limit && frames[j] == lo + (j - i)) ++j;
-    fill_stretch(shard, lo, static_cast<hw::Pfn>(lo + (j - i)), value);
-    Shard& s = shards_[shard];
-    if (note != Note::kNone) s.counters.rebuilt += j - i;
-    if (note == Note::kDirtyRebuilt) s.dirty_epoch = epoch_;
+    while (j < frames.size() && frames[j] == lo + (j - i)) ++j;
+    fill(lo, j - i, value, note);
     i = j;
   }
 }
 
-void PageInfoTable::fill(hw::Pfn first, std::size_t count,
-                         const PageInfo& value) {
+void PageInfoTable::fill(hw::Pfn first, std::size_t count, const PageInfo& value,
+                         Note note) {
   if (count == 0) return;
   const std::size_t end = first + count;
   if (end > size_) [[unlikely]] out_of_range(static_cast<hw::Pfn>(end - 1));
@@ -119,6 +97,9 @@ void PageInfoTable::fill(hw::Pfn first, std::size_t count,
     const std::size_t shard = shard_of(lo);
     const hw::Pfn hi = std::min(shard_end(shard), static_cast<hw::Pfn>(end));
     fill_stretch(shard, lo, hi, value);
+    Shard& s = shards_[shard];
+    if (note != Note::kNone) s.counters.rebuilt += hi - lo;
+    if (note == Note::kDirtyRebuilt) s.dirty_epoch = epoch_;
     lo = hi;
   }
 }

@@ -77,10 +77,10 @@ class PageInfoTable {
   // step per shard, and the host holds entries (64 KB a shard) only for
   // shards that were ever materialized. Bulk writers go through fill(),
   // which makes a whole-shard stretch uniform in O(1); the attach's rebuild
-  // of ~all of memory therefore costs one step per shard, not per frame, on
-  // the host. Crew workers rebuild disjoint frame ranges, so the entries
-  // they touch are disjoint; a shard the crew cuts in two has its block
-  // written by both workers. That is safe because the host-side simulator
+  // of the kernel's frame range therefore costs one step per shard, not per
+  // frame, on the host. Crew workers rebuild disjoint frame ranges, so the
+  // entries they touch are disjoint; a shard the crew cuts in two has its
+  // block written by both workers. That is safe because the host-side simulator
   // executes shards one at a time, which also makes the blocks exact
   // per-range telemetry.
 
@@ -102,16 +102,18 @@ class PageInfoTable {
   /// retained table untouched).
   enum class Note : std::uint8_t { kNone, kRebuilt, kDirtyRebuilt };
 
-  /// Set every frame of `frames` to `value`, one stretch of consecutive
-  /// frames within a shard at a time. A stretch covering its whole shard
-  /// makes the shard uniform. A partial stretch writes the entries (a no-op
-  /// on a shard already uniform with `value`); adjacent or overlapping
-  /// partial stretches of one value that together cover the shard make it
-  /// uniform again, unless another write to the shard came in between.
+  /// Set frames [first, first + count) to `value`, one stretch within a
+  /// shard at a time. A stretch covering its whole shard makes the shard
+  /// uniform in O(1). A partial stretch writes the entries (a no-op on a
+  /// shard already uniform with `value`); adjacent or overlapping partial
+  /// stretches of one value that together cover the shard make it uniform
+  /// again, unless another write to the shard came in between.
+  void fill(hw::Pfn first, std::size_t count, const PageInfo& value,
+            Note note = Note::kNone);
+  /// The same for every frame of `frames` (the warm dirty set), one range
+  /// fill per run of consecutive frames.
   void fill(std::span<const hw::Pfn> frames, const PageInfo& value,
             Note note = Note::kNone);
-  /// The same for frames [first, first + count).
-  void fill(hw::Pfn first, std::size_t count, const PageInfo& value);
 
   /// Per-shard accounting bumped by the adopt/release paths.
   struct ShardCounters {

@@ -3,6 +3,7 @@
 // full-virtual role, validation abort, switch-time proportionality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
@@ -706,6 +707,47 @@ TEST(SwitchEngine, CallbackGaugesUnregisterWithEngine) {
     ASSERT_NE(obs::snapshot().find("switch.attaches", label), nullptr);
   }
   EXPECT_EQ(obs::snapshot().find("switch.attaches", label), nullptr);
+}
+
+TEST(SwitchEngine, CrewPhasesProfileNestedUnderTheCommit) {
+  // Each crew phase charges a profiler bucket of its own name inside
+  // switch.commit. The phases nest nothing, the commit's self time is what
+  // its phases did not take, and the self times of all buckets still add
+  // up to the top-level scopes' wall time (the kernel steps the commits
+  // run inside).
+  MercuryBox box(MercuryConfig{}, /*mem_mb=*/128, /*cpus=*/2);
+  obs::EngineProfiler& prof = obs::profiler();
+  prof.reset();
+  prof.set_enabled(true);
+  ASSERT_TRUE(box.mercury->switch_to(ExecMode::kPartialVirtual));
+  ASSERT_TRUE(box.mercury->switch_to(ExecMode::kNative));
+  prof.set_enabled(false);
+  const std::vector<obs::ProfBucket> snap = prof.snapshot();
+  prof.reset();
+
+  const obs::ProfBucket* commit = nullptr;
+  std::uint64_t phases_wall = 0, self_total = 0, top_level_wall = 0;
+  std::vector<std::string> phases;
+  for (const obs::ProfBucket& b : snap) {
+    self_total += b.self_ns;
+    if (b.name.starts_with("kernel.step.")) top_level_wall += b.wall_ns;
+    if (b.name == "switch.commit") commit = &b;
+    if (!b.name.starts_with("switch.crew.") || b.count == 0) continue;
+    phases.push_back(b.name);
+    EXPECT_EQ(b.self_ns, b.wall_ns) << b.name;
+    EXPECT_GT(b.sim_cycles, 0u) << b.name;
+    phases_wall += b.wall_ns;
+  }
+  ASSERT_NE(commit, nullptr);
+  EXPECT_EQ(commit->count, 2u);
+  for (const char* name :
+       {"switch.crew.rebuild", "switch.crew.protect", "switch.crew.validate_l1",
+        "switch.crew.validate_l2", "switch.crew.unprotect"})
+    EXPECT_NE(std::find(phases.begin(), phases.end(), name), phases.end())
+        << name;
+  EXPECT_LE(phases_wall, commit->wall_ns);
+  EXPECT_EQ(commit->self_ns, commit->wall_ns - phases_wall);
+  EXPECT_EQ(self_total, top_level_wall);
 }
 #endif  // MERCURY_OBS_ENABLED
 

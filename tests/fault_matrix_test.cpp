@@ -554,7 +554,7 @@ TEST(FaultMatrix, DeepTriggerCrossesAPageInfoShard) {
   sc.crew_workers = 1;
   Box box(sc, /*cpus=*/2, /*kernel_mb=*/160, /*mem_mb=*/256);
   const vmm::PageInfoTable& table = box.m.hypervisor().page_info();
-  const hw::Pfn first = box.m.kernel().pool().owned().front();
+  const hw::Pfn first = box.m.kernel().pool().first();
   constexpr std::size_t kShard = vmm::PageInfoTable::kFramesPerShard;
   const std::size_t shard = first / kShard;
   const std::uint64_t room = kShard - first % kShard;  // run frames in `shard`

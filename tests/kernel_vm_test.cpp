@@ -173,5 +173,35 @@ TEST_F(VmTest, WriteToReadOnlyVmaKills) {
   EXPECT_EQ(k->find_task(pid)->exit_status, -11);
 }
 
+TEST_F(VmTest, FramePoolHoldsTheOneRangeBootGranted) {
+  kernel::FramePool& pool = k->pool();
+  // MiniKernel boots on the (mem_mb - 8) MB range it reserved.
+  const std::size_t count = (64 - 8) * 256;
+  EXPECT_EQ(pool.first(), k->base_pfn());
+  EXPECT_EQ(pool.owned_count(), count);
+  EXPECT_EQ(pool.used_count() + pool.free_count(), count);
+  // Boot's page tables came out of the range.
+  for (const hw::Pfn l1 : k->kernel_l1_frames()) {
+    EXPECT_GE(l1, pool.first());
+    EXPECT_LT(l1, pool.first() + count);
+  }
+  EXPECT_THROW(pool.grant(pool.first() + count, 16), util::InvariantError)
+      << "a pool holds one range";
+  EXPECT_EQ(pool.owned_count(), count);
+
+  // used_count follows allocations and frees.
+  const std::size_t used = pool.used_count();
+  std::vector<hw::Pfn> frames(5);
+  for (hw::Pfn& pfn : frames) {
+    ASSERT_TRUE(pool.alloc(pfn));
+    EXPECT_GE(pfn, pool.first());
+    EXPECT_LT(pfn, pool.first() + count);
+  }
+  EXPECT_EQ(pool.used_count(), used + frames.size());
+  EXPECT_EQ(pool.free_count(), count - used - frames.size());
+  for (const hw::Pfn pfn : frames) pool.free(pfn);
+  EXPECT_EQ(pool.used_count(), used);
+}
+
 }  // namespace
 }  // namespace mercury::testing

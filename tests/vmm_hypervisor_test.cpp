@@ -2,8 +2,12 @@
 // split-driver backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "tests/kernel_fixture.hpp"
 #include "kernel/layout.hpp"
@@ -333,6 +337,178 @@ TEST_F(HvTest, BulkValidationRejectsWhatThePerEntryLoopRejects) {
           EXPECT_EQ(s->machine().memory().read_u32(hw::addr_of(*l1) + e * 4),
                     e == kEntry ? 0u : before[e])
               << "entry " << e;
+      }
+    }
+  }
+}
+
+/// bulk_checkable_l1's table, with one frame of its page-info shard (a
+/// frame it does not map) typed as a page table: the shard is materialized,
+/// so validate_l1 takes the per-entry loop, as it does for a direct-map
+/// table over a shard that holds page tables.
+std::optional<hw::Pfn> direct_map_l1_over_materialized_shard(Sut& sut) {
+  const std::optional<hw::Pfn> l1 = bulk_checkable_l1(sut);
+  if (!l1) return std::nullopt;
+  vmm::PageInfoTable& pit = sut.hypervisor()->page_info();
+  const hw::Pfn base =
+      hw::Pte{sut.machine().memory().read_u32(hw::addr_of(*l1))}.pfn();
+  const auto shard_first = static_cast<hw::Pfn>(
+      pit.shard_of(base) * vmm::PageInfoTable::kFramesPerShard);
+  const hw::Pfn typed = base > shard_first ? shard_first : base + hw::kPtEntries;
+  pit.at(typed).type = PageType::kL1;
+  if (pit.uniform_value(pit.shard_of(base)) != nullptr) return std::nullopt;
+  return l1;
+}
+
+/// The L1 of a dom0 task that touched every 37th page of a fresh mapping:
+/// a table of scattered entries.
+std::optional<hw::Pfn> scattered_user_l1(Sut& sut) {
+  kernel::Kernel& k = sut.kernel();
+  auto va = std::make_shared<hw::VirtAddr>(0);
+  const kernel::Pid pid = k.spawn("scatter", [va](Sys& s) -> Sub<void> {
+    *va = s.mmap(512 * hw::kPageSize, true);
+    for (std::size_t p = 0; p < 512; p += 37)
+      s.touch_pages(*va + p * hw::kPageSize, 1, true);
+    for (;;) co_await s.sleep_us(50'000.0);
+  });
+  k.run_for(5 * hw::kCyclesPerMillisecond);
+  if (*va == 0) return std::nullopt;
+  const hw::Pfn pd = k.find_task(pid)->aspace->page_directory();
+  const hw::Pte pde{sut.machine().memory().read_u32(
+      hw::addr_of(pd) + hw::pde_index(*va) * 4)};
+  if (!pde.present()) return std::nullopt;
+  return pde.pfn();
+}
+
+TEST_F(HvTest, PerEntryValidationNamesEveryViolation) {
+  // The two table kinds whose entries validate_l1 checks one at a time: a
+  // direct-map table over a materialized shard and a user table. Each case
+  // plants one violation pte_value_violation names; the scan must stop at
+  // it (crash mode) or clear exactly it (heal mode), charging and counting
+  // what the loop reached.
+  struct Table {
+    const char* name;
+    std::optional<hw::Pfn> (*find)(Sut&);
+  };
+  struct Case {
+    const char* name;
+    hw::Pte (*bad)(Sut&);
+    const char* crash_reason;
+  };
+  const Table tables[] = {
+      {"direct-map table over a materialized shard",
+       direct_map_l1_over_materialized_shard},
+      {"user table of scattered entries", scattered_user_l1},
+  };
+  const Case cases[] = {
+      {"nonexistent frame",
+       [](Sut& s) {
+         return hw::make_pte(static_cast<hw::Pfn>(
+                                 s.hypervisor()->page_info().size() + 7),
+                             false, true);
+       },
+       "PTE targets nonexistent frame"},
+      {"hypervisor frame",
+       [](Sut& s) {
+         return hw::make_pte(s.hypervisor()->reserved_first() + 3, false,
+                             false);
+       },
+       "PTE maps a hypervisor frame"},
+      {"another domain's frame",
+       [](Sut& s) {
+         vmm::Hypervisor& hv = *s.hypervisor();
+         hw::Pfn first = 0;
+         EXPECT_TRUE(s.machine().frames().alloc_contiguous(8, first));
+         const DomainId other = hv.create_domain("other", nullptr, first, 8,
+                                                 /*privileged=*/false, 1);
+         hv.init_domain_memory(hv.domain(other));
+         return hw::make_pte(first + 2, false, true);
+       },
+       "PTE maps a frame owned by another domain"},
+      {"writable mapping of a page table",
+       [](Sut& s) {
+         return hw::make_pte(s.kernel().kernel_pd(), true, false);
+       },
+       "writable mapping of a page-table frame"},
+  };
+  constexpr hw::Cycles kPerPte = pv::costs::kPerPtePinScan;
+  for (const Table& table : tables) {
+    for (const Case& c : cases) {
+      for (const bool heal : {false, true}) {
+        SCOPED_TRACE(std::string(table.name) + ", " + c.name +
+                     (heal ? ", heal mode" : ", crash mode"));
+        auto s = Sut::create(SystemId::kX0, small());
+        vmm::Hypervisor& hv = *s->hypervisor();
+        hw::Cpu& cpu = s->machine().cpu(0);
+        hw::PhysicalMemory& mem = s->machine().memory();
+        const std::optional<hw::Pfn> l1 = table.find(*s);
+        ASSERT_TRUE(l1.has_value());
+        const auto entries = [&] {
+          std::vector<hw::Pte> v(hw::kPtEntries);
+          for (std::uint32_t e = 0; e < hw::kPtEntries; ++e)
+            v[e] = hw::Pte{mem.read_u32(hw::addr_of(*l1) + e * 4)};
+          return v;
+        };
+        const auto count_present = [](const std::vector<hw::Pte>& v,
+                                      std::uint32_t end) {
+          return static_cast<std::size_t>(
+              std::count_if(v.begin(), v.begin() + end,
+                            [](hw::Pte p) { return p.present(); }));
+        };
+        const auto validate = [&](std::size_t* present) {
+          return hv.validate_l1(cpu, hv.domain(0), *l1, kPerPte, present);
+        };
+
+        // Untouched, the table passes, charging every slot.
+        const std::vector<hw::Pte> clean = entries();
+        const std::size_t clean_present = count_present(clean, hw::kPtEntries);
+        ASSERT_GT(clean_present, 0u);
+        std::size_t present = 0;
+        std::uint64_t validations = hv.stats().pte_validations;
+        hw::Cycles t0 = cpu.now();
+        ASSERT_TRUE(validate(&present));
+        EXPECT_EQ(present, clean_present);
+        EXPECT_EQ(hv.stats().pte_validations - validations, clean_present);
+        EXPECT_EQ(cpu.now() - t0, hw::kPtEntries * kPerPte);
+
+        // Plant the violation in the slot after the second present entry:
+        // the loop has validated entries before it.
+        std::uint32_t slot = 0;
+        for (std::size_t seen = 0; slot < hw::kPtEntries; ++slot)
+          if (clean[slot].present() && ++seen == 2) break;
+        slot = (slot + 1) % hw::kPtEntries;
+        mem.write_u32(hw::addr_of(*l1) + slot * 4, c.bad(*s).raw);
+        const std::vector<hw::Pte> planted = entries();
+        const std::uint64_t healed = hv.stats().entries_healed;
+        hv.set_heal_mode(heal);
+        present = 0;
+        validations = hv.stats().pte_validations;
+        t0 = cpu.now();
+        const bool ok = validate(&present);
+        const hw::Cycles charged = cpu.now() - t0;
+        const std::uint64_t validated = hv.stats().pte_validations - validations;
+        if (!heal) {
+          EXPECT_FALSE(ok);
+          EXPECT_TRUE(hv.domain(0).crashed);
+          EXPECT_EQ(hv.domain(0).crash_reason,
+                    std::string("L1 validation: ") + c.crash_reason);
+          EXPECT_EQ(validated, count_present(planted, slot) + 1);
+          EXPECT_EQ(charged, (slot + 1) * kPerPte);
+          EXPECT_EQ(hv.stats().entries_healed, healed);
+        } else {
+          const std::size_t planted_present =
+              count_present(planted, hw::kPtEntries);
+          EXPECT_TRUE(ok);
+          EXPECT_FALSE(hv.domain(0).crashed);
+          EXPECT_EQ(present, planted_present - 1);
+          EXPECT_EQ(validated, planted_present);
+          EXPECT_EQ(hv.stats().entries_healed, healed + 1);
+          EXPECT_EQ(charged, hw::kPtEntries * kPerPte + hw::costs::kMemAccess);
+          const std::vector<hw::Pte> after = entries();
+          for (std::uint32_t e = 0; e < hw::kPtEntries; ++e)
+            EXPECT_EQ(after[e].raw, e == slot ? 0u : planted[e].raw)
+                << "entry " << e;
+        }
       }
     }
   }

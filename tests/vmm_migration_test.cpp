@@ -1,11 +1,15 @@
 // Live migration + checkpoint/restore correctness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "cluster/depend.hpp"
 #include "cluster/fabric.hpp"
 #include "kernel/syscalls.hpp"
+#include "obs/obs.hpp"
+#include "tests/injector_guard.hpp"
 #include "vmm/checkpoint.hpp"
 #include "vmm/migrate.hpp"
 
@@ -240,6 +244,91 @@ TEST(MigrationTest, PageTableWritesDuringPrecopyReachTheTarget) {
       if (!pte.has_value() || !pte->present()) ++missing;
     }
     EXPECT_EQ(missing, 0u) << "of " << mapped.size() << " mapped pages";
+  }
+}
+
+TEST(MigrationTest, TheTargetRebuildsExactlyTheMovedFrameRange) {
+  TwoNodes t;
+  kernel::Kernel& os = t.a->mercury().kernel();
+  kernel::FramePool& pool = os.pool();
+  const std::size_t count = pool.owned_count();
+  const std::size_t used = pool.used_count();
+  ASSERT_TRUE(t.b->mercury().switch_to(core::ExecMode::kPartialVirtual));
+  ASSERT_TRUE(t.a->mercury().switch_to(core::ExecMode::kFullVirtual));
+  vmm::Hypervisor& dst = t.b->mercury().hypervisor();
+#if MERCURY_OBS_ENABLED
+  const obs::Counter& rebuilt =
+      obs::registry().counter("vmm.page_info.frames_reconstructed");
+  const std::uint64_t rebuilt0 = rebuilt.value();
+#endif
+  const auto stats = vmm::LiveMigration::run(
+      t.a->mercury().hypervisor(), t.a->mercury().guest_vo().dom(), dst);
+  ASSERT_TRUE(stats.success);
+
+  // The pool's range moved to the target region, with its use unchanged.
+  const hw::Pfn base = dst.domain(stats.new_domain).first_frame();
+  EXPECT_EQ(pool.first(), base);
+  EXPECT_EQ(os.base_pfn(), base);
+  EXPECT_EQ(pool.owned_count(), count);
+  EXPECT_EQ(pool.used_count(), used);
+  hw::Pfn fresh = 0;
+  ASSERT_TRUE(pool.alloc(fresh));
+  EXPECT_GE(fresh, base);
+  EXPECT_LT(fresh, base + count);
+  pool.free(fresh);
+
+  // The admission's rebuild counted every frame of the new range, and no
+  // frame outside it.
+#if MERCURY_OBS_ENABLED
+  EXPECT_EQ(rebuilt.value() - rebuilt0, count);
+#endif
+  const vmm::PageInfoTable& table = dst.page_info();
+  constexpr std::size_t kShard = vmm::PageInfoTable::kFramesPerShard;
+  for (std::size_t shard = 0; shard < table.shard_count(); ++shard) {
+    const std::size_t lo = std::max<std::size_t>(shard * kShard, base);
+    const std::size_t hi = std::min<std::size_t>((shard + 1) * kShard,
+                                                 base + count);
+    EXPECT_EQ(table.shard_counters(shard).rebuilt, lo < hi ? hi - lo : 0)
+        << "shard " << shard;
+  }
+  EXPECT_EQ(table.rebuilt_total(), count);
+}
+
+TEST(MigrationTest, AnAbortedAdmissionLeavesTheTargetsProtectedFrames) {
+  // A fault inside the target's admission, before or after its protect
+  // pass has write-protected some of the image's tables. The abandoned
+  // image must leave the target's protected set as it was: the target's
+  // next detach unprotects exactly that set through its own direct map.
+  InjectorGuard guard;
+  struct Row {
+    core::FaultSite site;
+    std::uint64_t trigger;
+  };
+  for (const Row row : {Row{core::FaultSite::kAdoptProtect, 1},
+                        Row{core::FaultSite::kAdoptProtect, 3},
+                        Row{core::FaultSite::kAdoptRebuild, 1},
+                        Row{core::FaultSite::kMigrateActivate, 2},
+                        Row{core::FaultSite::kMigrateActivate, 3}}) {
+    SCOPED_TRACE(std::string(core::fault_site_name(row.site)) + " visit " +
+                 std::to_string(row.trigger));
+    TwoNodes t;
+    ASSERT_TRUE(t.b->mercury().switch_to(core::ExecMode::kPartialVirtual));
+    ASSERT_TRUE(t.a->mercury().switch_to(core::ExecMode::kFullVirtual));
+    vmm::Hypervisor& dst = t.b->mercury().hypervisor();
+    const std::vector<hw::Pfn> protected_before =
+        dst.protected_frames_snapshot();
+    core::FaultPlan plan;
+    plan.site = row.site;
+    plan.trigger_count = row.trigger;
+    core::fault_injector().arm(plan);
+    EXPECT_THROW(vmm::LiveMigration::run(t.a->mercury().hypervisor(),
+                                         t.a->mercury().guest_vo().dom(), dst),
+                 core::FaultInjected);
+    EXPECT_FALSE(core::fault_injector().armed()) << "the plan fired";
+    EXPECT_EQ(&t.a->mercury().kernel().machine(), &t.a->machine())
+        << "the guest stays on the source";
+    EXPECT_EQ(dst.protected_frames_snapshot(), protected_before);
+    EXPECT_TRUE(t.b->mercury().switch_to(core::ExecMode::kNative));
   }
 }
 

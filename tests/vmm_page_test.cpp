@@ -95,12 +95,13 @@ class TwoStateTable {
   void fill(const std::vector<hw::Pfn>& frames, const PageInfo& value,
             PageInfoTable::Note note) {
     table.fill(frames, value, note);
-    for (const hw::Pfn pfn : frames) {
-      model_[pfn] = value;
-      if (note == PageInfoTable::Note::kNone) continue;
-      ++rebuilt_[pfn / kPer];
-      if (note == PageInfoTable::Note::kDirtyRebuilt) stamp_[pfn / kPer] = epoch_;
-    }
+    for (const hw::Pfn pfn : frames) book(pfn, value, note);
+  }
+  void fill(hw::Pfn first, std::size_t count, const PageInfo& value,
+            PageInfoTable::Note note) {
+    table.fill(first, count, value, note);
+    for (hw::Pfn pfn = first; pfn < first + count; ++pfn)
+      book(pfn, value, note);
   }
   void write(hw::Pfn pfn, std::uint32_t type_count) {
     table.at(pfn).type_count = type_count;
@@ -132,6 +133,14 @@ class TwoStateTable {
   }
 
  private:
+  /// One frame's fill, in the model.
+  void book(hw::Pfn pfn, const PageInfo& value, PageInfoTable::Note note) {
+    model_[pfn] = value;
+    if (note == PageInfoTable::Note::kNone) return;
+    ++rebuilt_[pfn / kPer];
+    if (note == PageInfoTable::Note::kDirtyRebuilt) stamp_[pfn / kPer] = epoch_;
+  }
+
   std::vector<PageInfo> model_ = std::vector<PageInfo>(kFrames);
   std::array<std::uint64_t, kShards> rebuilt_{};
   std::array<std::uint64_t, kShards> stamp_{};
@@ -178,7 +187,7 @@ TEST(PageInfoTableTest, RandomFillsAndWritesMatchAFlatModel) {
     const PageInfo& w = values[rng.below(3)];
     const Note note = static_cast<Note>(rng.below(3));
     std::string op;
-    switch (rng.below(9)) {
+    switch (rng.below(10)) {
       case 0:
         op = "whole shard";
         t.fill(t.range(lo, hi), v, note);
@@ -225,6 +234,14 @@ TEST(PageInfoTableTest, RandomFillsAndWritesMatchAFlatModel) {
         t.write(static_cast<hw::Pfn>(rng.between(lo, hi - 1)),
                 static_cast<std::uint32_t>(rng.below(3)));
         break;
+      case 8: {
+        // A rebuild shard's range: from inside this shard to anywhere up
+        // to the table's end, so it may cover whole shards and cut others.
+        op = "range";
+        const hw::Pfn from = static_cast<hw::Pfn>(rng.between(lo, hi - 1));
+        t.fill(from, rng.between(1, TwoStateTable::kFrames - from), v, note);
+        break;
+      }
       default:
         // A detach that retains the table, and the next rebuild episode.
         op = "invalidate and retain";
